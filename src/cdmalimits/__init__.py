@@ -9,21 +9,20 @@ Subpackage map:
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
   matrix-valued fixed point, scalar frequency-domain solver, and the
   closed-form ideal-bandlimited/synchronous special cases.
-- :mod:`cdmalimits.capacity` — spectral efficiency of the linear MMSE
-  front end and the synchronous closed form it is compared against.
+- :mod:`cdmalimits.capacity` — pulse-constrained capacity in free-energy
+  closed form, spectral efficiency, and the synchronous closed form it is
+  compared against.
 - :mod:`cdmalimits.montecarlo` — exact finite-size validation.
 - :mod:`cdmalimits.cli` — command line front end.
 """
 
 from .capacity import (
-    CapacityResult,
     ZeroBandwidthError,
     capacity_constrained,
     capacity_penalty_term,
     capacity_sync_closed_form,
     decibels_to_linear,
     linear_to_decibels,
-    make_capacity_result,
     snr_for_ebn0,
     spectral_efficiency,
 )
@@ -92,7 +91,6 @@ from .waveforms import (
 
 __all__ = [
     "BracketError",
-    "CapacityResult",
     "ChipWaveform",
     "DelayVector",
     "DivergenceError",
@@ -130,7 +128,6 @@ __all__ = [
     "integrate_uniform",
     "linear_to_decibels",
     "load_tabulated_waveform",
-    "make_capacity_result",
     "materialize",
     "mmse_sinr",
     "phase_twisted_circulant",

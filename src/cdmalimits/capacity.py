@@ -4,9 +4,11 @@ Two routes to total capacity per chip for the large-system limit:
 
 * ``capacity_sync_closed_form`` — the closed-form synchronous expression in
   the load and the per-chip SNR, with its square-root correction term;
-* ``capacity_constrained`` — the pulse-constrained asynchronous capacity,
-  obtained by integrating the per-class MMSE over the SNR axis using the
-  scalar-route efficiency solver at every quadrature node.
+* ``capacity_constrained`` — the pulse-constrained asynchronous capacity
+  in the free-energy closed form (generalizing Verdu-Shamai, IEEE Trans.
+  IT 45(2), 1999), fed by one scalar-route efficiency solve.  The I-MMSE
+  route (Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), which integrates
+  the per-class MMSE over the SNR axis, is kept in the tests as an oracle.
 
 Spectral efficiency divides capacity per chip by the time-bandwidth product
 ``T_c * B`` with the one-sided bandwidth stored on the waveform, and
@@ -17,7 +19,7 @@ load * snr / C(snr)`` by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,79 +65,16 @@ def capacity_sync_closed_form(load: float, snr: float) -> float:
             - LOG2_E / (4.0 * snr) * penalty)
 
 
-def _gauss_legendre_nodes(n: int, upper: float):
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, upper]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = upper / 2.0
-    return half * (x + 1.0), half * w
-
-
-def _mmse_integrand(sys: SystemLaw, gammas: np.ndarray,
-                    n_points: int) -> np.ndarray:
-    """``sum_atoms w*lam*eta_g / (1 + lam*g*eta_g)`` for each SNR node g.
-
-    ``eta_g`` is the scalar-route efficiency of the system re-noised so
-    that its per-chip SNR equals ``g``; all nodes are solved together by a
-    vectorized bisection on the shared bracket ``(0, 1]``.
-    """
-    waveform = sys.waveform
-    energy = waveform.energy
-    tc = waveform.chip_interval
-    powers, weights = sys.law.power_marginal()
-    edge = 2.0 * np.pi * waveform.bandwidth
-    spacing = 2.0 * edge / n_points
-    omegas = -edge + (np.arange(n_points) + 0.5) * spacing
-    gain = waveform.power_spectrum(omegas)
-    positive = gain > 0
-    inv_gain = np.zeros_like(gain)
-    inv_gain[positive] = energy / gain[positive]
-
-    gammas = np.asarray(gammas, dtype=float)
-    finite = gammas > 0
-    etas = np.ones_like(gammas)
-
-    def integrated(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # interference term per node: (beta/T_c) sum w*lam/(1/g + lam*eta)
-        inv_g = 1.0 / g
-        terms = weights[None, :] * powers[None, :] / (
-            inv_g[:, None] + powers[None, :] * eta[:, None])
-        interference = sys.load / tc * terms.sum(axis=1)
-        density = 1.0 / (inv_gain[None, positive]
-                         + interference[:, None])
-        return density.sum(axis=1) * spacing / (2.0 * np.pi)
-
-    g = gammas[finite]
-    if g.size:
-        lo = np.full(g.shape, 1e-15)
-        hi = np.ones(g.shape)
-        # residual(1) >= 0 up to quadrature noise; clamp such nodes to 1
-        res_hi = hi - integrated(hi, g)
-        solvable = res_hi > 0
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            res = mid - integrated(mid, g)
-            lower = res < 0
-            lo = np.where(lower & solvable, mid, lo)
-            hi = np.where((~lower) & solvable, mid, hi)
-        etas_f = np.where(solvable, 0.5 * (lo + hi), 1.0)
-        etas[finite] = etas_f
-
-    num = weights[None, :] * powers[None, :] * etas[:, None]
-    den = 1.0 + powers[None, :] * gammas[:, None] * etas[:, None]
-    return (num / den).sum(axis=1)
-
-
 def capacity_constrained(sys: SystemLaw, snr: float | None = None,
-                         rel_tol: float = 1e-5, initial_nodes: int = 129,
-                         max_nodes: int = 2049,
                          density_points: int = 2048) -> float:
     """Pulse-constrained asynchronous capacity per chip (bits/chip).
 
-    ``C = (beta/ln 2) * integral_0^snr sum_atoms w*lam*eta_g/(1+lam*g*eta_g)
-    dg`` with ``eta_g`` the scalar efficiency at per-chip SNR ``g``.  The
-    SNR axis uses Gauss-Legendre quadrature with node doubling until the
-    value changes by less than ``rel_tol`` relatively.  ``snr`` defaults to
-    the system's own ``E/N_0``.
+    Free-energy closed form at the scalar efficiency ``eta`` of the system
+    re-noised to per-chip SNR ``snr``:
+    ``C = beta * sum_atoms w*log2(1 + lam*snr*eta) + (T_c/2pi) * integral
+    [-log2 q(w) + (q(w) - 1)*log2 e] dw`` with ``q = eta(w)*E/|Phi(w)|^2``
+    over the support where ``|Phi|^2 > 0``, on the solver's midpoint grid.
+    ``snr`` defaults to the system's own ``E/N_0``.
     """
     if snr is None:
         snr = sys.snr
@@ -143,24 +82,19 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
         raise ValueError("snr must be nonnegative")
     if sys.load == 0.0 or snr == 0.0:
         return 0.0
-    # Reuse the scalar solver's hypothesis gate: evaluating at one node
-    # raises "corollary hypotheses violated" for inadmissible systems.
-    solve_efficiency_scalar(sys, n_points=2)
-
-    prefactor = sys.load / math.log(2.0)
-    value = None
-    nodes = initial_nodes
-    while True:
-        x, w = _gauss_legendre_nodes(nodes, snr)
-        integrand = _mmse_integrand(sys, x, density_points)
-        new_value = prefactor * float(np.dot(w, integrand))
-        if value is not None and abs(new_value - value) <= rel_tol * max(
-                abs(new_value), 1e-300):
-            return new_value
-        value = new_value
-        if 2 * nodes - 1 > max_nodes:
-            return value
-        nodes = 2 * nodes - 1
+    energy = sys.waveform.energy
+    spectrum = solve_efficiency_scalar(
+        replace(sys, noise_density=energy / snr), n_points=density_points)
+    omegas = spectrum.frequencies
+    gain = sys.waveform.power_spectrum(omegas)
+    positive = gain > 0
+    q = spectrum.density[positive] * energy / gain[positive]
+    free_energy = float(np.sum(-np.log2(q) + (q - 1.0) * LOG2_E))
+    powers, weights = sys.law.power_marginal()
+    user_term = float(np.sum(weights * np.log2(
+        1.0 + powers * snr * spectrum.scalar)))
+    return (sys.load * user_term + sys.waveform.chip_interval
+            * (omegas[1] - omegas[0]) / (2.0 * math.pi) * free_energy)
 
 
 def spectral_efficiency(capacity_per_chip: float,
@@ -211,36 +145,6 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
         else:
             hi = mid
     return math.sqrt(lo * hi)
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    """Capacity per chip with its derived spectral-efficiency accounting."""
-
-    capacity_per_chip: float
-    spectral_efficiency: float
-    snr: float
-    eb_n0: float
-    load: float
-    bandwidth_chip_product: float
-
-
-def make_capacity_result(capacity_per_chip: float, waveform: ChipWaveform,
-                         load: float, snr: float) -> CapacityResult:
-    """Bundle a computed capacity with its spectral-efficiency bookkeeping."""
-    gamma = spectral_efficiency(capacity_per_chip, waveform)
-    if capacity_per_chip > 0:
-        ebn0 = load * snr / capacity_per_chip
-    else:
-        ebn0 = math.inf
-    return CapacityResult(
-        capacity_per_chip=capacity_per_chip,
-        spectral_efficiency=gamma,
-        snr=snr,
-        eb_n0=ebn0,
-        load=load,
-        bandwidth_chip_product=waveform.chip_interval * waveform.bandwidth,
-    )
 
 
 def linear_to_decibels(value: float) -> float:

@@ -803,30 +803,6 @@ _COMMANDS: dict[str, Callable[[ExperimentConfig], int]] = {
     "verify": cmd_verify,
 }
 
-_FLAG_KEYS = {
-    "waveform": "waveform",
-    "beta": "beta",
-    "alpha": "alpha",
-    "ebn0_db": "ebn0_db",
-    "snr": "snr",
-    "n0": "n0",
-    "r": "r",
-    "n": "n",
-    "trials": "trials",
-    "grid": "grid",
-    "density_points": "density_points",
-    "n_delays": "n_delays",
-    "delays": "delays",
-    "window": "window",
-    "matrix_kind": "matrix_kind",
-    "instances": "instances",
-    "sync_baseline": "sync_baseline",
-    "cross_check": "cross_check",
-    "negative_control": "negative_control",
-    "seed": "seed",
-    "out": "out",
-}
-
 _BOOL_FLAGS = ("sync_baseline", "cross_check", "negative_control")
 
 
@@ -875,11 +851,9 @@ def main(argv=None) -> int:
     try:
         file_values = (load_config_file(args.config, args.command)
                        if args.config else {})
-        overrides = {}
-        for attr, key in _FLAG_KEYS.items():
-            value = getattr(args, attr, None)
-            if value is not None:
-                overrides[key] = value
+        overrides = {key: getattr(args, key)
+                     for key in _DEFAULTS[args.command]
+                     if getattr(args, key) is not None}
         cfg = resolve_config(args.command, file_values, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

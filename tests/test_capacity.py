@@ -1,9 +1,11 @@
 """Tests for total capacity per chip and spectral-efficiency accounting.
 
-The strongest oracle here is route independence: the closed-form
-synchronous expression must match the quadrature route that integrates
-the scalar MMSE solver over the SNR axis, because a unit-bandwidth flat
-pulse makes the asynchronous system synchronous in distribution.
+The strongest oracles here are route independence: the closed-form
+synchronous expression must match the pulse-constrained free-energy form,
+because a unit-bandwidth flat pulse makes the asynchronous system
+synchronous in distribution; and the free-energy form must match the
+I-MMSE route, which integrates the scalar MMSE solver over the SNR axis
+(Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), for every pulse and law.
 """
 
 import math
@@ -24,7 +26,7 @@ from cdmalimits import (
     decibels_to_linear,
     equal_power_uniform_delays,
     linear_to_decibels,
-    make_capacity_result,
+    product_law,
     root_raised_cosine_waveform,
     sinc_waveform,
     snr_for_ebn0,
@@ -42,6 +44,92 @@ def _sinc_system(load, alpha=1.0, snr=10.0, n_delays=16):
                      oversampling=max(1, math.ceil(alpha)),
                      waveform=sinc_waveform(alpha),
                      law=equal_power_uniform_delays(n_delays))
+
+
+def _gauss_legendre_nodes(n: int, upper: float):
+    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, upper]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = upper / 2.0
+    return half * (x + 1.0), half * w
+
+
+def _mmse_integrand(sys: SystemLaw, gammas: np.ndarray,
+                    n_points: int) -> np.ndarray:
+    """``sum_atoms w*lam*eta_g / (1 + lam*g*eta_g)`` for each SNR node g.
+
+    ``eta_g`` is the scalar-route efficiency of the system re-noised so
+    that its per-chip SNR equals ``g``; all nodes are solved together by a
+    vectorized bisection on the shared bracket ``(0, 1]``.
+    """
+    waveform = sys.waveform
+    energy = waveform.energy
+    tc = waveform.chip_interval
+    powers, weights = sys.law.power_marginal()
+    edge = 2.0 * np.pi * waveform.bandwidth
+    spacing = 2.0 * edge / n_points
+    omegas = -edge + (np.arange(n_points) + 0.5) * spacing
+    gain = waveform.power_spectrum(omegas)
+    positive = gain > 0
+    inv_gain = np.zeros_like(gain)
+    inv_gain[positive] = energy / gain[positive]
+
+    gammas = np.asarray(gammas, dtype=float)
+    finite = gammas > 0
+    etas = np.ones_like(gammas)
+
+    def integrated(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
+        # interference term per node: (beta/T_c) sum w*lam/(1/g + lam*eta)
+        inv_g = 1.0 / g
+        terms = weights[None, :] * powers[None, :] / (
+            inv_g[:, None] + powers[None, :] * eta[:, None])
+        interference = sys.load / tc * terms.sum(axis=1)
+        density = 1.0 / (inv_gain[None, positive]
+                         + interference[:, None])
+        return density.sum(axis=1) * spacing / (2.0 * np.pi)
+
+    g = gammas[finite]
+    if g.size:
+        lo = np.full(g.shape, 1e-15)
+        hi = np.ones(g.shape)
+        # residual(1) >= 0 up to quadrature noise; clamp such nodes to 1
+        res_hi = hi - integrated(hi, g)
+        solvable = res_hi > 0
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            res = mid - integrated(mid, g)
+            lower = res < 0
+            lo = np.where(lower & solvable, mid, lo)
+            hi = np.where((~lower) & solvable, mid, hi)
+        etas_f = np.where(solvable, 0.5 * (lo + hi), 1.0)
+        etas[finite] = etas_f
+
+    num = weights[None, :] * powers[None, :] * etas[:, None]
+    den = 1.0 + powers[None, :] * gammas[:, None] * etas[:, None]
+    return (num / den).sum(axis=1)
+
+
+def _immse_capacity(sys: SystemLaw, snr: float, rel_tol: float = 1e-5,
+                    initial_nodes: int = 129, max_nodes: int = 2049,
+                    density_points: int = 2048) -> float:
+    """I-MMSE oracle: ``(beta/ln 2) * integral_0^snr MMSE-sum(g) dg``.
+
+    Gauss-Legendre quadrature over the SNR axis with node doubling until
+    the value changes by less than ``rel_tol`` relatively.
+    """
+    prefactor = sys.load / math.log(2.0)
+    value = None
+    nodes = initial_nodes
+    while True:
+        x, w = _gauss_legendre_nodes(nodes, snr)
+        integrand = _mmse_integrand(sys, x, density_points)
+        new_value = prefactor * float(np.dot(w, integrand))
+        if value is not None and abs(new_value - value) <= rel_tol * max(
+                abs(new_value), 1e-300):
+            return new_value
+        value = new_value
+        if 2 * nodes - 1 > max_nodes:
+            return value
+        nodes = 2 * nodes - 1
 
 
 class TestPenaltyTerm:
@@ -105,9 +193,9 @@ class TestSyncClosedForm:
         assert capacity_sync_closed_form(load, snr * 1.1) >= c - 1e-12
 
     def test_matches_quadrature_route(self):
-        # Independent route: integrate the scalar MMSE solver over SNR
-        # with a unit-bandwidth flat pulse, which reduces the asynchronous
-        # model to the synchronous one.
+        # Independent route: the pulse-constrained free-energy form with a
+        # unit-bandwidth flat pulse, which reduces the asynchronous model
+        # to the synchronous one.
         got = capacity_constrained(_sinc_system(1.0), snr=10.0)
         assert got == pytest.approx(SYNC_CAPACITY_LOAD1_SNR10, rel=1e-6)
 
@@ -154,6 +242,40 @@ class TestConstrainedCapacity:
             capacity_constrained(_sinc_system(1.0), snr=-1.0)
 
 
+_WAVEFORMS = {
+    "rrc0.22": (lambda: root_raised_cosine_waveform(0.22), 2),
+    "rrc1.0": (lambda: root_raised_cosine_waveform(1.0), 2),
+    "sinc0.5": (lambda: sinc_waveform(0.5), 1),
+    "sinc2": (lambda: sinc_waveform(2.0), 2),
+}
+
+
+@pytest.mark.parametrize("waveform, load, two_level, snr", [
+    ("rrc0.22", 0.5, False, 10.0),
+    ("rrc0.22", 6.0, True, 10.0),
+    ("rrc1.0", 0.5, True, 10.0),
+    ("rrc1.0", 6.0, False, 10.0),
+    ("sinc0.5", 0.5, False, 10.0),
+    ("sinc0.5", 6.0, True, 10.0),
+    ("sinc2", 0.5, True, 10.0),
+    ("sinc2", 6.0, False, 10.0),
+    ("rrc0.22", 6.0, False, 0.3),
+    ("sinc0.5", 0.5, True, 0.3),
+    ("rrc1.0", 0.5, False, 100.0),
+    ("sinc2", 6.0, True, 100.0),
+])
+def test_closed_form_matches_immse_oracle(waveform, load, two_level, snr):
+    make_waveform, oversampling = _WAVEFORMS[waveform]
+    law = (product_law([1.0, 4.0], [0.5, 0.5], 16) if two_level
+           else equal_power_uniform_delays(16))
+    sys = SystemLaw(load=load, noise_density=1.0 / snr,
+                    oversampling=oversampling, waveform=make_waveform(),
+                    law=law)
+    got = capacity_constrained(sys, snr=snr)
+    want = _immse_capacity(sys, snr)
+    assert abs(got - want) <= 1e-8 * want
+
+
 class TestSpectralEfficiency:
     def test_divides_by_time_bandwidth_product(self):
         wf = sinc_waveform(2.0)  # T_c * B = 1
@@ -196,22 +318,6 @@ class TestEbN0Inversion:
             snr_for_ebn0(-1.0, 1.0, fn)
         with pytest.raises(ValueError):
             snr_for_ebn0(1.0, 0.0, fn)
-
-
-class TestCapacityResult:
-    def test_bundles_accounting(self):
-        wf = sinc_waveform(2.0)
-        res = make_capacity_result(3.0, wf, load=1.5, snr=10.0)
-        assert res.capacity_per_chip == 3.0
-        assert res.spectral_efficiency == pytest.approx(3.0)
-        assert res.eb_n0 == pytest.approx(1.5 * 10.0 / 3.0)
-        assert res.load == 1.5
-        assert res.bandwidth_chip_product == pytest.approx(1.0)
-
-    def test_zero_capacity_has_infinite_ebn0(self):
-        res = make_capacity_result(0.0, sinc_waveform(1.0), load=1.0,
-                                   snr=10.0)
-        assert math.isinf(res.eb_n0)
 
 
 class TestDecibels:

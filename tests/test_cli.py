@@ -13,7 +13,7 @@ import math
 import pytest
 
 from cdmalimits import capacity_sync_closed_form, solve_efficiency_sync
-from cdmalimits.cli import main
+from cdmalimits.cli import _BOOL_FLAGS, _DEFAULTS, main
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
 
@@ -89,6 +89,31 @@ class TestConfigResolution:
         code, _, err = _run(capsys, ["efficiency", "--config",
                                      "/nonexistent/run.cfg"])
         assert code == 2
+
+
+# A valid non-default value for every configuration key; boolean keys
+# are bare flags that set "true".
+_FLAG_VALUES = {
+    "waveform": "sinc:1.5", "beta": "0.75", "alpha": "0.5", "ebn0_db": "7",
+    "snr": "3", "n0": "0.2", "r": "3", "n": "32", "trials": "5",
+    "grid": "256", "density_points": "1024", "n_delays": "32",
+    "delays": "zero", "window": "2", "matrix_kind": "block_toeplitz",
+    "instances": "10", "seed": "99", "out": "run.csv",
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in _DEFAULTS.items() for key in keys])
+def test_every_config_key_has_a_flag(command, key, capsys):
+    flag = "--" + key.replace("_", "-")
+    if key in _BOOL_FLAGS:
+        argv, want = [flag], "true"
+    else:
+        argv, want = [flag, _FLAG_VALUES[key]], _FLAG_VALUES[key]
+    code, out, _ = _run(capsys, [command, *argv, "--dump-config"])
+    assert code == 0
+    lines = dict(line.split(" = ", 1) for line in out.strip().splitlines())
+    assert lines[key] == want
 
 
 class TestEfficiencyCommand:
