@@ -2,9 +2,11 @@
 
 Builds the ``rN x N`` delay/pulse matrices (block-circulant by default,
 block-Toeplitz to demonstrate their spectral equivalence), draws i.i.d.
-circularly symmetric Gaussian spreading, computes per-user linear MMSE
-SINRs by the literal leave-one-out formula, and runs the paired windowed /
-reduced-delay harness showing that only delays modulo one chip matter.
+circularly symmetric Gaussian spreading, forms the signatures (by FFT for
+the block-circulant kind, so no circulant matrix is built), computes all
+users' linear MMSE SINRs from one Cholesky factorization of the smaller
+Gram matrix, and runs the paired windowed / reduced-delay harness showing
+that only delays modulo one chip matter.
 
 Reproducibility: every random quantity flows from one 64-bit master seed;
 trial ``t`` uses ``master XOR ((t+1) * 0x9E3779B97F4A7C15 mod 2^64)`` as
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .large_system import SystemLaw
 from .numerics import hermitian_solve
@@ -131,6 +132,17 @@ def finite_system(sys: SystemLaw, spreading_factor: int, seed: int,
 # Delay/pulse matrices
 # ---------------------------------------------------------------------------
 
+def _dft_deltas(waveform: ChipWaveform, n: int, r: int,
+                taus: np.ndarray) -> np.ndarray:
+    """Delay vectors at ``Omega_l = 2*pi*l/N`` wrapped to ``(-pi, pi]``.
+
+    Shape ``(len(taus), N, r)``; row ``l`` belongs to DFT bin ``l``.
+    """
+    omegas = TWO_PI * np.arange(n) / n
+    wrapped = np.mod(omegas + np.pi, TWO_PI) - np.pi
+    return _delta_components(waveform, r, wrapped, taus)
+
+
 def _circulant_phi(waveform: ChipWaveform, n: int, r: int,
                    tau: float) -> np.ndarray:
     """Block-circulant ``rN x N`` matrix with DFT-domain blocks.
@@ -139,9 +151,7 @@ def _circulant_phi(waveform: ChipWaveform, n: int, r: int,
     unitary DFT ``F`` and ``Omega_l = 2*pi*l/N``, evaluated directly via
     the inverse FFT of the per-frequency delay vectors.
     """
-    omegas = TWO_PI * np.arange(n) / n
-    wrapped = np.mod(omegas + np.pi, TWO_PI) - np.pi
-    deltas = _delta_components(waveform, r, wrapped, np.array([tau]))[0]
+    deltas = _dft_deltas(waveform, n, r, np.array([tau]))[0]
     # Block m of column n equals (1/N) sum_l delta(Omega_l) e^{-2pi i l(m-n)/N},
     # so a whole-chip delay (phase e^{j Omega_l}) shifts rows down one block.
     first_cols = np.fft.fft(deltas, axis=0) / n  # (N, r): C[m-n] pattern
@@ -285,19 +295,51 @@ class SinrSample:
     trial_seed: int
 
 
+def _circulant_signatures(waveform: ChipWaveform, r: int,
+                          delays: np.ndarray,
+                          spreading: np.ndarray) -> np.ndarray:
+    """Columns ``Phi_k @ s_k`` of the block-circulant kind, by FFT.
+
+    Sub-row ``s`` of block ``m`` of ``Phi(tau) @ x`` is the cyclic
+    convolution ``sum_c C[m-c, s] x[c]`` with ``C = fft(delta) / N``, which
+    equals ``fft(delta[:, s] * ifft(x))[m]``; the whole-chip part of each
+    delay then rolls the result down by whole blocks, as in
+    :func:`build_phi_matrix`.  Costs ``K*N*r`` numbers instead of one
+    ``rN x N`` matrix per user.
+    """
+    n, n_users = spreading.shape
+    tc = waveform.chip_interval
+    whole = np.floor_divide(delays, tc)
+    deltas = _dft_deltas(waveform, n, r, delays - whole * tc)
+    coeffs = np.fft.ifft(spreading, axis=0).T
+    blocks = np.fft.fft(deltas * coeffs[:, :, None], axis=1)
+    rows = (np.arange(n)[None, :] - whole.astype(int)[:, None]) % n
+    blocks = blocks[np.arange(n_users)[:, None], rows]
+    return blocks.reshape(n_users, r * n).T
+
+
 def materialize(system: FiniteSystem,
                 seed: int | None = None) -> FiniteSystem:
     """Draw the spreading and assemble the signature matrix.
 
     Spreading entries are i.i.d. circularly symmetric complex Gaussian
-    with variance ``1/N``.  Delay/pulse matrices are cached per distinct
-    delay, so laws with repeated atoms cost one build each.
+    with variance ``1/N``.  The block-circulant kind forms every
+    ``Phi_k @ s_k`` by FFT from one batch of delay vectors, without
+    building any ``Phi_k``; the block-Toeplitz kind builds its matrices
+    once per distinct delay, so laws with repeated atoms cost one build
+    each.
     """
     used_seed = system.seed if seed is None else int(seed)
     rng = np.random.Generator(np.random.PCG64(used_seed))
     n = system.spreading_factor
     draws = rng.standard_normal((2, n, system.n_users))
     spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
+
+    if system.matrix_kind == "block_circulant":
+        h = _circulant_signatures(system.waveform, system.oversampling,
+                                  system.delays, spreading)
+        return replace(system, seed=used_seed,
+                       signatures=h * system.amplitudes[None, :])
 
     cache: dict[float, np.ndarray] = {}
     h = np.empty((system.oversampling * n, system.n_users), dtype=complex)
@@ -312,28 +354,58 @@ def materialize(system: FiniteSystem,
     return replace(system, seed=used_seed, signatures=h)
 
 
+def _mmse_sinrs(h: np.ndarray, noise_variance: float,
+                users=None) -> np.ndarray:
+    """Linear MMSE SINRs of the columns ``users`` of ``h`` (all by default).
+
+    One Cholesky factorization of the smaller Gram matrix serves every
+    column.  With no more columns than rows it factors the ``K x K``
+    ``H^H H + sigma^2 I`` and uses the identity
+    ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``, which
+    also stays accurate at high SINR; otherwise it factors the row-side
+    ``H H^H + sigma^2 I`` and returns ``u / (1 - u)`` with
+    ``u = h_k^H (H H^H + sigma^2 I)^{-1} h_k``.  Both equal the
+    leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``.
+    """
+    rows, n_cols = h.shape
+    cols = np.arange(n_cols) if users is None else np.asarray(users)
+    if n_cols <= rows:
+        gram = h.conj().T @ h
+        gram[np.diag_indices(n_cols)] += noise_variance
+        unit = np.zeros((n_cols, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        solved = hermitian_solve(gram, unit)
+        diagonal = np.real(solved[cols, np.arange(cols.size)])
+        return 1.0 / (noise_variance * diagonal) - 1.0
+    gram = h @ h.conj().T
+    gram[np.diag_indices(rows)] += noise_variance
+    selected = h[:, cols]
+    solved = hermitian_solve(gram, selected)
+    u = np.real(np.sum(np.conj(selected) * solved, axis=0))
+    return u / (1.0 - u)
+
+
+def _sample(system: FiniteSystem, user: int, sinr: float) -> SinrSample:
+    power = float(np.abs(system.amplitudes[user]) ** 2)
+    efficiency = sinr * system.noise_density / (power *
+                                                system.waveform.energy)
+    return SinrSample(user=user, sinr=sinr, efficiency=efficiency,
+                      trial_seed=system.seed)
+
+
 def mmse_sinr(system: FiniteSystem, user: int) -> SinrSample:
     """Linear MMSE SINR of one user in a materialized system.
 
-    The literal leave-one-out formula
-    ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k`` with ``H_k`` the signature
-    matrix without column ``k``, solved through the Cholesky kernel.
+    Equals the leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``
+    with ``H_k`` the signature matrix without column ``k``.  It indexes
+    the all-users result of the one-factorization kernel, so it matches
+    :func:`run_trials` bit for bit.
     """
     if system.signatures is None:
         raise ValueError("system not materialized")
-    h = system.signatures
     k = int(user)
-    hk = h[:, k]
-    gram = h @ h.conj().T
-    gram -= np.outer(hk, hk.conj())
-    gram += system.noise_variance * np.eye(h.shape[0])
-    solved = hermitian_solve(gram, hk)
-    sinr = float(np.real(np.vdot(hk, solved)))
-    power = float(np.abs(system.amplitudes[k]) ** 2)
-    efficiency = sinr * system.noise_density / (power *
-                                                system.waveform.energy)
-    return SinrSample(user=k, sinr=sinr, efficiency=efficiency,
-                      trial_seed=system.seed)
+    sinrs = _mmse_sinrs(system.signatures, system.noise_variance)
+    return _sample(system, k, float(sinrs[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +452,8 @@ def run_trials(system: FiniteSystem, trials: int):
 
     Returns ``(samples, TrialSummary)`` where ``samples`` is the flat list
     of per-trial, per-user measurements in deterministic order.  One trial
-    reproduces a direct :func:`mmse_sinr` call bit-exactly.
+    reproduces a direct :func:`mmse_sinr` call bit-exactly.  Each trial
+    costs one FFT signature build and one factorization.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -390,8 +463,9 @@ def run_trials(system: FiniteSystem, trials: int):
     for t in range(trials):
         seed = trial_seed(system.seed, t)
         drawn = materialize(system, seed)
+        trial_sinrs = _mmse_sinrs(drawn.signatures, drawn.noise_variance)
         for k in range(system.n_users):
-            sample = mmse_sinr(drawn, k)
+            sample = _sample(drawn, k, float(trial_sinrs[k]))
             samples.append(sample)
             sinrs[t, k] = sample.sinr
             effs[t, k] = sample.efficiency
@@ -418,9 +492,9 @@ def _windowed_sinrs(phis: list[np.ndarray], spreading: np.ndarray,
 
     Column (k, m) places ``amp_k * Phi_k s_k^{(m)}`` at ``whole_chips[k]``
     chips below symbol m's base row; the stack spans ``(2M+2) r N`` rows so
-    every shifted signature fits.  All SINRs come from one Cholesky
-    factorization via the identity ``sinr = u / (1 - u)`` with
-    ``u = h^H (H H^H + sigma^2 I)^{-1} h``.
+    every shifted signature fits.  The center-symbol SINRs come from one
+    factorization of the smaller Gram matrix of the stack (see
+    :func:`_mmse_sinrs`).
     """
     rn = phis[0].shape[0]
     n_users = spreading.shape[1]
@@ -442,13 +516,7 @@ def _windowed_sinrs(phis: list[np.ndarray], spreading: np.ndarray,
                 sig = phis[k] @ side_spreading[:, k, side]
             columns[shift:shift + rn, col] = amplitudes[k] * sig
             col += 1
-    gram = columns @ columns.conj().T
-    gram += noise_variance * np.eye(height)
-    factor = scipy.linalg.cho_factor(gram, lower=False, check_finite=False)
-    centers = columns[:, center_index]
-    solved = scipy.linalg.cho_solve(factor, centers, check_finite=False)
-    u = np.real(np.sum(np.conj(centers) * solved, axis=0))
-    return u / (1.0 - u)
+    return _mmse_sinrs(columns, noise_variance, users=center_index)
 
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
@@ -506,12 +574,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
         h = np.empty((rn, n_users), dtype=complex)
         for k in range(n_users):
             h[:, k] = amplitudes[k] * (phis[k] @ center[:, k])
-        gram = h @ h.conj().T + sigma2 * np.eye(rn)
-        factor = scipy.linalg.cho_factor(gram, lower=False,
-                                         check_finite=False)
-        solved = scipy.linalg.cho_solve(factor, h, check_finite=False)
-        u = np.real(np.sum(np.conj(h) * solved, axis=0))
-        red_sinr[t] = u / (1.0 - u)
+        red_sinr[t] = _mmse_sinrs(h, sigma2)
 
     powers = np.abs(amplitudes) ** 2
     scale = noise_density / (powers * energy)

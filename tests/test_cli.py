@@ -273,6 +273,20 @@ class TestMonteCarloCommand:
             assert float(r["sinr"]) > 0.0
             assert 0.0 < float(r["efficiency"]) < 1.0
 
+    def test_gap_in_standard_errors(self, capsys):
+        code, out, _ = _run(capsys, self.ARGS)
+        assert code == 0
+        header, _ = _parse(out)
+        gap = (float(header["empirical_mean_efficiency"]) -
+               float(header["predicted_mean_efficiency"]))
+        assert float(header["gap_standard_errors"]) == pytest.approx(
+            gap / float(header["standard_error"]), rel=1e-12)
+        code, out, _ = _run(capsys, self.ARGS + ["--trials", "1"])
+        assert code == 0
+        header, _ = _parse(out)
+        assert header["standard_error"] == "0.0"
+        assert header["gap_standard_errors"] == ""
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "mc.csv"
         code, out, _ = _run(capsys, self.ARGS + ["--out", str(out_path)])

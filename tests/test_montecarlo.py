@@ -2,8 +2,10 @@
 measurements, trial aggregation, and the delay-reduction harness.
 
 Oracles: hand-built matrices for trivial pulses, a direct dense-inverse
-SINR computation, the interference-free single-user formula, and frozen
-spectral distances computed once from the deterministic constructions.
+SINR computation, the literal leave-one-out SINR for the one-factorization
+kernel, dense delay/pulse matrices for the FFT-formed signatures, the
+interference-free single-user formula, and frozen spectral distances
+computed once from the deterministic constructions.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from cdmalimits import (
     theorem3_harness,
     trial_seed,
 )
+from cdmalimits.montecarlo import _mmse_sinrs
 
 RRC = root_raised_cosine_waveform(0.22)
 
@@ -258,6 +261,75 @@ class TestMaterialize:
         drawn = materialize(fs)
         energy = np.mean(np.abs(drawn.signatures) ** 2) * 64
         assert energy == pytest.approx(1.0, rel=0.02)
+
+
+class TestCirculantSignatures:
+    @pytest.mark.parametrize("waveform, r", [(sinc_waveform(1.0), 1),
+                                             (RRC, 2)])
+    def test_match_dense_phi_columns(self, waveform, r):
+        # Delays of several whole chips exercise the block roll; the
+        # amplitudes differ in modulus and phase.
+        n = 16
+        delays = np.array([0.0, 0.3, 2.0, 3.7, 6.45, 9.25, 12.0, 15.5])
+        amplitudes = np.exp(1j * np.arange(8)) * np.linspace(0.5, 2.0, 8)
+        fs = FiniteSystem(spreading_factor=n, n_users=8, oversampling=r,
+                          waveform=waveform, amplitudes=amplitudes,
+                          delays=delays, noise_density=0.1, seed=0)
+        got = materialize(fs, seed=21).signatures
+        rng = np.random.Generator(np.random.PCG64(21))
+        draws = rng.standard_normal((2, n, 8))
+        spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
+        want = np.stack([
+            amplitudes[k] * (build_phi_matrix(waveform, n, r, delays[k])
+                             @ spreading[:, k]) for k in range(8)], axis=1)
+        assert got.shape == (r * n, 8)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _leave_one_out(h, noise_variance):
+    """Literal ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k`` for every column."""
+    out = np.empty(h.shape[1])
+    for k in range(h.shape[1]):
+        others = np.delete(h, k, axis=1)
+        cov = others @ others.conj().T + noise_variance * np.eye(h.shape[0])
+        out[k] = np.real(h[:, k].conj() @ np.linalg.solve(cov, h[:, k]))
+    return out
+
+
+def _gaussian_columns(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, cols)) +
+            1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0 * rows)
+
+
+class TestSinrKernel:
+    def test_fewer_users_than_rows(self):
+        h = materialize(_small_system(n=16, load=0.5)).signatures
+        assert h.shape == (32, 8)
+        np.testing.assert_allclose(_mmse_sinrs(h, 0.05),
+                                   _leave_one_out(h, 0.05), rtol=1e-12)
+
+    def test_more_users_than_rows(self):
+        h = _gaussian_columns(16, 40, seed=3)
+        np.testing.assert_allclose(_mmse_sinrs(h, 0.05),
+                                   _leave_one_out(h, 0.05), rtol=1e-12)
+
+    def test_high_sinr_stays_accurate(self):
+        # At sigma^2 = 2e-9 the SINRs exceed 1e8.  The K x K diagonal
+        # identity agrees with the literal formula to 2.6e-8, about the
+        # literal formula's own float64 error; the row-side u / (1 - u)
+        # differs by 1.9e-7 through cancellation in 1 - u.
+        h = materialize(_small_system(n=16, load=0.5)).signatures
+        want = _leave_one_out(h, 2e-9)
+        assert np.min(want) > 1e8
+        np.testing.assert_allclose(_mmse_sinrs(h, 2e-9), want, rtol=1e-7)
+
+    @pytest.mark.parametrize("rows, cols", [(32, 8), (16, 40)])
+    def test_user_subset_matches_full_result(self, rows, cols):
+        h = _gaussian_columns(rows, cols, seed=5)
+        users = np.array([cols - 1, 0, 3])
+        np.testing.assert_allclose(_mmse_sinrs(h, 0.2, users=users),
+                                   _mmse_sinrs(h, 0.2)[users], rtol=1e-13)
 
 
 class TestMmseSinr:
