@@ -3,7 +3,7 @@
 Subpackage map:
 
 - :mod:`cdmalimits.numerics` — shared solver kernels (Cholesky solve,
-  damped fixed point, bisection, frequency grids).
+  damped fixed point, ITP bracketed root finder, frequency grids).
 - :mod:`cdmalimits.waveforms` — chip waveform spectra, aliased sampling,
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:

@@ -13,18 +13,19 @@ Two routes to total capacity per chip for the large-system limit:
 Spectral efficiency divides capacity per chip by the time-bandwidth product
 ``T_c * B`` with the one-sided bandwidth stored on the waveform, and
 ``snr_for_ebn0`` inverts the energy-per-bit accounting ``Eb/N0 =
-load * snr / C(snr)`` by bisection.
+load * snr / C(snr)`` with the ITP bracketed root finder in ``ln snr``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 
 from .large_system import SystemLaw, solve_efficiency_scalar
-from .numerics import BracketError
+from .numerics import BracketError, bisect
 from .waveforms import ChipWaveform
 
 LOG2_E = math.log2(math.e)
@@ -112,39 +113,40 @@ def spectral_efficiency(capacity_per_chip: float,
 
 def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
                  rel_tol: float = 1e-8, max_snr: float = 1e18) -> float:
-    """Invert ``Eb/N0 = load * snr / C(snr)`` for the SNR by bisection.
+    """Invert ``Eb/N0 = load * snr / C(snr)`` for the SNR.
 
     ``capacity_fn`` maps an SNR to bits/chip and must make the ratio
-    nondecreasing in SNR.  Raises "unreachable Eb/N0" when the target lies
-    below the channel's minimum or beyond the searchable range.
+    nondecreasing in SNR.  After a geometric bracket search, the ITP root
+    finder (``numerics.bisect``) solves ``ln(Eb/N0) = ln(target)`` in
+    ``ln snr``, so the result lies within ``rel_tol / 2`` of the root in
+    relative terms.  Raises "unreachable Eb/N0" when the target lies below
+    the channel's minimum or beyond the searchable range.
     """
     if target_ebn0 <= 0:
         raise ValueError("target Eb/N0 must be positive")
     if load <= 0:
         raise ValueError("load must be positive")
+    log_target = math.log(target_ebn0)
 
-    def ebn0(snr: float) -> float:
+    @functools.cache
+    def excess(log_snr: float) -> float:
+        """``ln(Eb/N0 / target)`` at ``snr = exp(log_snr)``."""
+        snr = math.exp(log_snr)
         c = capacity_fn(snr)
         if c <= 0:
-            return 0.0
-        return load * snr / c
+            return -math.inf
+        return math.log(load * snr / c) - log_target
 
     lo = 1e-9
-    if ebn0(lo) > target_ebn0:
+    if excess(math.log(lo)) > 0.0:
         raise BracketError("unreachable Eb/N0")
     hi = 1.0
-    while ebn0(hi) < target_ebn0:
+    while excess(math.log(hi)) < 0.0:
         hi *= 8.0
         if hi > max_snr:
             raise BracketError("unreachable Eb/N0")
     lo = max(lo, hi / 8.0 if hi > 1.0 else lo)
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        if ebn0(mid) < target_ebn0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    return math.exp(bisect(excess, math.log(lo), math.log(hi), tol=rel_tol))
 
 
 def linear_to_decibels(value: float) -> float:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -812,7 +813,9 @@ _COMMANDS: dict[str, Callable[[ExperimentConfig], int]] = {
 _BOOL_FLAGS = ("sync_baseline", "cross_check", "negative_control")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="cdmalimits",
         description="Asynchronous-CDMA large-system experiments "

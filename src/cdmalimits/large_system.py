@@ -312,7 +312,8 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
     otherwise raises "corollary hypotheses violated".  The density obeys
     ``1/eta(w) = E/|Phi(w)|^2 + (beta/T_c) * sum_atoms w*lam /
     (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``; the
-    scalar is found by bisection on ``(0, 1]``, where the map is monotone.
+    scalar is the ITP root (``numerics.bisect``) of ``eta - (1/2pi) *
+    integral eta(w) dw`` on ``(0, 1]``, where the map is monotone.
     """
     if not _scalar_hypotheses_ok(sys):
         raise HypothesisViolationError("corollary hypotheses violated")
@@ -324,12 +325,13 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
     gain = waveform.power_spectrum(omegas)
     powers, weights = sys.law.power_marginal()
     noise_over_energy = sys.noise_density / energy
+    energy_over_gain = energy / gain[gain > 0]
 
     def integrated(eta: float) -> float:
         interference = sys.load / tc * float(
             np.sum(weights * powers / (noise_over_energy + powers * eta)))
-        density = _efficiency_density(gain, interference, energy)
-        return float(density.sum()) * spacing / TWO_PI
+        return float(np.sum(1.0 / (energy_over_gain + interference))) \
+            * spacing / TWO_PI
 
     residual = lambda eta: eta - integrated(eta)
     if sys.load == 0 or residual(1.0) <= 0.0:
@@ -370,9 +372,9 @@ def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,
                           weights, noise_density: float) -> float:
     """Multiuser efficiency of the flat bandlimited pulse family.
 
-    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` by
-    bisection on ``(0, 1]``; the bandwidth enters only through the
-    effective load ``beta/alpha``.
+    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` with
+    the ITP root finder (``numerics.bisect``) on ``(0, 1]``; the bandwidth
+    enters only through the effective load ``beta/alpha``.
     """
     if relative_bandwidth <= 0:
         raise ValueError("relative bandwidth must be positive")

@@ -306,6 +306,30 @@ class TestEbN0Inversion:
         snr = snr_for_ebn0(target, load, fn)
         assert load * snr / fn(snr) == pytest.approx(target, rel=1e-6)
 
+    @pytest.mark.parametrize("load", [0.5, 1.0, 6.0])
+    @pytest.mark.parametrize("snr0", [0.05, 7.5, 300.0])
+    def test_round_trip_within_half_tolerance(self, load, snr0):
+        # The result is the geometric midpoint of a bracket no wider than
+        # rel_tol = 1e-8 in ln snr, so it lies within half of it.
+        fn = lambda snr: capacity_sync_closed_form(load, snr)
+        got = snr_for_ebn0(load * snr0 / fn(snr0), load, fn)
+        assert abs(got / snr0 - 1.0) <= 0.5e-8
+
+    @pytest.mark.parametrize("load", [0.5, 1.0, 6.0])
+    def test_few_capacity_evaluations_at_10_db(self, load):
+        # Geometric bisection makes about 32 evaluations here.
+        calls = []
+
+        def fn(snr):
+            calls.append(snr)
+            return capacity_sync_closed_form(load, snr)
+
+        target = decibels_to_linear(10.0)
+        snr = snr_for_ebn0(target, load, fn)
+        assert len(calls) <= 14
+        assert load * snr / capacity_sync_closed_form(load, snr) == \
+            pytest.approx(target, rel=1e-8)
+
     def test_unreachable_target(self):
         fn = lambda snr: capacity_sync_closed_form(1.0, snr)
         # Below the minimum energy per bit of the channel.

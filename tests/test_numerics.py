@@ -4,6 +4,8 @@ Oracles are computed in-test with independent methods (dense linear algebra,
 closed-form integrals, analytically known roots and fixed points).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,45 @@ class TestBisect:
         # x^3 is strictly increasing, so x -> (x - root)^3 has a unique zero.
         got = bisect(lambda x: (x - root) ** 3, -8.0, 8.0, tol=1e-13)
         assert got == pytest.approx(root, abs=1e-6)
+
+    @staticmethod
+    def _counted(fn):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return fn(x)
+        return wrapped, calls
+
+    def test_cosine_root_in_few_calls(self):
+        # Plain bisection needs 42 calls here; the interpolation steps
+        # converge superlinearly on a smooth function.
+        fn, calls = self._counted(math.cos)
+        root = bisect(fn, 0.0, math.pi, tol=1e-12)
+        assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert len(calls) <= 12
+
+    @settings(max_examples=50, deadline=None)
+    @given(root=st.floats(min_value=0.001, max_value=0.999),
+           tol=st.sampled_from([1e-4, 1e-9, 1e-12, 1e-14]))
+    def test_never_beyond_bisection_plus_one(self, root, tol):
+        # A jump and a zero of order 21 defeat interpolation; the
+        # projection still caps the steps at bisection's count plus one,
+        # and the result is the midpoint of a bracket no wider than tol.
+        budget = math.ceil(math.log2(1.0 / tol)) + 3  # + both ends + one
+        for fn in (lambda x: -1.0 if x < root else 1.0,
+                   lambda x: (x - root) ** 21):
+            counted, calls = self._counted(fn)
+            got = bisect(counted, 0.0, 1.0, tol=tol)
+            assert len(calls) <= budget
+            assert abs(got - root) <= 0.5 * tol + 1e-15
+
+    def test_negative_infinite_end_value(self):
+        # A log-ratio that is -inf at the lower end, as in the Eb/N0
+        # inversion when the capacity vanishes there.
+        fn = lambda x: -math.inf if x <= 0.0 else math.log(x / 0.25)
+        assert bisect(fn, 0.0, 1.0, tol=1e-12) == pytest.approx(
+            0.25, abs=1e-12)
 
 
 class TestFrequencyGrid:
