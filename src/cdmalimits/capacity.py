@@ -116,7 +116,8 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
     """Invert ``Eb/N0 = load * snr / C(snr)`` for the SNR.
 
     ``capacity_fn`` maps an SNR to bits/chip and must make the ratio
-    nondecreasing in SNR.  After a geometric bracket search, the ITP root
+    nondecreasing in SNR.  After a geometric bracket search from
+    ``snr = 1`` (down to ``1e-9`` or up to ``max_snr``), the ITP root
     finder (``numerics.bisect``) solves ``ln(Eb/N0) = ln(target)`` in
     ``ln snr``, so the result lies within ``rel_tol / 2`` of the root in
     relative terms.  Raises "unreachable Eb/N0" when the target lies below
@@ -137,15 +138,20 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
             return -math.inf
         return math.log(load * snr / c) - log_target
 
-    lo = 1e-9
-    if excess(math.log(lo)) > 0.0:
-        raise BracketError("unreachable Eb/N0")
-    hi = 1.0
+    # Step from snr = 1 by factors of 8 toward the root, down to min_snr
+    # or up to max_snr, and keep the last step as the bracket.
+    min_snr = 1e-9
+    lo = hi = 1.0
+    while excess(math.log(lo)) > 0.0:
+        if lo <= min_snr:
+            raise BracketError("unreachable Eb/N0")
+        hi, lo = lo, max(lo / 8.0, min_snr)
     while excess(math.log(hi)) < 0.0:
-        hi *= 8.0
+        lo, hi = hi, hi * 8.0
         if hi > max_snr:
             raise BracketError("unreachable Eb/N0")
-    lo = max(lo, hi / 8.0 if hi > 1.0 else lo)
+    if lo == hi:
+        return hi
     return math.exp(bisect(excess, math.log(lo), math.log(hi), tol=rel_tol))
 
 

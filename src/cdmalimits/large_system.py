@@ -18,6 +18,7 @@ degenerates to, and the effective interference spectral density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -333,7 +334,9 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
         return float(np.sum(1.0 / (energy_over_gain + interference))) \
             * spacing / TWO_PI
 
-    residual = lambda eta: eta - integrated(eta)
+    # Memoized so the eta = 1 shortcut and bisect's upper end share one
+    # quadrature pass.
+    residual = functools.cache(lambda eta: eta - integrated(eta))
     if sys.load == 0 or residual(1.0) <= 0.0:
         # eta = 1 is exact here; don't launder it through the quadrature.
         interference = sys.load / tc * float(

@@ -330,6 +330,23 @@ class TestEbN0Inversion:
         assert load * snr / capacity_sync_closed_form(load, snr) == \
             pytest.approx(target, rel=1e-8)
 
+    @pytest.mark.parametrize("load", [0.5, 1.0, 6.0])
+    def test_few_capacity_evaluations_below_unit_snr(self, load):
+        # A root below snr = 1 is bracketed by stepping down from 1; the
+        # fixed bracket [1e-9, 1] took 34 evaluations here.
+        calls = []
+
+        def fn(snr):
+            calls.append(snr)
+            return capacity_sync_closed_form(load, snr)
+
+        snr0 = 0.05
+        target = load * snr0 / capacity_sync_closed_form(load, snr0)
+        got = snr_for_ebn0(target, load, fn)
+        assert len(calls) <= 16
+        assert min(calls) >= snr0 / 8.0
+        assert abs(got / snr0 - 1.0) <= 0.5e-8
+
     def test_unreachable_target(self):
         fn = lambda snr: capacity_sync_closed_form(1.0, snr)
         # Below the minimum energy per bit of the channel.

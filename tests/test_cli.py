@@ -311,6 +311,14 @@ class TestTheorem3Command:
         assert gap <= 2.0 * width
         assert int(records["windowed"]["trials"]) == 4
 
+    def test_byte_identical_reruns(self, capsys):
+        args = ["theorem3", "--n", "16", "--beta", "0.5", "--trials", "3",
+                "--window", "2", "--seed", "5"]
+        code1, out1, _ = _run(capsys, args)
+        code2, out2, _ = _run(capsys, args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
 
 class TestVerifyCommand:
     def test_fresh_run_passes(self, capsys):

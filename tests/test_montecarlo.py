@@ -4,8 +4,9 @@ measurements, trial aggregation, and the delay-reduction harness.
 Oracles: hand-built matrices for trivial pulses, a direct dense-inverse
 SINR computation, the literal leave-one-out SINR for the one-factorization
 kernel, dense delay/pulse matrices for the FFT-formed signatures, the
-interference-free single-user formula, and frozen spectral distances
-computed once from the deterministic constructions.
+literal dense multi-symbol stack for the block-tridiagonal windowed
+kernel, the interference-free single-user formula, and frozen spectral
+distances computed once from the deterministic constructions.
 """
 
 import dataclasses
@@ -31,7 +32,12 @@ from cdmalimits import (
     theorem3_harness,
     trial_seed,
 )
-from cdmalimits.montecarlo import _mmse_sinrs
+from cdmalimits.montecarlo import (
+    _circulant_signatures,
+    _dft_deltas,
+    _mmse_sinrs,
+    _windowed_sinrs,
+)
 
 RRC = root_raised_cosine_waveform(0.22)
 
@@ -332,6 +338,45 @@ class TestSinrKernel:
                                    _mmse_sinrs(h, 0.2)[users], rtol=1e-13)
 
 
+class TestWindowedSinrs:
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("n_users", [4, 24])
+    def test_match_literal_stack(self, window, n_users):
+        # K = 24 overloads the stack (120 or 168 columns against 96 or 128
+        # rows).  Delays include 0, N - 1 whole chips and 0.999 chips.
+        n, r, noise_variance = 8, 2, 0.2
+        tc = RRC.chip_interval
+        rng = np.random.default_rng(10 * window + n_users)
+        delays = rng.uniform(0.0, n * tc, n_users)
+        delays[:3] = [0.0, (n - 1) * tc, 0.999 * tc]
+        amplitudes = rng.uniform(0.5, 2.0, n_users) * np.exp(
+            2j * np.pi * rng.uniform(size=n_users))
+        n_symbols = 2 * window + 1
+        shape = (n, n_users, n_symbols)
+        spreading = (rng.standard_normal(shape) +
+                     1j * rng.standard_normal(shape)) / math.sqrt(2.0 * n)
+        whole = np.floor(delays / tc).astype(int)
+        sub_delays = delays - whole * tc
+
+        rn = r * n
+        stack = np.zeros(((n_symbols + 1) * rn, n_symbols * n_users),
+                         dtype=complex)
+        for m in range(n_symbols):
+            for k in range(n_users):
+                phi = build_phi_matrix(RRC, n, r, sub_delays[k])
+                top = m * rn + whole[k] * r
+                stack[top:top + rn, m * n_users + k] = \
+                    amplitudes[k] * (phi @ spreading[:, k, m])
+        center = slice(window * n_users, (window + 1) * n_users)
+        want = _leave_one_out(stack, noise_variance)[center]
+
+        signatures = _circulant_signatures(
+            _dft_deltas(RRC, n, r, sub_delays), spreading) * \
+            amplitudes[:, None, None]
+        got = _windowed_sinrs(signatures, whole * r, noise_variance)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestMmseSinr:
     def test_single_user_closed_form(self):
         # No interference: sinr = ||h||^2 / sigma^2.
@@ -464,6 +509,21 @@ class TestTheorem3Harness:
         width = math.hypot(paired.windowed.mean_sinr_standard_error,
                            paired.reduced.mean_sinr_standard_error)
         assert gap <= 2.0 * width
+
+    def test_overloaded_gap_shrinks_with_n(self):
+        # With users outnumbering the rN rows of one symbol (K = 4N) the
+        # windowed SINR sits tens of standard errors above the reduced
+        # one.  The gap is a finite-size effect: from N = 32 to N = 64 it
+        # shrank by 0.595, 0.595 and 0.605 at seeds 7, 11 and 23.
+        gaps = []
+        for n in (32, 64):
+            delays = np.random.Generator(np.random.PCG64(7)).uniform(
+                0.0, n * RRC.chip_interval, 4 * n)
+            paired = theorem3_harness(RRC, n, 2, 4 * n, delays, 0.1,
+                                      window=3, trials=6, seed=7)
+            gaps.append(paired.windowed.mean_sinr - paired.reduced.mean_sinr)
+        assert gaps[0] > 0.0
+        assert gaps[1] <= 0.75 * gaps[0]
 
     def test_summary_shapes(self):
         paired = theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1,
