@@ -70,7 +70,6 @@ from .numerics import (
     bisect,
     fixed_point,
     hermitian_solve,
-    integrate_uniform,
 )
 from .waveforms import (
     ChipWaveform,
@@ -125,7 +124,6 @@ __all__ = [
     "finite_system",
     "fixed_point",
     "hermitian_solve",
-    "integrate_uniform",
     "linear_to_decibels",
     "load_tabulated_waveform",
     "materialize",

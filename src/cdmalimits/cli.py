@@ -484,9 +484,10 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
     if cfg.cross_check:
         field = _solved_field(sys_law, cfg.grid)
         law = sys_law.law
+        sinrs = sinr_user(field, sys_law, law.powers, law.delays)
         mean = 0.0
-        for power, delay, weight in zip(law.powers, law.delays, law.weights):
-            sinr = sinr_user(field, sys_law, power, delay)
+        for power, delay, weight, sinr in zip(law.powers, law.delays,
+                                              law.weights, sinrs):
             eta = efficiency_of_user(sinr, power, sys_law)
             mean += weight * eta
             rows.append(("user_efficiency", "", delay, power, eta))
@@ -595,16 +596,10 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     realized = replace(sys_law,
                        load=system.n_users / cfg.spreading_factor)
     field = _solved_field(realized, cfg.grid)
-    predictions: dict[tuple[float, float], float] = {}
-    predicted = np.empty(system.n_users)
-    for k in range(system.n_users):
-        power = float(np.abs(system.amplitudes[k]) ** 2)
-        delay = float(system.delays[k])
-        key = (power, delay)
-        if key not in predictions:
-            sinr = sinr_user(field, realized, power, delay)
-            predictions[key] = efficiency_of_user(sinr, power, realized)
-        predicted[k] = predictions[key]
+    powers = np.abs(system.amplitudes) ** 2
+    sinrs = sinr_user(field, realized, powers, system.delays)
+    predicted = np.array([efficiency_of_user(sinr, power, realized)
+                          for sinr, power in zip(sinrs, powers)])
 
     samples, summary = run_trials(system, cfg.trials)
     tc = system.chip_interval

@@ -242,22 +242,29 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None,
     return UpsilonField(grid=grid, matrices=state), report
 
 
-def sinr_user(field: UpsilonField, sys: SystemLaw, power: float,
-              delay: float) -> float:
+def sinr_user(field: UpsilonField, sys: SystemLaw,
+              power: float | np.ndarray,
+              delay: float | np.ndarray) -> float | np.ndarray:
     """Limiting MMSE SINR of a user class with the given power and delay.
 
     ``SINR = (power/2pi) * integral delta^H(Omega, delay) Upsilon(Omega)
     delta(Omega, delay) dOmega`` over the solved grid.  Delays outside
     ``[0, T_c)`` are reduced modulo the chip (a whole-chip shift only
     rotates the phase of the delay vector and cancels in the form).
+
+    ``power`` and ``delay`` may be arrays, which broadcast against each
+    other: all classes then share one pass over the delay vectors and the
+    field, and an array of SINRs is returned.  Scalars give a float.
     """
-    tc = sys.waveform.chip_interval
-    tau = float(delay) % tc
+    power, delay = np.broadcast_arrays(np.asarray(power, dtype=float),
+                                       np.asarray(delay, dtype=float))
+    taus = np.mod(delay, sys.waveform.chip_interval)
     deltas = _delta_components(sys.waveform, sys.oversampling,
-                               field.grid.points, np.array([tau]))
+                               field.grid.points, taus.ravel())
     forms = _quadratic_forms(deltas, field.matrices)
-    return float(power) * field.grid.spacing / TWO_PI * \
-        float(np.real(forms.sum()))
+    sinrs = power * field.grid.spacing / TWO_PI * \
+        forms.sum(axis=1).reshape(taus.shape)
+    return float(sinrs) if sinrs.ndim == 0 else sinrs
 
 
 def efficiency_of_user(sinr: float, power: float, sys: SystemLaw) -> float:

@@ -7,9 +7,10 @@ the block-circulant kind, so no circulant matrix is built, with the delay
 vectors computed once per run), computes all users' linear MMSE SINRs
 from one Cholesky factorization of the smaller Gram matrix, and runs the
 paired windowed / reduced-delay harness showing that only delays modulo
-one chip matter.  The harness assembles the Gram matrix of its windowed
-multi-symbol stack block-tridiagonally from the FFT signatures, without
-forming the stack or any delay/pulse matrix.
+one chip matter.  The harness assembles the Gram blocks of its windowed
+multi-symbol stack block-tridiagonally from the FFT signatures and
+eliminates them toward the centre symbol, without forming the stack, its
+full Gram matrix or any delay/pulse matrix.
 
 Reproducibility: every random quantity flows from one 64-bit master seed;
 trial ``t`` uses ``master XOR ((t+1) * 0x9E3779B97F4A7C15 mod 2^64)`` as
@@ -327,15 +328,17 @@ def _circulant_signatures(deltas: np.ndarray, spreading: np.ndarray,
     """
     n, n_users = spreading.shape[:2]
     r = deltas.shape[-1]
-    coeffs = np.moveaxis(np.fft.ifft(spreading, axis=0), 0, -1)
+    # Every transform runs along the contiguous last axis; the chip and
+    # sub-row axes are swapped back only in the final copy.
+    coeffs = np.fft.ifft(np.moveaxis(spreading, 0, -1), axis=-1)
     batch = (1,) * (coeffs.ndim - 2)
-    deltas = deltas.reshape((n_users,) + batch + (n, r))
-    blocks = np.fft.fft(deltas * coeffs[..., None], axis=-2)
+    deltas = deltas.swapaxes(-1, -2).reshape((n_users,) + batch + (r, n))
+    blocks = np.fft.fft(deltas * coeffs[..., None, :], axis=-1)
     if whole is not None:
         rows = (np.arange(n)[None, :] - whole[:, None]) % n
         blocks = np.take_along_axis(
-            blocks, rows.reshape((n_users,) + batch + (n, 1)), axis=-2)
-    return blocks.reshape(blocks.shape[:-2] + (r * n,))
+            blocks, rows.reshape((n_users,) + batch + (1, n)), axis=-1)
+    return blocks.swapaxes(-1, -2).reshape(blocks.shape[:-2] + (r * n,))
 
 
 def _signature_builder(system: FiniteSystem):
@@ -389,21 +392,20 @@ def materialize(system: FiniteSystem,
     return _draw(system, used_seed, _signature_builder(system))
 
 
-def _gram_sinrs(gram: np.ndarray, noise_variance: float,
+def _gram_sinrs(regularized: np.ndarray, noise_variance: float,
                 cols: np.ndarray) -> np.ndarray:
-    """MMSE SINRs of the columns ``cols`` from their Gram matrix.
+    """MMSE SINRs of the columns ``cols`` from their regularized Gram matrix.
 
-    ``gram`` is ``H^H H``; it is overwritten with ``H^H H + sigma^2 I``,
-    which is factored once, and the SINRs follow from the identity
+    ``regularized`` is ``H^H H + sigma^2 I``, or the Schur complement of the
+    centre symbol in such a matrix, which has the same inverse on those
+    columns.  It is factored once, and the SINRs follow from the identity
     ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``.  The
     identity holds for any number of columns and stays accurate at high
     SINR.
     """
-    n_cols = gram.shape[0]
-    gram[np.diag_indices(n_cols)] += noise_variance
-    unit = np.zeros((n_cols, cols.size))
+    unit = np.zeros((regularized.shape[0], cols.size))
     unit[cols, np.arange(cols.size)] = 1.0
-    solved = hermitian_solve(gram, unit)
+    solved = hermitian_solve(regularized, unit)
     diagonal = np.real(solved[cols, np.arange(cols.size)])
     return 1.0 / (noise_variance * diagonal) - 1.0
 
@@ -423,10 +425,11 @@ def _mmse_sinrs(h: np.ndarray, noise_variance: float,
     """
     rows, n_cols = h.shape
     cols = np.arange(n_cols) if users is None else np.asarray(users)
-    if n_cols <= rows:
-        return _gram_sinrs(h.conj().T @ h, noise_variance, cols)
-    gram = h @ h.conj().T
-    gram[np.diag_indices(rows)] += noise_variance
+    row_side = n_cols > rows
+    gram = h @ h.conj().T if row_side else h.conj().T @ h
+    gram[np.diag_indices(gram.shape[0])] += noise_variance
+    if not row_side:
+        return _gram_sinrs(gram, noise_variance, cols)
     selected = h[:, cols]
     solved = hermitian_solve(gram, selected)
     u = np.real(np.sum(np.conj(selected) * solved, axis=0))
@@ -540,27 +543,46 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
     ``signatures[k, m]`` is ``amp_k * Phi_k s_k^{(m)}``, of length ``rN``.
     Column (k, m) of the stack places it ``row_shifts[k]`` rows (its whole
     chips) below symbol m's base row ``m*rN``, so it lies inside rows
-    ``[m*rN, (m+2)*rN)`` and the stack's Gram matrix is block-tridiagonal
-    in m.  Each symbol's columns are scattered into a ``2rN x K`` local
-    block ``B_m``; the diagonal Gram blocks are ``B_m^H B_m`` and the
-    off-diagonal ones ``B_m[rN:]^H B_{m+1}[:rN]``.  The ``(2M+2)rN``-row
-    stack itself is never formed.  The SINRs follow from one factorization
-    of the Gram matrix (see :func:`_gram_sinrs`).
+    ``[m*rN, (m+2)*rN)`` and the regularized Gram matrix
+    ``G = H^H H + sigma^2 I`` of the stack is block-tridiagonal in m.
+    Each symbol's columns are scattered into a ``2rN x K`` local block
+    ``B_m``, which gives the diagonal blocks ``D_m = B_m^H B_m + sigma^2 I``
+    and the links ``U_m = B_m[rN:]^H B_{m+1}[:rN]``; neither the
+    ``(2M+2)rN``-row stack nor ``G`` is formed.
+
+    Only the centre symbol's diagonal of ``G^{-1}`` is needed, and it is
+    the diagonal of the inverse of the centre's Schur complement ``C``.
+    Block elimination toward the centre (Meurant, SIAM J. Matrix Anal.
+    Appl. 13(3), 1992) folds the outer symbols in from both ends at once:
+    ``S_0 = D_0``, ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` from the left
+    and the mirror image from the right, so ``C`` is ``D_M`` less both
+    sides' last corrections.  That costs ``2M + 1`` Cholesky
+    factorizations of ``K x K`` matrices instead of one of the
+    ``(2M+1)K``-side ``G``, and :func:`_gram_sinrs` turns ``C`` into the
+    SINRs.
     """
     n_users, n_symbols, rn = signatures.shape
     local = np.zeros((n_symbols, 2 * rn, n_users), dtype=complex)
     rows = row_shifts[:, None] + np.arange(rn)[None, :]
     local[:, rows, np.arange(n_users)[:, None]] = signatures.swapaxes(0, 1)
     local_h = local.conj().swapaxes(1, 2)
-    upper = local_h[:-1, :, rn:] @ local[1:, :rn]
-    gram = np.zeros((n_symbols, n_users, n_symbols, n_users), dtype=complex)
-    m = np.arange(n_symbols)
-    gram[m, :, m] = local_h @ local
-    gram[m[:-1], :, m[1:]] = upper
-    gram[m[1:], :, m[:-1]] = upper.conj().swapaxes(1, 2)
-    center = (n_symbols // 2) * n_users + np.arange(n_users)
-    return _gram_sinrs(gram.reshape(n_symbols * n_users, -1),
-                       noise_variance, center)
+    diagonal = local_h @ local
+    diagonal[:, np.arange(n_users), np.arange(n_users)] += noise_variance
+    links = local_h[:-1, :, rn:] @ local[1:, :rn]
+    # Row 0 runs from the first symbol toward the centre, row 1 from the
+    # last; the right-hand links enter as the mirror image's U_j.
+    half = n_symbols // 2
+    ends = np.stack([diagonal[:half], diagonal[::-1][:half]])
+    sides = np.stack([links[:half],
+                      links[::-1][:half].conj().swapaxes(1, 2)])
+    correction = np.zeros((2, n_users, n_users), dtype=complex)
+    for j in range(half):
+        pivots = ends[:, j] - correction
+        solved = np.stack([hermitian_solve(pivot, link) for pivot, link
+                           in zip(pivots, sides[:, j])])
+        correction = sides[:, j].conj().swapaxes(1, 2) @ solved
+    centre = diagonal[half] - correction[0] - correction[1]
+    return _gram_sinrs(centre, noise_variance, np.arange(n_users))
 
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
@@ -579,8 +601,10 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     The sub-chip delay vectors are computed once per call.  Each trial
     forms all ``(2*window+1) * K`` signatures in one batched FFT; the
     reduced system reuses the center symbol's, and the windowed one goes
-    through the block-tridiagonal Gram matrix of :func:`_windowed_sinrs`.
-    No delay/pulse matrix is built.
+    through the centre-symbol block elimination of :func:`_windowed_sinrs`,
+    which factors only ``K x K`` matrices (``2*window + 1`` of them), so
+    an overloaded window costs about ``(2*window+1) * K**3`` rather than
+    ``((2*window+1) * K)**3``.  No delay/pulse matrix is built.
 
     When users outnumber the ``rN`` rows of one symbol the windowed SINR
     sits above the reduced one by far more than the trial noise, and the

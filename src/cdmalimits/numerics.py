@@ -67,23 +67,6 @@ def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def integrate_uniform(samples, spacing: float):
-    """Trapezoidal integral of uniformly spaced samples.
-
-    Exact for affine integrands; the grid is assumed to include both
-    endpoints of the integration interval.
-
-    Raises
-    ------
-    ValueError
-        If fewer than two samples are supplied ("empty grid").
-    """
-    y = np.asarray(samples)
-    if y.size < 2:
-        raise ValueError("empty grid")
-    return np.trapezoid(y, dx=spacing)
-
-
 def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,
                 damping: float = 1.0):
     """Damped fixed-point iteration ``x <- (1-d)*x + d*step(x)``.

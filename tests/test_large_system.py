@@ -315,6 +315,24 @@ class TestMatrixRoute:
         b = sinr_user(field, sys, 1.0, 0.3 + 5.0)
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_arrays_match_per_class_calls(self):
+        # One batched pass over several (power, delay) classes, one delay
+        # beyond a chip, equals the per-class scalar calls; a scalar power
+        # broadcasts against the delays.
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22),
+                        law=equal_power_uniform_delays(8))
+        field, _ = solve_upsilon(sys, grid=FrequencyGrid.midpoints(64))
+        powers = np.array([1.0, 0.5, 2.0, 1.0])
+        delays = np.array([0.0, 0.3, 0.7, 5.3])
+        want = [sinr_user(field, sys, p, d) for p, d in zip(powers, delays)]
+        assert all(type(value) is float for value in want)
+        got = sinr_user(field, sys, powers, delays)
+        assert got.shape == (4,)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        np.testing.assert_allclose(sinr_user(field, sys, 2.0, delays),
+                                   2.0 * got / powers, rtol=1e-13)
+
     def test_field_is_hermitian(self):
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.5),

@@ -4,8 +4,9 @@ measurements, trial aggregation, and the delay-reduction harness.
 Oracles: hand-built matrices for trivial pulses, a direct dense-inverse
 SINR computation, the literal leave-one-out SINR for the one-factorization
 kernel, dense delay/pulse matrices for the FFT-formed signatures, the
-literal dense multi-symbol stack for the block-tridiagonal windowed
-kernel, the interference-free single-user formula, and frozen spectral
+literal dense multi-symbol stack and the dense block-tridiagonal Gram
+matrix for the centre-symbol elimination of the windowed kernel, the
+interference-free single-user formula, and frozen spectral
 distances computed once from the deterministic constructions.
 """
 
@@ -22,6 +23,7 @@ from cdmalimits import (
     build_phi_matrix,
     equal_power_uniform_delays,
     finite_system,
+    hermitian_solve,
     materialize,
     mmse_sinr,
     product_law,
@@ -32,6 +34,7 @@ from cdmalimits import (
     theorem3_harness,
     trial_seed,
 )
+from cdmalimits import montecarlo
 from cdmalimits.montecarlo import (
     _circulant_signatures,
     _dft_deltas,
@@ -338,23 +341,74 @@ class TestSinrKernel:
                                    _mmse_sinrs(h, 0.2)[users], rtol=1e-13)
 
 
+def _windowed_case(n, window, n_users, seed):
+    """Random windowed-system inputs for an ``N = n`` RRC 0.22 system.
+
+    Returns ``(delays, amplitudes, spreading)``; the delays include 0,
+    ``N - 1`` whole chips and 0.999 chips.
+    """
+    tc = RRC.chip_interval
+    rng = np.random.default_rng(seed)
+    delays = rng.uniform(0.0, n * tc, n_users)
+    delays[:3] = [0.0, (n - 1) * tc, 0.999 * tc]
+    amplitudes = rng.uniform(0.5, 2.0, n_users) * np.exp(
+        2j * np.pi * rng.uniform(size=n_users))
+    shape = (n, n_users, 2 * window + 1)
+    spreading = (rng.standard_normal(shape) +
+                 1j * rng.standard_normal(shape)) / math.sqrt(2.0 * n)
+    return delays, amplitudes, spreading
+
+
+def _windowed_inputs(n, r, delays, amplitudes, spreading):
+    """``(signatures, row_shifts)`` as :func:`_windowed_sinrs` takes them."""
+    tc = RRC.chip_interval
+    whole = np.floor(delays / tc).astype(int)
+    signatures = _circulant_signatures(
+        _dft_deltas(RRC, n, r, delays - whole * tc), spreading) * \
+        amplitudes[:, None, None]
+    return signatures, whole * r
+
+
+def _dense_windowed_sinrs(signatures, row_shifts, noise_variance):
+    """Centre-symbol SINRs from the whole windowed Gram matrix.
+
+    Assembles the ``(2M+1)K``-side ``H^H H + sigma^2 I`` of the stack
+    block-tridiagonally from its ``2rN x K`` local blocks and solves it
+    densely for the centre symbol's diagonal of the inverse.
+    """
+    n_users, n_symbols, rn = signatures.shape
+    local = np.zeros((n_symbols, 2 * rn, n_users), dtype=complex)
+    rows = row_shifts[:, None] + np.arange(rn)[None, :]
+    local[:, rows, np.arange(n_users)[:, None]] = signatures.swapaxes(0, 1)
+    local_h = local.conj().swapaxes(1, 2)
+    upper = local_h[:-1, :, rn:] @ local[1:, :rn]
+    gram = np.zeros((n_symbols, n_users, n_symbols, n_users), dtype=complex)
+    m = np.arange(n_symbols)
+    gram[m, :, m] = local_h @ local
+    gram[m[:-1], :, m[1:]] = upper
+    gram[m[1:], :, m[:-1]] = upper.conj().swapaxes(1, 2)
+    size = n_symbols * n_users
+    gram = gram.reshape(size, size) + noise_variance * np.eye(size)
+    center = (n_symbols // 2) * n_users + np.arange(n_users)
+    unit = np.eye(size)[:, center]
+    diagonal = np.real(np.linalg.solve(gram, unit)[center,
+                                                    np.arange(n_users)])
+    return 1.0 / (noise_variance * diagonal) - 1.0
+
+
 class TestWindowedSinrs:
     @pytest.mark.parametrize("window", [2, 3])
-    @pytest.mark.parametrize("n_users", [4, 24])
+    @pytest.mark.parametrize("n_users", [4, 24, 40])
     def test_match_literal_stack(self, window, n_users):
         # K = 24 overloads the stack (120 or 168 columns against 96 or 128
-        # rows).  Delays include 0, N - 1 whole chips and 0.999 chips.
+        # rows).  K = 40 also exceeds the 2rN = 32 rows of each symbol's
+        # local block, so every diagonal Gram block is singular without
+        # the noise term.
         n, r, noise_variance = 8, 2, 0.2
         tc = RRC.chip_interval
-        rng = np.random.default_rng(10 * window + n_users)
-        delays = rng.uniform(0.0, n * tc, n_users)
-        delays[:3] = [0.0, (n - 1) * tc, 0.999 * tc]
-        amplitudes = rng.uniform(0.5, 2.0, n_users) * np.exp(
-            2j * np.pi * rng.uniform(size=n_users))
+        delays, amplitudes, spreading = _windowed_case(
+            n, window, n_users, seed=10 * window + n_users)
         n_symbols = 2 * window + 1
-        shape = (n, n_users, n_symbols)
-        spreading = (rng.standard_normal(shape) +
-                     1j * rng.standard_normal(shape)) / math.sqrt(2.0 * n)
         whole = np.floor(delays / tc).astype(int)
         sub_delays = delays - whole * tc
 
@@ -370,11 +424,40 @@ class TestWindowedSinrs:
         center = slice(window * n_users, (window + 1) * n_users)
         want = _leave_one_out(stack, noise_variance)[center]
 
-        signatures = _circulant_signatures(
-            _dft_deltas(RRC, n, r, sub_delays), spreading) * \
-            amplitudes[:, None, None]
-        got = _windowed_sinrs(signatures, whole * r, noise_variance)
+        got = _windowed_sinrs(*_windowed_inputs(n, r, delays, amplitudes,
+                                                spreading), noise_variance)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_users", [4, 12])
+    def test_high_sinr_matches_dense_gram(self, n_users):
+        # At sigma^2 = 2e-9 the centre SINRs exceed 1e6; eliminating the
+        # outer symbols one K x K block at a time must keep the accuracy
+        # of solving the whole Gram matrix (measured 4.6e-16 at K = 4 and
+        # 8.5e-15 at K = 12).
+        n, r, window, noise_variance = 8, 2, 3, 2e-9
+        signatures, row_shifts = _windowed_inputs(
+            n, r, *_windowed_case(n, window, n_users, seed=n_users))
+        want = _dense_windowed_sinrs(signatures, row_shifts, noise_variance)
+        assert np.min(want) > 1e6
+        np.testing.assert_allclose(
+            _windowed_sinrs(signatures, row_shifts, noise_variance), want,
+            rtol=1e-9)
+
+    def test_factors_only_k_by_k_matrices(self, monkeypatch):
+        # An overloaded window (280 columns against 128 rows) must not
+        # fall back to factoring the (2M+1)K-side Gram matrix.
+        n, r, window, n_users = 8, 2, 3, 40
+        shapes = []
+
+        def recording_solve(matrix, rhs):
+            shapes.append(np.shape(matrix))
+            return hermitian_solve(matrix, rhs)
+
+        monkeypatch.setattr(montecarlo, "hermitian_solve", recording_solve)
+        signatures, row_shifts = _windowed_inputs(
+            n, r, *_windowed_case(n, window, n_users, seed=5))
+        _windowed_sinrs(signatures, row_shifts, 0.2)
+        assert shapes == [(n_users, n_users)] * (2 * window + 1)
 
 
 class TestMmseSinr:

@@ -19,7 +19,6 @@ from cdmalimits import (
     bisect,
     fixed_point,
     hermitian_solve,
-    integrate_uniform,
 )
 
 
@@ -58,30 +57,6 @@ class TestHermitianSolve:
         mat = np.zeros((2, 2), dtype=complex)
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
             hermitian_solve(mat, np.ones(2, dtype=complex))
-
-
-class TestIntegrateUniform:
-    def test_linear_function_is_exact(self):
-        # Trapezoid rule is exact for affine integrands.
-        x = np.linspace(0.0, 2.0, 9)
-        vals = 3.0 * x + 1.0
-        # integral of 3x+1 on [0,2] = 6 + 2 = 8
-        assert integrate_uniform(vals, x[1] - x[0]) == pytest.approx(8.0, abs=1e-14)
-
-    def test_quadratic_converges(self):
-        # integral of x^2 on [0,1] = 1/3; error ~ h^2
-        x = np.linspace(0.0, 1.0, 2001)
-        got = integrate_uniform(x**2, x[1] - x[0])
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-    def test_complex_values(self):
-        x = np.linspace(0.0, 1.0, 5)
-        got = integrate_uniform((1.0 + 2.0j) * np.ones_like(x), 0.25)
-        assert got == pytest.approx(1.0 + 2.0j)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            integrate_uniform(np.array([]), 0.1)
 
 
 class TestFixedPoint:
