@@ -51,11 +51,10 @@ def run(argv=None) -> int:
           f"{'rel dev':>9} {'std err':>9} {'seconds':>8}")
     for n in args.sizes:
         system = finite_system(sys_law, n, seed=args.seed)
-        predicted = float(np.mean([
-            efficiency_of_user(
-                sinr_user(field, sys_law, float(np.abs(a) ** 2), float(d)),
-                float(np.abs(a) ** 2), sys_law)
-            for a, d in zip(system.amplitudes, system.delays)]))
+        powers = np.abs(system.amplitudes) ** 2
+        predicted = float(np.mean(efficiency_of_user(
+            sinr_user(field, sys_law, powers, system.delays), powers,
+            sys_law)))
         start = time.perf_counter()
         _, summary = run_trials(system, args.trials)
         elapsed = time.perf_counter() - start

@@ -48,12 +48,11 @@ def run(argv=None) -> int:
         start = time.perf_counter()
         field, report = solve_upsilon(sys_law,
                                       grid=FrequencyGrid.midpoints(count))
-        value = 0.0
-        for power, delay, weight in zip(sys_law.law.powers,
-                                        sys_law.law.delays,
-                                        sys_law.law.weights):
-            sinr = sinr_user(field, sys_law, float(power), float(delay))
-            value += weight * efficiency_of_user(sinr, float(power), sys_law)
+        law = sys_law.law
+        etas = efficiency_of_user(
+            sinr_user(field, sys_law, law.powers, law.delays), law.powers,
+            sys_law)
+        value = float(law.weights @ etas)
         elapsed = time.perf_counter() - start
         flag = "" if report.converged else "  (not converged)"
         print(f"{count:>6} {value:>18.12f} "

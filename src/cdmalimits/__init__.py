@@ -37,7 +37,6 @@ from .large_system import (
     efficiency_of_user,
     equal_power_uniform_delays,
     product_law,
-    received_power_density,
     sinr_user,
     solve_efficiency_scalar,
     solve_efficiency_sinc,
@@ -50,14 +49,11 @@ from .montecarlo import (
     FiniteSystem,
     PairedSummaries,
     PulseTooLongError,
-    SinrSample,
     TrialSummary,
     build_phi_matrix,
     finite_system,
     materialize,
-    mmse_sinr,
     run_trials,
-    spectral_distribution_distance,
     theorem3_harness,
     trial_seed,
 )
@@ -73,17 +69,12 @@ from .numerics import (
 )
 from .waveforms import (
     ChipWaveform,
-    DelayVector,
-    QSplit,
     TabulatedRangeError,
     UndersampledError,
-    delta_vector,
     load_tabulated_waveform,
     phase_twisted_circulant,
     q_eigendecomposition,
-    q_split,
     root_raised_cosine_waveform,
-    sampled_spectrum,
     sinc_waveform,
     tabulated_waveform,
 )
@@ -91,7 +82,6 @@ from .waveforms import (
 __all__ = [
     "BracketError",
     "ChipWaveform",
-    "DelayVector",
     "DivergenceError",
     "EfficiencySpectrum",
     "FiniteSystem",
@@ -102,8 +92,6 @@ __all__ = [
     "PairedSummaries",
     "PowerDelayLaw",
     "PulseTooLongError",
-    "QSplit",
-    "SinrSample",
     "SystemLaw",
     "TabulatedRangeError",
     "TrialSummary",
@@ -117,7 +105,6 @@ __all__ = [
     "capacity_penalty_term",
     "capacity_sync_closed_form",
     "decibels_to_linear",
-    "delta_vector",
     "effective_interference_density",
     "efficiency_of_user",
     "equal_power_uniform_delays",
@@ -127,15 +114,11 @@ __all__ = [
     "linear_to_decibels",
     "load_tabulated_waveform",
     "materialize",
-    "mmse_sinr",
     "phase_twisted_circulant",
     "product_law",
     "q_eigendecomposition",
-    "q_split",
-    "received_power_density",
     "root_raised_cosine_waveform",
     "run_trials",
-    "sampled_spectrum",
     "sinc_waveform",
     "sinr_user",
     "snr_for_ebn0",
@@ -143,7 +126,6 @@ __all__ = [
     "solve_efficiency_sinc",
     "solve_efficiency_sync",
     "solve_upsilon",
-    "spectral_distribution_distance",
     "spectral_efficiency",
     "synchronous_law",
     "tabulated_waveform",

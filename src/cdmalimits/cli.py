@@ -12,7 +12,8 @@ Subcommands
     bandlimited pulse family at fixed Eb/N0, with the synchronous curve.
 ``figure3``
     Asynchronous versus synchronous spectral efficiency over a load grid
-    for an excess-bandwidth pulse, with the relative gap.
+    for an excess-bandwidth pulse, with the relative gap; the header gives
+    the peak gap and the load where it occurs.
 ``montecarlo``
     Finite-size MMSE SINR trials with the asymptotic prediction column;
     the header gives the empirical-vs-predicted gap in standard errors.
@@ -484,11 +485,12 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
     if cfg.cross_check:
         field = _solved_field(sys_law, cfg.grid)
         law = sys_law.law
-        sinrs = sinr_user(field, sys_law, law.powers, law.delays)
+        etas = efficiency_of_user(
+            sinr_user(field, sys_law, law.powers, law.delays), law.powers,
+            sys_law)
         mean = 0.0
-        for power, delay, weight, sinr in zip(law.powers, law.delays,
-                                              law.weights, sinrs):
-            eta = efficiency_of_user(sinr, power, sys_law)
+        for power, delay, weight, eta in zip(law.powers, law.delays,
+                                             law.weights, etas):
             mean += weight * eta
             rows.append(("user_efficiency", "", delay, power, eta))
         rows.append(("matrix_mean", "", "", "", mean))
@@ -574,17 +576,16 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
         async_point = _ebn0_solved_point(cfg.ebn0, beta, cap)
         sync_point = _ebn0_solved_point(
             cfg.ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
-        if async_point and sync_point:
-            gamma_async = async_point[1] / product
-            gamma_sync = sync_point[1] / product
-            gap = (gamma_async - gamma_sync) / gamma_sync
-            rows.append((beta, gamma_async, gamma_sync, gap))
-        else:
-            rows.append((beta,
-                         async_point[1] / product if async_point else "",
-                         sync_point[1] / product if sync_point else "",
-                         ""))
-    write_output(cfg, render_csv(cfg, columns, rows))
+        gamma_async = async_point[1] / product if async_point else ""
+        gamma_sync = sync_point[1] / product if sync_point else ""
+        gap = ((gamma_async - gamma_sync) / gamma_sync
+               if async_point and sync_point else "")
+        rows.append((beta, gamma_async, gamma_sync, gap))
+    gaps = [(row[3], row[0]) for row in rows if row[3] != ""]
+    peak_gap, peak_beta = max(gaps) if gaps else ("", "")
+    extra = [("peak_relative_gap", _fmt(peak_gap)),
+             ("peak_gap_beta", _fmt(peak_beta))]
+    write_output(cfg, render_csv(cfg, columns, rows, extra_header=extra))
     return 0
 
 
@@ -597,21 +598,17 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
                        load=system.n_users / cfg.spreading_factor)
     field = _solved_field(realized, cfg.grid)
     powers = np.abs(system.amplitudes) ** 2
-    sinrs = sinr_user(field, realized, powers, system.delays)
-    predicted = np.array([efficiency_of_user(sinr, power, realized)
-                          for sinr, power in zip(sinrs, powers)])
+    predicted = efficiency_of_user(
+        sinr_user(field, realized, powers, system.delays), powers, realized)
 
-    samples, summary = run_trials(system, cfg.trials)
-    tc = system.chip_interval
+    sinrs, summary = run_trials(system, cfg.trials)
+    efficiencies = efficiency_of_user(sinrs, powers, realized)
+    delay_chips = system.delays / system.chip_interval
     columns = ["trial", "user", "delay_chips", "power", "sinr",
                "efficiency", "predicted_efficiency"]
-    rows: list[tuple] = []
-    for index, sample in enumerate(samples):
-        trial = index // system.n_users
-        k = sample.user
-        rows.append((trial, k, float(system.delays[k]) / tc,
-                     float(np.abs(system.amplitudes[k]) ** 2),
-                     sample.sinr, sample.efficiency, predicted[k]))
+    rows = [(t, k, delay_chips[k], powers[k], sinrs[t, k],
+             efficiencies[t, k], predicted[k])
+            for t in range(cfg.trials) for k in range(system.n_users)]
     # The gap in standard errors is left empty when there is no spread to
     # measure it in (one trial).
     gap = summary.mean_efficiency - float(predicted.mean())

@@ -267,16 +267,20 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
     return float(sinrs) if sinrs.ndim == 0 else sinrs
 
 
-def efficiency_of_user(sinr: float, power: float, sys: SystemLaw) -> float:
+def efficiency_of_user(sinr: float | np.ndarray, power: float | np.ndarray,
+                       sys: SystemLaw) -> float | np.ndarray:
     """Multiuser efficiency: SINR over the single-user matched-filter SNR.
 
-    ``eta = sinr * N_0 / (power * E)``; raises "zero power" for
-    ``power <= 0``.
+    ``eta = sinr * N_0 / (power * E)``; raises "zero power" if any
+    ``power <= 0``.  ``sinr`` and ``power`` broadcast against each other
+    as in :func:`sinr_user`: arrays give an array, scalars a float.
     """
-    if power <= 0:
+    sinr, power = np.broadcast_arrays(np.asarray(sinr, dtype=float),
+                                      np.asarray(power, dtype=float))
+    if np.any(power <= 0):
         raise ZeroPowerError("zero power")
-    return float(sinr) * sys.noise_density / (float(power) *
-                                              sys.waveform.energy)
+    eta = sinr * sys.noise_density / (power * sys.waveform.energy)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,10 +418,3 @@ def effective_interference_density(p_self: float, p_other: float,
     if p_self == 0.0 or p_other == 0.0:
         return 0.0
     return p_self * p_other / (p_self + p_other * sinr)
-
-
-def received_power_density(waveform: ChipWaveform, omega: float,
-                           power: float) -> float:
-    """Received power spectral density ``power * |Phi(omega)|^2 / T_c``."""
-    return float(power) * float(waveform.power_spectrum(omega)) / \
-        waveform.chip_interval

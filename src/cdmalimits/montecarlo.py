@@ -253,51 +253,9 @@ def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def spectral_distribution_distance(a, b) -> float:
-    """Normalized root-mean-square distance between two spectra's quantiles.
-
-    Sorted samples are compared value-by-value (quantile functions on a
-    common probability grid) and the RMS difference is normalized by the
-    larger spectral radius.  Comparing on the value axis is essential
-    here: the block-circulant spectrum of a root-Nyquist pulse is exactly
-    flat — a point mass — against which any sup-CDF statistic saturates
-    near one no matter how close the other spectrum sits.  The RMS
-    aggregation makes the distance decay like ``1/sqrt(N)`` when only a
-    bounded number of edge singular values deviate by ``O(1)``, which is
-    the block-Toeplitz finite-section situation.
-    """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("need nonempty samples")
-    scale = float(max(a.max(), b.max(), -a.min(), -b.min()))
-    if scale == 0.0:
-        return 0.0
-
-    def quantiles(sample: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        knots = (np.arange(sample.size) + 0.5) / sample.size
-        return np.interp(levels, knots, sample,
-                         left=sample[0], right=sample[-1])
-
-    n = max(a.size, b.size)
-    levels = (np.arange(n) + 0.5) / n
-    diff = quantiles(a, levels) - quantiles(b, levels)
-    return float(np.sqrt(np.mean(diff ** 2)) / scale)
-
-
 # ---------------------------------------------------------------------------
 # MMSE SINR
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SinrSample:
-    """Per-user SINR measurement from one materialized system."""
-
-    user: int
-    sinr: float
-    efficiency: float
-    trial_seed: int
-
 
 def _split_delays(waveform: ChipWaveform, n: int, r: int,
                   delays: np.ndarray):
@@ -436,29 +394,6 @@ def _mmse_sinrs(h: np.ndarray, noise_variance: float,
     return u / (1.0 - u)
 
 
-def _sample(system: FiniteSystem, user: int, sinr: float) -> SinrSample:
-    power = float(np.abs(system.amplitudes[user]) ** 2)
-    efficiency = sinr * system.noise_density / (power *
-                                                system.waveform.energy)
-    return SinrSample(user=user, sinr=sinr, efficiency=efficiency,
-                      trial_seed=system.seed)
-
-
-def mmse_sinr(system: FiniteSystem, user: int) -> SinrSample:
-    """Linear MMSE SINR of one user in a materialized system.
-
-    Equals the leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``
-    with ``H_k`` the signature matrix without column ``k``.  It indexes
-    the all-users result of the one-factorization kernel, so it matches
-    :func:`run_trials` bit for bit.
-    """
-    if system.signatures is None:
-        raise ValueError("system not materialized")
-    k = int(user)
-    sinrs = _mmse_sinrs(system.signatures, system.noise_variance)
-    return _sample(system, k, float(sinrs[k]))
-
-
 @dataclass(frozen=True, eq=False)
 class TrialSummary:
     """Trial-averaged SINR/efficiency statistics.
@@ -501,27 +436,22 @@ def _summarize(sinrs: np.ndarray, effs: np.ndarray) -> TrialSummary:
 def run_trials(system: FiniteSystem, trials: int):
     """Independent trials of all per-user MMSE SINRs.
 
-    Returns ``(samples, TrialSummary)`` where ``samples`` is the flat list
-    of per-trial, per-user measurements in deterministic order.  One trial
-    reproduces a direct :func:`mmse_sinr` call bit-exactly.  The delay
-    vectors (block-Toeplitz: the matrices) are computed once per call;
-    each trial costs one FFT signature build and one factorization.
+    Returns ``(sinrs, TrialSummary)`` where ``sinrs`` has shape
+    ``(trials, K)``: row ``t`` holds the SINRs of the system materialized
+    from ``trial_seed(system.seed, t)``.  The delay vectors (block-Toeplitz:
+    the matrices) are computed once per call; each trial costs one FFT
+    signature build and one factorization.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    samples: list[SinrSample] = []
     sinrs = np.empty((trials, system.n_users))
-    effs = np.empty((trials, system.n_users))
     signatures = _signature_builder(system)
     for t in range(trials):
         drawn = _draw(system, trial_seed(system.seed, t), signatures)
-        trial_sinrs = _mmse_sinrs(drawn.signatures, drawn.noise_variance)
-        for k in range(system.n_users):
-            sample = _sample(drawn, k, float(trial_sinrs[k]))
-            samples.append(sample)
-            sinrs[t, k] = sample.sinr
-            effs[t, k] = sample.efficiency
-    return samples, _summarize(sinrs, effs)
+        sinrs[t] = _mmse_sinrs(drawn.signatures, drawn.noise_variance)
+    powers = np.abs(system.amplitudes) ** 2
+    effs = sinrs * system.noise_density / (powers * system.waveform.energy)
+    return sinrs, _summarize(sinrs, effs)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +490,14 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
     factorizations of ``K x K`` matrices instead of one of the
     ``(2M+1)K``-side ``G``, and :func:`_gram_sinrs` turns ``C`` into the
     SINRs.
+
+    It always uses that Gram-side identity, also when the window is
+    overloaded (more columns than rows), where :func:`_mmse_sinrs` would
+    switch to the row side.  ``G`` then has eigenvalues near ``sigma^2``,
+    and the SINRs lose digits as about ``eps / sigma^2``: against the
+    literal leave-one-out on the dense stack (N = 8, r = 2, K = 24 and 40)
+    the relative error measured 8e-12 at ``sigma^2 = 1e-4`` and 2.5e-6 at
+    ``sigma^2 = 2e-9``.
     """
     n_users, n_symbols, rn = signatures.shape
     local = np.zeros((n_symbols, 2 * rn, n_users), dtype=complex)

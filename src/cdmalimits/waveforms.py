@@ -9,15 +9,15 @@ in hertz: the spectrum vanishes for ``|omega| > 2*pi*bandwidth``.
 From the spectrum the module builds, for an oversampling factor ``r`` and a
 sub-chip delay ``tau``:
 
-* ``sampled_spectrum`` — the 2*pi-periodic spectrum ``phi(Omega, tau)`` of
-  the pulse sampled at rate ``r/T_c``, i.e. the alias sum
+* the 2*pi-periodic spectrum ``phi(Omega, tau)`` of the pulse sampled at
+  ``1/T_c``, i.e. the alias sum
   ``(1/T_c) * sum_nu exp(j*(tau/T_c)*(Omega+2*pi*nu)) * conj(Phi((Omega+2*pi*nu)/T_c))``
   where only aliases inside the pulse support contribute;
-* ``delta_vector`` — the r-vector stacking the r sub-chip sampling phases;
-* ``q_split`` — the rank-one matrix ``delta * delta^H`` split into its
-  delay-averaged part and a zero-trace oscillating remainder;
-* ``q_eigendecomposition`` — the closed-form eigendecomposition of the
-  delay-averaged part.
+* the delay vectors ``delta(Omega, tau)`` stacking the r sub-chip sampling
+  phases ``phi(Omega, tau - s*T_c/r)`` (``_delta_components``);
+* the delay average of ``delta * delta^H`` (``_delay_free_q``), which
+  leaves a zero-trace oscillating remainder, and its closed-form
+  eigendecomposition ``q_eigendecomposition``.
 
 Alias terms that land exactly on a jump of ``|Phi|`` (the band edge of an
 ideally bandlimited flat pulse) are weighted by 1/2 — the Fourier-series
@@ -322,70 +322,19 @@ def _check_oversampling(waveform: ChipWaveform, r: int) -> None:
         raise UndersampledError("undersampled configuration")
 
 
-def sampled_spectrum(waveform: ChipWaveform, r: int, omega: float,
-                     tau: float) -> complex:
-    """Spectrum ``phi(Omega, tau)`` of the delayed pulse sampled at ``1/T_c``.
-
-    ``(1/T_c) * sum_nu exp(j*(tau/T_c)*(Omega+2*pi*nu)) * conj(Phi(...))``
-    over the aliases inside the pulse support.  The value does not depend
-    on ``r``; the factor is validated because downstream consumers sample
-    at rate ``r/T_c`` and need ``r >= ceil(2*B*T_c)`` for the alias sum to
-    capture the whole support ("undersampled configuration" otherwise).
-    """
-    _check_oversampling(waveform, r)
-    args, amps = _alias_table(waveform, np.array([float(omega)]))
-    tc = waveform.chip_interval
-    phases = np.exp(1j * (tau / tc) * args[0])
-    return complex(np.sum(phases * amps[0]) / tc)
-
-
-@dataclass(frozen=True, eq=False)
-class DelayVector:
-    """The r sub-chip sampling phases of a delayed pulse at one frequency.
-
-    Component ``s`` (1-based) equals ``phi(Omega, tau - (s-1)*T_c/r)``.
-    """
-
-    oversampling: int
-    frequency: float
-    delay: float
-    components: np.ndarray
-
-
 def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,
                       taus: np.ndarray) -> np.ndarray:
-    """Vectorized delay vectors: shape ``(len(taus), len(omegas), r)``."""
+    """Delay vectors: shape ``(len(taus), len(omegas), r)``.
+
+    Component ``s`` (0-based) is the sampled spectrum
+    ``phi(Omega, tau - s*T_c/r)``; component 0 is ``phi(Omega, tau)``.
+    """
     args, amps = _alias_table(waveform, omegas)  # (M, V)
     tc = waveform.chip_interval
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     shifts = (taus[:, None] - np.arange(r)[None, :] * tc / r) / tc  # (A, r)
     phases = np.exp(1j * shifts[:, :, None, None] * args[None, None, :, :])
     return np.einsum("asmv,mv->ams", phases, amps) / tc
-
-
-def delta_vector(waveform: ChipWaveform, r: int, omega: float,
-                 tau: float) -> DelayVector:
-    """Build the r-vector of sub-chip sampled spectra at one frequency."""
-    _check_oversampling(waveform, r)
-    comps = _delta_components(waveform, r, np.array([float(omega)]),
-                              np.array([float(tau)]))[0, 0]
-    return DelayVector(oversampling=r, frequency=float(omega),
-                       delay=float(tau), components=comps)
-
-
-@dataclass(frozen=True, eq=False)
-class QSplit:
-    """Rank-one outer product split into delay-averaged + oscillating parts.
-
-    ``full = delay_free + oscillating`` entrywise; ``delay_free`` is the
-    exact average of ``full`` over a uniform delay in ``[0, T_c)`` and
-    ``oscillating`` has zero trace (away from the measure-zero fold
-    frequencies where two support-edge aliases collide modulo ``r``).
-    """
-
-    full: np.ndarray
-    delay_free: np.ndarray
-    oscillating: np.ndarray
 
 
 def _delay_free_q(waveform: ChipWaveform, r: int, omega: float) -> np.ndarray:
@@ -399,18 +348,6 @@ def _delay_free_q(waveform: ChipWaveform, r: int, omega: float) -> np.ndarray:
     diff = idx[:, None] - idx[None, :]  # k - l, 0-based == 1-based diff
     phase = np.exp(-1j * diff[:, :, None] * args[0][None, None, :] / r)
     return np.einsum("v,klv->kl", power, phase) / tc ** 2
-
-
-def q_split(waveform: ChipWaveform, r: int, omega: float,
-            tau: float) -> QSplit:
-    """Split ``delta*delta^H`` into delay-averaged and oscillating parts."""
-    _check_oversampling(waveform, r)
-    delta = _delta_components(waveform, r, np.array([float(omega)]),
-                              np.array([float(tau)]))[0, 0]
-    full = np.outer(delta, np.conj(delta))
-    delay_free = _delay_free_q(waveform, r, omega)
-    return QSplit(full=full, delay_free=delay_free,
-                  oscillating=full - delay_free)
 
 
 def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):

@@ -237,6 +237,21 @@ class TestFigureCommands:
         for r in rows:
             assert float(r["gamma_async"]) >= float(r["gamma_sync"]) - 1e-12
 
+    def test_figure3_header_reports_peak_gap(self, capsys):
+        code, out, _ = _run(capsys, ["figure3", "--beta", "1:4:3",
+                                     "--density-points", "512"])
+        assert code == 0
+        header, rows = _parse(out)
+        peak = max(rows, key=lambda r: float(r["relative_gap"]))
+        assert header["peak_relative_gap"] == peak["relative_gap"]
+        assert header["peak_gap_beta"] == peak["beta"]
+        # Below the minimum Eb/N0 no load has a gap: both lines stay empty.
+        argv = ["figure3", "--beta", "1", "--ebn0-db", "-3"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        header, _ = _parse(out)
+        assert header["peak_relative_gap"] == header["peak_gap_beta"] == ""
+
 
 class TestMonteCarloCommand:
     ARGS = ["montecarlo", "--n", "16", "--trials", "2", "--n-delays", "4",

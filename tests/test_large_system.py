@@ -25,7 +25,6 @@ from cdmalimits import (
     efficiency_of_user,
     equal_power_uniform_delays,
     product_law,
-    received_power_density,
     root_raised_cosine_waveform,
     sinc_waveform,
     sinr_user,
@@ -348,21 +347,31 @@ class TestMatrixRoute:
 
 
 class TestUserMetrics:
+    SYS = SystemLaw(load=1.0, noise_density=0.2, oversampling=1,
+                    waveform=sinc_waveform(1.0),
+                    law=equal_power_uniform_delays(4))
+
     def test_zero_power_rejected(self):
-        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=1,
-                        waveform=sinc_waveform(1.0),
-                        law=equal_power_uniform_delays(4))
         with pytest.raises(ZeroPowerError, match="zero power"):
-            efficiency_of_user(1.0, 0.0, sys)
+            efficiency_of_user(1.0, 0.0, self.SYS)
 
     def test_efficiency_normalizes_by_matched_filter(self):
-        sys = SystemLaw(load=1.0, noise_density=0.2, oversampling=1,
-                        waveform=sinc_waveform(1.0),
-                        law=equal_power_uniform_delays(4))
         # sinr = power * E / N0 corresponds to efficiency one.
         power = 3.0
-        sinr = power * sys.waveform.energy / sys.noise_density
-        assert efficiency_of_user(sinr, power, sys) == pytest.approx(1.0)
+        sinr = power * self.SYS.waveform.energy / self.SYS.noise_density
+        assert efficiency_of_user(sinr, power, self.SYS) == pytest.approx(1.0)
+
+    def test_arrays_match_per_element_calls(self):
+        sinrs = np.array([[0.3, 1.7, 4.1], [2.2, 0.01, 9.5]])
+        powers = np.array([0.5, 1.0, 3.0])
+        want = [[efficiency_of_user(float(s), float(p), self.SYS)
+                 for s, p in zip(row, powers)] for row in sinrs]
+        assert all(type(value) is float for value in want[0])
+        got = efficiency_of_user(sinrs, powers, self.SYS)
+        assert got.shape == (2, 3)
+        assert got.tolist() == want
+        with pytest.raises(ZeroPowerError, match="zero power"):
+            efficiency_of_user(sinrs, np.array([0.5, 0.0, 3.0]), self.SYS)
 
 
 class TestInterferenceDensity:
@@ -381,9 +390,3 @@ class TestInterferenceDensity:
             effective_interference_density(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             effective_interference_density(1.0, 1.0, -2.0)
-
-    def test_received_power_density(self):
-        wf = root_raised_cosine_waveform(0.22)
-        got = received_power_density(wf, 0.0, 2.5)
-        assert got == pytest.approx(2.5 * 1.0 / 1.0)
-        assert received_power_density(wf, 10.0, 2.5) == 0.0

@@ -16,16 +16,14 @@ from cdmalimits import (
     ChipWaveform,
     TabulatedRangeError,
     UndersampledError,
-    delta_vector,
     load_tabulated_waveform,
     phase_twisted_circulant,
     q_eigendecomposition,
-    q_split,
     root_raised_cosine_waveform,
-    sampled_spectrum,
     sinc_waveform,
     tabulated_waveform,
 )
+from cdmalimits.waveforms import _delay_free_q, _delta_components
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +41,12 @@ def _brute_sampled_spectrum(waveform, omega, tau, nu_range=8):
         amp = waveform.spectrum(np.clip(arg / tc, -edge / tc, edge / tc))
         total += weight * np.conj(amp) * np.exp(1j * (tau / tc) * arg)
     return total / tc
+
+
+def _delta(waveform, r, omega, tau):
+    """Delay vector ``delta(omega, tau)``; component 0 is phi(omega, tau)."""
+    return _delta_components(waveform, r, np.array([omega]),
+                             np.array([tau]))[0, 0]
 
 
 class TestSincWaveform:
@@ -202,15 +206,15 @@ class TestSampledSpectrum:
             for _ in range(8):
                 omega = rng.uniform(-np.pi, np.pi)
                 tau = rng.uniform(0.0, wf.chip_interval)
-                got = sampled_spectrum(wf, r, omega, tau)
+                got = _delta(wf, r, omega, tau)[0]
                 want = _brute_sampled_spectrum(wf, omega, tau)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_periodic_in_frequency(self):
         wf = root_raised_cosine_waveform(0.4)
         omega, tau = 0.73, 0.21
-        a = sampled_spectrum(wf, 2, omega, tau)
-        b = sampled_spectrum(wf, 2, omega - TWO_PI, tau)
+        a = _delta(wf, 2, omega, tau)[0]
+        b = _delta(wf, 2, omega - TWO_PI, tau)[0]
         # Chip-rate sampling aliases the spectrum onto a 2*pi-periodic
         # function up to the delay phase of the shifted alias index.
         assert abs(a) == pytest.approx(abs(b), abs=1e-12)
@@ -220,15 +224,15 @@ class TestSampledSpectrum:
         # including the band edge thanks to the half-weight convention.
         wf = sinc_waveform(1.0)
         for omega in (0.0, 0.5, -2.2, np.pi, -np.pi):
-            got = sampled_spectrum(wf, 1, omega, 0.0)
+            got = _delta(wf, 1, omega, 0.0)[0]
             assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_undersampled_rejected(self):
         wf = sinc_waveform(2.5)
         with pytest.raises(UndersampledError, match="undersampled configuration"):
-            sampled_spectrum(wf, 2, 0.0, 0.0)
+            q_eigendecomposition(wf, 2, 0.0)
         with pytest.raises(ValueError):
-            sampled_spectrum(wf, 0, 0.0, 0.0)
+            q_eigendecomposition(wf, 0, 0.0)
 
 
 class TestDeltaVector:
@@ -236,39 +240,36 @@ class TestDeltaVector:
         # Component s equals the sampled spectrum at delay tau - s*T_c/r.
         wf = root_raised_cosine_waveform(0.22)
         r, omega, tau = 2, 1.3, 0.4
-        vec = delta_vector(wf, r, omega, tau)
-        assert vec.components.shape == (r,)
+        vec = _delta(wf, r, omega, tau)
+        assert vec.shape == (r,)
         for s in range(r):
-            want = sampled_spectrum(wf, r, omega, tau - s * wf.chip_interval / r)
-            assert vec.components[s] == pytest.approx(want, abs=1e-12)
+            want = _brute_sampled_spectrum(
+                wf, omega, tau - s * wf.chip_interval / r)
+            assert vec[s] == pytest.approx(want, abs=1e-12)
 
     def test_whole_chip_shift_is_pure_phase(self):
         wf = root_raised_cosine_waveform(0.3)
         omega = -0.9
-        base = delta_vector(wf, 2, omega, 0.25).components
-        shifted = delta_vector(wf, 2, omega, 0.25 + wf.chip_interval).components
+        base = _delta(wf, 2, omega, 0.25)
+        shifted = _delta(wf, 2, omega, 0.25 + wf.chip_interval)
         np.testing.assert_allclose(shifted, np.exp(1j * omega) * base,
                                    atol=1e-12)
 
-    def test_metadata_fields(self):
-        vec = delta_vector(sinc_waveform(1.0), 1, 0.5, 0.1)
-        assert vec.oversampling == 1
-        assert vec.frequency == 0.5
-        assert vec.delay == 0.1
-
 
 class TestQSplit:
+    # delta delta^H = delay average (_delay_free_q) + zero-trace remainder.
+
     def test_full_is_outer_product(self):
         wf = root_raised_cosine_waveform(0.22)
         omega, tau = 0.8, 0.37
-        split = q_split(wf, 2, omega, tau)
-        delta = delta_vector(wf, 2, omega, tau).components
-        np.testing.assert_allclose(split.full,
-                                   np.outer(delta, np.conj(delta)),
-                                   atol=1e-14)
-        np.testing.assert_allclose(split.full,
-                                   split.delay_free + split.oscillating,
-                                   atol=1e-14)
+        delta = _delta(wf, 2, omega, tau)
+        full = np.outer(delta, np.conj(delta))
+        brute = [_brute_sampled_spectrum(wf, omega, tau - s / 2.0)
+                 for s in range(2)]  # T_c = 1
+        np.testing.assert_allclose(full, np.outer(brute, np.conj(brute)),
+                                   atol=1e-12)
+        oscillating = full - _delay_free_q(wf, 2, omega)
+        assert abs(np.trace(oscillating)) <= 1e-13
 
     def test_delay_free_is_uniform_delay_average(self):
         # Oracle: average the rank-one matrix over a dense uniform delay
@@ -279,18 +280,17 @@ class TestQSplit:
         taus = (np.arange(256) + 0.5) / 256 * wf.chip_interval
         acc = np.zeros((r, r), dtype=complex)
         for tau in taus:
-            d = delta_vector(wf, r, omega, tau).components
+            d = _delta(wf, r, omega, tau)
             acc += np.outer(d, np.conj(d))
         acc /= taus.size
-        split = q_split(wf, r, omega, 0.123)
-        np.testing.assert_allclose(split.delay_free, acc, atol=1e-12)
+        np.testing.assert_allclose(_delay_free_q(wf, r, omega), acc,
+                                   atol=1e-12)
 
     def test_delay_free_is_hermitian_psd(self):
-        wf = sinc_waveform(2.3)
-        split = q_split(wf, 3, 0.4, 0.0)
-        np.testing.assert_allclose(split.delay_free,
-                                   split.delay_free.conj().T, atol=1e-14)
-        eigs = np.linalg.eigvalsh(split.delay_free)
+        delay_free = _delay_free_q(sinc_waveform(2.3), 3, 0.4)
+        np.testing.assert_allclose(delay_free, delay_free.conj().T,
+                                   atol=1e-14)
+        eigs = np.linalg.eigvalsh(delay_free)
         assert eigs.min() >= -1e-12
 
     def test_oscillating_part_has_structured_zero_trace(self):
@@ -301,9 +301,11 @@ class TestQSplit:
         coeff = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         twist = phase_twisted_circulant(coeff, omega)
         taus = (np.arange(128) + 0.5) / 128 * wf.chip_interval
+        delay_free = _delay_free_q(wf, r, omega)
         acc = np.zeros((r, r), dtype=complex)
         for tau in taus:
-            acc += q_split(wf, r, omega, tau).oscillating
+            d = _delta(wf, r, omega, tau)
+            acc += np.outer(d, np.conj(d)) - delay_free
         acc /= taus.size
         scale = np.linalg.norm(twist) * max(np.linalg.norm(acc), 1.0)
         assert abs(np.trace(twist @ acc)) <= 1e-12 * max(scale, 1.0)
@@ -319,8 +321,8 @@ class TestQEigendecomposition:
     def test_reconstructs_delay_free(self, wf, r):
         for omega in (-2.0, 0.3, 1.8):
             u, d = q_eigendecomposition(wf, r, omega)
-            split = q_split(wf, r, omega, 0.0)
-            np.testing.assert_allclose(u @ d @ u.conj().T, split.delay_free,
+            np.testing.assert_allclose(u @ d @ u.conj().T,
+                                       _delay_free_q(wf, r, omega),
                                        atol=1e-12)
 
     def test_u_is_unitary_and_d_nonnegative(self):
@@ -371,7 +373,7 @@ class TestPhaseTwistedCirculant:
 def test_property_sampled_spectrum_brute_force(alpha, omega, tau):
     wf = sinc_waveform(alpha)
     r = wf.min_oversampling
-    got = sampled_spectrum(wf, r, omega, tau)
+    got = _delta(wf, r, omega, tau)[0]
     want = _brute_sampled_spectrum(wf, omega, tau)
     assert got == pytest.approx(want, abs=1e-10)
 
@@ -383,10 +385,10 @@ def test_property_sampled_spectrum_brute_force(alpha, omega, tau):
 )
 def test_property_split_parts_sum(rho, omega):
     wf = root_raised_cosine_waveform(rho)
-    split = q_split(wf, 2, omega, 0.3)
-    np.testing.assert_allclose(split.full,
-                               split.delay_free + split.oscillating,
-                               atol=1e-13)
+    delta = _delta(wf, 2, omega, 0.3)
+    delay_free = _delay_free_q(wf, 2, omega)
+    oscillating = np.outer(delta, np.conj(delta)) - delay_free
+    assert abs(np.trace(oscillating)) <= 1e-12
     # Delay-free diagonal dominates: diagonal entries are the folded power
     # and never negative.
-    assert np.all(np.real(np.diag(split.delay_free)) >= -1e-13)
+    assert np.all(np.real(np.diag(delay_free)) >= -1e-13)
