@@ -2,8 +2,8 @@
 
 Subpackage map:
 
-- :mod:`cdmalimits.numerics` — shared solver kernels (Cholesky solve,
-  damped fixed point, ITP bracketed root finder, frequency grids).
+- :mod:`cdmalimits.numerics` — shared solver kernels (damped fixed point,
+  ITP bracketed root finder, frequency grids).
 - :mod:`cdmalimits.waveforms` — chip waveform spectra, aliased sampling,
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
@@ -65,7 +65,6 @@ from .numerics import (
     NotPositiveDefiniteError,
     bisect,
     fixed_point,
-    hermitian_solve,
 )
 from .waveforms import (
     ChipWaveform,
@@ -110,7 +109,6 @@ __all__ = [
     "equal_power_uniform_delays",
     "finite_system",
     "fixed_point",
-    "hermitian_solve",
     "linear_to_decibels",
     "load_tabulated_waveform",
     "materialize",

@@ -19,12 +19,11 @@ degenerates to, and the effective interference spectral density.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FixedPointReport, FrequencyGrid, bisect, fixed_point
+from .numerics import FrequencyGrid, bisect, fixed_point
 from .waveforms import ChipWaveform, _check_oversampling, _delta_components
 
 TWO_PI = 2.0 * np.pi

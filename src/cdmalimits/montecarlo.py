@@ -5,7 +5,7 @@ block-Toeplitz to demonstrate their spectral equivalence), draws i.i.d.
 circularly symmetric Gaussian spreading, forms the signatures (by FFT for
 the block-circulant kind, so no circulant matrix is built, with the delay
 vectors computed once per run), computes all users' linear MMSE SINRs
-from one Cholesky factorization of the smaller Gram matrix, and runs the
+from one dense solve of the smaller Gram matrix, and runs the
 paired windowed / reduced-delay harness showing that only delays modulo
 one chip matter.  The harness assembles the Gram blocks of its windowed
 multi-symbol stack block-tridiagonally from the FFT signatures and
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .large_system import SystemLaw
-from .numerics import hermitian_solve
+from .numerics import NotPositiveDefiniteError
 from .waveforms import ChipWaveform, _check_oversampling, _delta_components
 
 TWO_PI = 2.0 * np.pi
@@ -350,21 +350,36 @@ def materialize(system: FiniteSystem,
     return _draw(system, used_seed, _signature_builder(system))
 
 
+def _lapack(routine, *args):
+    """Call a ``numpy.linalg`` routine on a supposedly positive-definite
+    matrix, reporting a singular one as :class:`NotPositiveDefiniteError`.
+
+    numpy's LU-based ``solve`` and ``inv`` do not check definiteness, so
+    callers also check that the solved values lie in the range a
+    positive-definite matrix guarantees.
+    """
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("not positive definite") from exc
+
+
 def _gram_sinrs(regularized: np.ndarray, noise_variance: float,
                 cols: np.ndarray) -> np.ndarray:
     """MMSE SINRs of the columns ``cols`` from their regularized Gram matrix.
 
     ``regularized`` is ``H^H H + sigma^2 I``, or the Schur complement of the
     centre symbol in such a matrix, which has the same inverse on those
-    columns.  It is factored once, and the SINRs follow from the identity
+    columns.  It is inverted once, and the SINRs follow from the identity
     ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``.  The
     identity holds for any number of columns and stays accurate at high
-    SINR.
+    SINR.  A diagonal entry of the inverse that is not finite and positive
+    raises :class:`NotPositiveDefiniteError`.
     """
-    unit = np.zeros((regularized.shape[0], cols.size))
-    unit[cols, np.arange(cols.size)] = 1.0
-    solved = hermitian_solve(regularized, unit)
-    diagonal = np.real(solved[cols, np.arange(cols.size)])
+    inverse = _lapack(np.linalg.inv, regularized)
+    diagonal = np.real(inverse[cols, cols])
+    if not np.all((diagonal > 0.0) & (diagonal < np.inf)):
+        raise NotPositiveDefiniteError("not positive definite")
     return 1.0 / (noise_variance * diagonal) - 1.0
 
 
@@ -372,14 +387,16 @@ def _mmse_sinrs(h: np.ndarray, noise_variance: float,
                 users=None) -> np.ndarray:
     """Linear MMSE SINRs of the columns ``users`` of ``h`` (all by default).
 
-    One Cholesky factorization of the smaller Gram matrix serves every
-    column.  With no more columns than rows it factors the ``K x K``
+    One dense solve of the smaller Gram matrix serves every column.  With
+    no more columns than rows it inverts the ``K x K``
     ``H^H H + sigma^2 I`` and uses the identity
     ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``, which
-    also stays accurate at high SINR; otherwise it factors the row-side
-    ``H H^H + sigma^2 I`` and returns ``u / (1 - u)`` with
-    ``u = h_k^H (H H^H + sigma^2 I)^{-1} h_k``.  Both equal the
-    leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``.
+    also stays accurate at high SINR; otherwise it solves the row-side
+    ``H H^H + sigma^2 I`` against the selected columns and returns
+    ``u / (1 - u)`` with ``u = h_k^H (H H^H + sigma^2 I)^{-1} h_k``.  Both
+    equal the leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``.
+    A positive-definite row side keeps every ``u`` in ``[0, 1)``; a ``u``
+    outside it raises :class:`NotPositiveDefiniteError`.
     """
     rows, n_cols = h.shape
     cols = np.arange(n_cols) if users is None else np.asarray(users)
@@ -389,8 +406,10 @@ def _mmse_sinrs(h: np.ndarray, noise_variance: float,
     if not row_side:
         return _gram_sinrs(gram, noise_variance, cols)
     selected = h[:, cols]
-    solved = hermitian_solve(gram, selected)
+    solved = _lapack(np.linalg.solve, gram, selected)
     u = np.real(np.sum(np.conj(selected) * solved, axis=0))
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise NotPositiveDefiniteError("not positive definite")
     return u / (1.0 - u)
 
 
@@ -398,19 +417,16 @@ def _mmse_sinrs(h: np.ndarray, noise_variance: float,
 class TrialSummary:
     """Trial-averaged SINR/efficiency statistics.
 
-    ``std_efficiency`` and ``standard_error`` describe the spread of the
-    per-trial mean efficiency across trials (sample standard deviation and
-    its standard error of the mean); the per-user vector averages each
-    user over trials.
+    ``standard_error`` is the standard error of the mean of the per-trial
+    mean efficiency (its sample standard deviation over ``sqrt(trials)``);
+    ``mean_sinr_standard_error`` is the same for the mean SINR.
     """
 
     trials: int
     n_users: int
     mean_sinr: float
     mean_efficiency: float
-    std_efficiency: float
     standard_error: float
-    per_user_efficiency: np.ndarray
     mean_sinr_standard_error: float
 
 
@@ -425,9 +441,7 @@ def _summarize(sinrs: np.ndarray, effs: np.ndarray) -> TrialSummary:
         n_users=n_users,
         mean_sinr=float(per_trial_sinr.mean()),
         mean_efficiency=float(per_trial_eff.mean()),
-        std_efficiency=std_eff,
         standard_error=std_eff / math.sqrt(trials) if trials > 1 else 0.0,
-        per_user_efficiency=effs.mean(axis=0),
         mean_sinr_standard_error=(std_sinr / math.sqrt(trials)
                                   if trials > 1 else 0.0),
     )
@@ -486,39 +500,53 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
     Appl. 13(3), 1992) folds the outer symbols in from both ends at once:
     ``S_0 = D_0``, ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` from the left
     and the mirror image from the right, so ``C`` is ``D_M`` less both
-    sides' last corrections.  That costs ``2M + 1`` Cholesky
-    factorizations of ``K x K`` matrices instead of one of the
-    ``(2M+1)K``-side ``G``, and :func:`_gram_sinrs` turns ``C`` into the
-    SINRs.
+    sides' last corrections.  Each step solves both sides' pivots in one
+    stacked ``numpy.linalg.solve``, so a call makes ``2M`` dense solves
+    of ``K x K`` matrices and one ``K x K`` inverse in
+    :func:`_gram_sinrs`, which turns ``C`` into the SINRs, instead of
+    factoring the ``(2M+1)K``-side ``G``.  A link has rank at most rN, so
+    an overloaded window (``rN < K``) solves for ``P_j^H`` with
+    ``P_j = B_j[rN:]`` (rN right-hand sides, not K) and forms the
+    correction as ``Q_j^H (P_j S_j^{-1} P_j^H) Q_j`` with
+    ``Q_j = B_{j+1}[:rN]``; at N = 64, r = 2, K = 256 that cut a call
+    from 115 to 93 ms against solving for the links (one thread).
 
     It always uses that Gram-side identity, also when the window is
     overloaded (more columns than rows), where :func:`_mmse_sinrs` would
     switch to the row side.  ``G`` then has eigenvalues near ``sigma^2``,
     and the SINRs lose digits as about ``eps / sigma^2``: against the
     literal leave-one-out on the dense stack (N = 8, r = 2, K = 24 and 40)
-    the relative error measured 8e-12 at ``sigma^2 = 1e-4`` and 2.5e-6 at
-    ``sigma^2 = 2e-9``.
+    the relative error measured up to 2e-11 at ``sigma^2 = 1e-4`` and
+    1.5e-6 at ``sigma^2 = 2e-9``.
     """
     n_users, n_symbols, rn = signatures.shape
     local = np.zeros((n_symbols, 2 * rn, n_users), dtype=complex)
     rows = row_shifts[:, None] + np.arange(rn)[None, :]
     local[:, rows, np.arange(n_users)[:, None]] = signatures.swapaxes(0, 1)
-    local_h = local.conj().swapaxes(1, 2)
-    diagonal = local_h @ local
+    diagonal = local.conj().swapaxes(1, 2) @ local
     diagonal[:, np.arange(n_users), np.arange(n_users)] += noise_variance
-    links = local_h[:-1, :, rn:] @ local[1:, :rn]
-    # Row 0 runs from the first symbol toward the centre, row 1 from the
-    # last; the right-hand links enter as the mirror image's U_j.
+    # Pivot j of row 0 is symbol j, of row 1 symbol 2M - j.  It shares rN
+    # rows with the next symbol toward the centre: ``facing`` holds its
+    # own and ``onward`` the next symbol's, so their link is
+    # ``facing^H onward``, of rank at most rN.
+    halves = local.reshape(n_symbols, 2, rn, n_users)
     half = n_symbols // 2
-    ends = np.stack([diagonal[:half], diagonal[::-1][:half]])
-    sides = np.stack([links[:half],
-                      links[::-1][:half].conj().swapaxes(1, 2)])
     correction = np.zeros((2, n_users, n_users), dtype=complex)
     for j in range(half):
-        pivots = ends[:, j] - correction
-        solved = np.stack([hermitian_solve(pivot, link) for pivot, link
-                           in zip(pivots, sides[:, j])])
-        correction = sides[:, j].conj().swapaxes(1, 2) @ solved
+        facing = halves[[j, -1 - j], [1, 0]]
+        onward = halves[[j + 1, -2 - j], [0, 1]]
+        pivots = diagonal[[j, -1 - j]] - correction
+        if rn < n_users:
+            # Overloaded: solving for the rN shared rows is cheaper than
+            # for the K columns of the link.
+            solved = _lapack(np.linalg.solve, pivots,
+                             facing.conj().swapaxes(1, 2))
+            correction = (onward.conj().swapaxes(1, 2)
+                          @ (facing @ solved) @ onward)
+        else:
+            link = facing.conj().swapaxes(1, 2) @ onward
+            solved = _lapack(np.linalg.solve, pivots, link)
+            correction = link.conj().swapaxes(1, 2) @ solved
     centre = diagonal[half] - correction[0] - correction[1]
     return _gram_sinrs(centre, noise_variance, np.arange(n_users))
 
@@ -540,7 +568,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     forms all ``(2*window+1) * K`` signatures in one batched FFT; the
     reduced system reuses the center symbol's, and the windowed one goes
     through the centre-symbol block elimination of :func:`_windowed_sinrs`,
-    which factors only ``K x K`` matrices (``2*window + 1`` of them), so
+    which solves only ``K x K`` matrices (``2*window + 1`` of them), so
     an overloaded window costs about ``(2*window+1) * K**3`` rather than
     ``((2*window+1) * K)**3``.  No delay/pulse matrix is built.
 

@@ -1,10 +1,11 @@
-"""Shared numeric kernel: Hermitian solves, quadrature, fixed points, ITP roots.
+"""Shared numeric kernel: quadrature, fixed points, ITP roots.
 
-Matrices and vectors are plain ``numpy`` arrays throughout the package;
-complex Hermitian positive-definite solves go through LAPACK's Cholesky
-factorization (scipy).  Frequency grids over the normalized band
-``(-pi, pi]`` store midpoints so that integrands that are discontinuous at
-the band edges are never sampled exactly on a jump.
+Matrices and vectors are plain ``numpy`` arrays throughout the package,
+whose only runtime dependency is ``numpy``; the dense solves of the Monte
+Carlo kernels call its stacked LAPACK routines directly.  Frequency grids
+over the normalized band ``(-pi, pi]`` store midpoints so that integrands
+that are discontinuous at the band edges are never sampled exactly on a
+jump.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a Cholesky pivot fails on a supposedly PD matrix."""
+    """Raised when a supposedly positive-definite matrix is singular or
+    yields a solution that no positive-definite matrix can."""
 
 
 class DivergenceError(RuntimeError):
@@ -36,35 +37,6 @@ class FixedPointReport:
     final_residual: float
     converged: bool
     damping_used: float
-
-
-def hermitian_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for Hermitian positive-definite ``matrix``.
-
-    Parameters
-    ----------
-    matrix : (n, n) array_like
-        Hermitian positive definite.  Only one triangle is referenced.
-    rhs : (n,) or (n, m) array_like
-        Right-hand side vector(s).
-
-    Returns
-    -------
-    numpy.ndarray
-        Solution with the same trailing shape as ``rhs``.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If a Cholesky pivot is non-positive ("not positive definite").
-    """
-    a = np.asarray(matrix)
-    b = np.asarray(rhs)
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=False, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("not positive definite") from exc
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,

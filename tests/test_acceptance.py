@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from cdmalimits import (
     SystemLaw,

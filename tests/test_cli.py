@@ -9,10 +9,14 @@ verification, 2 configuration problems, 3 non-convergence.
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cdmalimits import capacity_sync_closed_form, solve_efficiency_sync
+import cdmalimits
+from cdmalimits import solve_efficiency_sync
 from cdmalimits.cli import _BOOL_FLAGS, _DEFAULTS, main
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
@@ -375,3 +379,33 @@ class TestCsvConventions:
     def test_no_timestamps(self, capsys):
         _, out, _ = _run(capsys, ["capacity", "--beta", "0", "--snr", "1"])
         assert "202" not in out.split("\n# out")[0]
+
+
+class TestRuntimeImports:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: a fresh interpreter that runs
+        # the trial and solver commands must never import it.
+        runs = [
+            ["figure3", "--beta", "1", "--density-points", "64"],
+            ["efficiency", "--cross-check", "--n-delays", "4", "--grid",
+             "32", "--density-points", "64"],
+            ["montecarlo", "--n", "8", "--trials", "1", "--n-delays", "2",
+             "--grid", "32"],
+            ["theorem3", "--n", "8", "--beta", "0.5", "--trials", "1",
+             "--window", "2"],
+        ]
+        runs = [argv + ["--out", str(tmp_path / f"{argv[0]}.csv")]
+                for argv in runs]
+        script = (
+            "import sys\n"
+            "from cdmalimits.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(name for name in sys.modules\n"
+            "                    if name.partition('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(cdmalimits.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"

@@ -5,7 +5,8 @@ Oracles: hand-built matrices for trivial pulses, a direct dense-inverse
 SINR computation, the literal leave-one-out SINR for the one-factorization
 kernel, dense delay/pulse matrices for the FFT-formed signatures, the
 literal dense multi-symbol stack and the dense block-tridiagonal Gram
-matrix for the centre-symbol elimination of the windowed kernel, the
+matrix for the centre-symbol elimination of the windowed kernel,
+per-side Cholesky solves (scipy) for its stacked elimination steps, the
 interference-free single-user formula, and frozen spectral
 distances computed once from the deterministic constructions.
 """
@@ -14,15 +15,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cdmalimits import (
     FiniteSystem,
+    NotPositiveDefiniteError,
     PulseTooLongError,
     SystemLaw,
     build_phi_matrix,
     equal_power_uniform_delays,
     finite_system,
-    hermitian_solve,
     materialize,
     product_law,
     root_raised_cosine_waveform,
@@ -31,10 +33,10 @@ from cdmalimits import (
     theorem3_harness,
     trial_seed,
 )
-from cdmalimits import montecarlo
 from cdmalimits.montecarlo import (
     _circulant_signatures,
     _dft_deltas,
+    _gram_sinrs,
     _mmse_sinrs,
     _windowed_sinrs,
 )
@@ -359,6 +361,46 @@ class TestSinrKernel:
                                    _mmse_sinrs(h, 0.2)[users], rtol=1e-13)
 
 
+class TestPositiveDefiniteGuards:
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3 and -1
+        [[0.0, 0.0], [0.0, 0.0]],  # LAPACK reports it singular
+    ], ids=["indefinite", "singular"])
+    def test_gram_side_rejects_non_pd(self, matrix):
+        regularized = np.array(matrix, dtype=complex)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="not positive definite"):
+            _gram_sinrs(regularized, 0.1, np.arange(2))
+
+    @pytest.mark.parametrize("noise_variance", [-3.0, -1.0],
+                             ids=["u_negative", "u_one"])
+    def test_row_side_rejects_non_pd(self, noise_variance):
+        # Two unit columns in one row: H H^H + sigma^2 I = 2 + sigma^2,
+        # so u = 1 / (2 + sigma^2) is -1 at sigma^2 = -3 and 1 at -1,
+        # both outside the [0, 1) that a positive-definite side keeps.
+        h = np.ones((1, 2), dtype=complex)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="not positive definite"):
+            _mmse_sinrs(h, noise_variance)
+
+
+def _record_linalg(monkeypatch):
+    """Record every ``numpy.linalg.solve``/``inv`` call as
+    ``(name, matrix, *other arguments, result)``."""
+    calls = []
+    for name in ("solve", "inv"):
+        def recording(*args, _name=name, _routine=getattr(np.linalg, name)):
+            result = _routine(*args)
+            calls.append((_name, *args, result))
+            return result
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def _stack_size(matrix):
+    return int(np.prod(matrix.shape[:-2], dtype=int))
+
+
 def _windowed_case(n, window, n_users, seed):
     """Random windowed-system inputs for an ``N = n`` RRC 0.22 system.
 
@@ -463,19 +505,39 @@ class TestWindowedSinrs:
 
     def test_factors_only_k_by_k_matrices(self, monkeypatch):
         # An overloaded window (280 columns against 128 rows) must not
-        # fall back to factoring the (2M+1)K-side Gram matrix.
+        # fall back to solving the (2M+1)K-side Gram matrix.  A stack of
+        # two matrices counts as two.
         n, r, window, n_users = 8, 2, 3, 40
-        shapes = []
-
-        def recording_solve(matrix, rhs):
-            shapes.append(np.shape(matrix))
-            return hermitian_solve(matrix, rhs)
-
-        monkeypatch.setattr(montecarlo, "hermitian_solve", recording_solve)
+        calls = _record_linalg(monkeypatch)
         signatures, row_shifts = _windowed_inputs(
             n, r, *_windowed_case(n, window, n_users, seed=5))
         _windowed_sinrs(signatures, row_shifts, 0.2)
+        shapes = [shape for _, matrix, *_ in calls
+                  for shape in [matrix.shape[-2:]] * _stack_size(matrix)]
         assert shapes == [(n_users, n_users)] * (2 * window + 1)
+
+    @pytest.mark.parametrize("n_users", [12, 40])
+    def test_stacked_step_matches_per_side_solves(self, monkeypatch,
+                                                  n_users):
+        # Each elimination step solves both ends' pivots in one stacked
+        # call; it must equal solving each side alone by Cholesky.  The
+        # right-hand sides are the K x K links, or the rN = 16 shared rows
+        # when the window is overloaded (K = 40).
+        n, r, window = 8, 2, 3
+        calls = _record_linalg(monkeypatch)
+        signatures, row_shifts = _windowed_inputs(
+            n, r, *_windowed_case(n, window, n_users, seed=3))
+        _windowed_sinrs(signatures, row_shifts, 0.2)
+        steps = [call for call in calls if call[0] == "solve"]
+        assert len(steps) == window
+        for _, pivots, sides, solved in steps:
+            assert pivots.shape == (2, n_users, n_users)
+            assert sides.shape == (2, n_users, min(n_users, r * n))
+            for pivot, side, got in zip(pivots, sides, solved):
+                want = scipy.linalg.cho_solve(
+                    scipy.linalg.cho_factor(pivot), side)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 class TestMmseSinr:
@@ -530,11 +592,11 @@ class TestRunTrials:
     def test_single_trial_reproduces_direct_call(self):
         fs = _small_system(n=16, load=0.5, seed=42)
         sinrs, summary = run_trials(fs, 1)
-        # Efficiency is sinr * N0 / (power * E), exactly.
+        # Efficiency is sinr * N0 / (power * E).
         powers = np.abs(fs.amplitudes) ** 2
-        np.testing.assert_array_equal(
-            summary.per_user_efficiency,
-            sinrs[0] * fs.noise_density / (powers * fs.waveform.energy))
+        effs = sinrs[0] * fs.noise_density / (powers * fs.waveform.energy)
+        assert summary.mean_efficiency == pytest.approx(np.mean(effs),
+                                                        rel=1e-15)
         assert summary.mean_sinr == pytest.approx(np.mean(sinrs), rel=1e-15)
 
     def test_sample_ordering_and_seeds(self):
@@ -548,7 +610,6 @@ class TestRunTrials:
                 drawn.signatures, fs.noise_variance).tolist()
         assert summary.trials == 3
         assert summary.n_users == 4
-        assert summary.per_user_efficiency.shape == (4,)
 
     def test_deterministic_summary(self):
         fs = _small_system(n=16, load=0.5, seed=31)
@@ -559,11 +620,17 @@ class TestRunTrials:
 
     def test_mean_consistency(self):
         fs = _small_system(n=16, load=0.5, seed=8)
-        _, summary = run_trials(fs, 5)
+        sinrs, summary = run_trials(fs, 5)
+        powers = np.abs(fs.amplitudes) ** 2
+        per_trial = (sinrs * fs.noise_density
+                     / (powers * fs.waveform.energy)).mean(axis=1)
         assert summary.mean_efficiency == pytest.approx(
-            float(summary.per_user_efficiency.mean()), rel=1e-12)
+            float(per_trial.mean()), rel=1e-12)
         assert summary.standard_error == pytest.approx(
-            summary.std_efficiency / math.sqrt(5), rel=1e-12)
+            float(np.std(per_trial, ddof=1)) / math.sqrt(5), rel=1e-12)
+        assert summary.mean_sinr_standard_error == pytest.approx(
+            float(np.std(sinrs.mean(axis=1), ddof=1)) / math.sqrt(5),
+            rel=1e-12)
 
     def test_standard_error_shrinks_like_root_trials(self):
         # Doubling the trial count should shrink the standard error by
@@ -622,7 +689,7 @@ class TestTheorem3Harness:
                                   window=2, trials=2, seed=0)
         assert paired.windowed.trials == 2
         assert paired.windowed.n_users == 4
-        assert paired.reduced.per_user_efficiency.shape == (4,)
+        assert (paired.reduced.trials, paired.reduced.n_users) == (2, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="window"):

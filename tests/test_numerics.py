@@ -1,7 +1,7 @@
 """Tests for the shared numerical kernels.
 
-Oracles are computed in-test with independent methods (dense linear algebra,
-closed-form integrals, analytically known roots and fixed points).
+Oracles are computed in-test with independent methods (closed-form
+integrals, analytically known roots and fixed points).
 """
 
 import math
@@ -15,48 +15,9 @@ from cdmalimits import (
     BracketError,
     DivergenceError,
     FrequencyGrid,
-    NotPositiveDefiniteError,
     bisect,
     fixed_point,
-    hermitian_solve,
 )
-
-
-def _random_hpd(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a @ a.conj().T + n * np.eye(n)
-
-
-class TestHermitianSolve:
-    def test_matches_dense_solve(self):
-        # Oracle: generic dense solver on the same system.
-        mat = _random_hpd(12, seed=7)
-        rhs = np.arange(12, dtype=complex) + 1j
-        got = hermitian_solve(mat, rhs)
-        want = np.linalg.solve(mat, rhs)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-
-    def test_matrix_right_hand_side(self):
-        mat = _random_hpd(6, seed=3)
-        rhs = np.eye(6, dtype=complex)
-        got = hermitian_solve(mat, rhs)
-        np.testing.assert_allclose(mat @ got, rhs, rtol=0, atol=1e-10)
-
-    def test_identity_is_fixed_point(self):
-        rhs = np.array([1.0 + 2.0j, -3.0j, 0.5])
-        got = hermitian_solve(np.eye(3, dtype=complex), rhs)
-        np.testing.assert_allclose(got, rhs, rtol=0, atol=0)
-
-    def test_indefinite_matrix_rejected(self):
-        mat = np.diag([1.0, -1.0]).astype(complex)
-        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            hermitian_solve(mat, np.ones(2, dtype=complex))
-
-    def test_singular_matrix_rejected(self):
-        mat = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            hermitian_solve(mat, np.ones(2, dtype=complex))
 
 
 class TestFixedPoint:

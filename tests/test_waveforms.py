@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
-    ChipWaveform,
     TabulatedRangeError,
     UndersampledError,
     load_tabulated_waveform,
