@@ -10,10 +10,11 @@ Two routes to total capacity per chip for the large-system limit:
   route (Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), which integrates
   the per-class MMSE over the SNR axis, is kept in the tests as an oracle.
 
-Spectral efficiency divides capacity per chip by the time-bandwidth product
-``T_c * B`` with the one-sided bandwidth stored on the waveform, and
-``snr_for_ebn0`` inverts the energy-per-bit accounting ``Eb/N0 =
-load * snr / C(snr)`` with the ITP bracketed root finder in ``ln snr``.
+Time is measured in chips, so the time-bandwidth product is the one-sided
+bandwidth ``B`` (cycles per chip) stored on the waveform.  Spectral
+efficiency divides capacity per chip by it, and ``snr_for_ebn0`` inverts
+the energy-per-bit accounting ``Eb/N0 = load * snr / C(snr)`` with the ITP
+bracketed root finder in ``ln snr``.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
 
     Free-energy closed form at the scalar efficiency ``eta`` of the system
     re-noised to per-chip SNR ``snr``:
-    ``C = beta * sum_atoms w*log2(1 + lam*snr*eta) + (T_c/2pi) * integral
+    ``C = beta * sum_atoms w*log2(1 + lam*snr*eta) + (1/2pi) * integral
     [-log2 q(w) + (q(w) - 1)*log2 e] dw`` with ``q = eta(w)*E/|Phi(w)|^2``
     over the support where ``|Phi|^2 > 0``, on the solver's midpoint grid.
     ``snr`` defaults to the system's own ``E/N_0``.
@@ -94,21 +95,20 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
     powers, weights = sys.law.power_marginal()
     user_term = float(np.sum(weights * np.log2(
         1.0 + powers * snr * spectrum.scalar)))
-    return (sys.load * user_term + sys.waveform.chip_interval
-            * (omegas[1] - omegas[0]) / (2.0 * math.pi) * free_energy)
+    return (sys.load * user_term
+            + (omegas[1] - omegas[0]) / (2.0 * math.pi) * free_energy)
 
 
 def spectral_efficiency(capacity_per_chip: float,
                         waveform: ChipWaveform) -> float:
     """Bits/s/Hz: capacity per chip over the time-bandwidth product.
 
-    ``C / (T_c * B)`` with the waveform's one-sided bandwidth ``B``;
-    raises "zero bandwidth" when ``B`` vanishes.
+    ``C / B`` with the waveform's one-sided bandwidth ``B`` in cycles per
+    chip; raises "zero bandwidth" when ``B`` vanishes.
     """
-    product = waveform.chip_interval * waveform.bandwidth
-    if product <= 0:
+    if waveform.bandwidth <= 0:
         raise ZeroBandwidthError("zero bandwidth")
-    return capacity_per_chip / product
+    return capacity_per_chip / waveform.bandwidth
 
 
 def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,

@@ -32,8 +32,8 @@ starts with a ``#``-commented header carrying the resolved configuration
 and seed, so a run can be reproduced byte-identically; no timestamps are
 embedded.  Exit codes: 0 success, 1 failed verification property,
 2 invalid configuration or violated model hypothesis, 3 numerical
-non-convergence.  The chip interval is fixed to 1 second; frequencies in
-output are rad/s and delays are in chips.
+non-convergence.  Time is measured in chips: frequencies in output are in
+rad per chip, delays in chips, and bandwidths in cycles per chip.
 """
 
 from __future__ import annotations
@@ -560,7 +560,6 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
     if cfg.ebn0 is None:
         raise ConfigError("figure3 needs ebn0_db")
     waveform = cfg.waveform
-    product = waveform.chip_interval * waveform.bandwidth
     columns = ["beta", "gamma_async", "gamma_sync", "relative_gap"]
     rows: list[tuple] = []
     for beta in cfg.betas:
@@ -576,8 +575,10 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
         async_point = _ebn0_solved_point(cfg.ebn0, beta, cap)
         sync_point = _ebn0_solved_point(
             cfg.ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
-        gamma_async = async_point[1] / product if async_point else ""
-        gamma_sync = sync_point[1] / product if sync_point else ""
+        gamma_async = (spectral_efficiency(async_point[1], waveform)
+                       if async_point else "")
+        gamma_sync = (spectral_efficiency(sync_point[1], waveform)
+                      if sync_point else "")
         gap = ((gamma_async - gamma_sync) / gamma_sync
                if async_point and sync_point else "")
         rows.append((beta, gamma_async, gamma_sync, gap))
@@ -603,10 +604,9 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
 
     sinrs, summary = run_trials(system, cfg.trials)
     efficiencies = efficiency_of_user(sinrs, powers, realized)
-    delay_chips = system.delays / system.chip_interval
     columns = ["trial", "user", "delay_chips", "power", "sinr",
                "efficiency", "predicted_efficiency"]
-    rows = [(t, k, delay_chips[k], powers[k], sinrs[t, k],
+    rows = [(t, k, system.delays[k], powers[k], sinrs[t, k],
              efficiencies[t, k], predicted[k])
             for t in range(cfg.trials) for k in range(system.n_users)]
     # The gap in standard errors is left empty when there is no spread to
@@ -629,9 +629,8 @@ def cmd_theorem3(cfg: ExperimentConfig) -> int:
     n_users = int(round(beta * cfg.spreading_factor))
     if n_users < 1:
         raise ConfigError("beta too small: no users at this n")
-    symbol = cfg.spreading_factor * cfg.waveform.chip_interval
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    delays = rng.uniform(0.0, symbol, n_users)
+    delays = rng.uniform(0.0, cfg.spreading_factor, n_users)
     result = theorem3_harness(cfg.waveform, cfg.spreading_factor,
                               cfg.oversampling, n_users, delays, cfg.n0,
                               window=cfg.window, trials=cfg.trials,
@@ -681,10 +680,8 @@ def _structure_residuals(rng: np.random.Generator, instances: int,
         waveform = _random_waveform(rng)
         r = int(waveform.min_oversampling + rng.integers(0, 2))
         omega = float(rng.uniform(-np.pi, np.pi))
-        taus_unit = (np.arange(256) + 256.0 * rng.random()) / 256.0
-        deltas = _delta_components(waveform, r,
-                                   np.array([omega]),
-                                   taus_unit * waveform.chip_interval)
+        taus = (np.arange(256) + 256.0 * rng.random()) / 256.0
+        deltas = _delta_components(waveform, r, np.array([omega]), taus)
         deltas = deltas[:, 0, :]  # (taus, r)
         mean_full = np.einsum("as,ak->sk", deltas, np.conj(deltas)) \
             / deltas.shape[0]
@@ -866,9 +863,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[cfg.command](cfg)
     except HypothesisViolationError as exc:
-        print(f"error: {exc}: the delay law must be uniform on [0, T_c) "
+        print(f"error: {exc}: the delays must be uniform over one chip "
               "and independent of the powers, or the one-sided bandwidth "
-              "must stay within 1/(2*T_c)", file=sys.stderr)
+              "must stay within half a cycle per chip", file=sys.stderr)
         return 2
     except (DivergenceError, ConvergenceError, BracketError,
             NotPositiveDefiniteError) as exc:

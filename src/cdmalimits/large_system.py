@@ -1,14 +1,16 @@
 """Large-system (K, N -> infinity at fixed load) performance formulas.
 
 Implements the two solver routes for the limiting MMSE performance of
-asynchronous code-division multiple access with random spreading:
+asynchronous code-division multiple access with random spreading.  Time is
+measured in chips (see :mod:`cdmalimits.waveforms`), so delays lie in
+``[0, 1)`` and the discrete-time noise variance is ``r * N_0``:
 
 * the matrix route — a frequency-dependent ``r x r`` positive-definite
   field ``Upsilon(Omega)`` solving a fixed-point matrix equation, from
   which every (power, delay) user class gets its SINR as a quadratic-form
   integral over the normalized band;
 * the scalar route — valid when delays are uniform and independent of the
-  powers (or when the pulse fits inside ``1/(2*T_c)`` of bandwidth), where
+  powers (or when the pulse fits inside half the chip rate), where
   a single scalar multiuser efficiency solves a one-dimensional fixed
   point and carries a per-frequency efficiency density.
 
@@ -42,15 +44,18 @@ class PowerDelayLaw:
     """Discrete joint law of received power and sub-chip delay.
 
     Atoms are parallel arrays ``(powers, delays, weights)`` with weights
-    summing to one.  ``powers_delays_independent`` and ``delays_uniform``
-    describe structural facts about the law that the scalar solver needs.
+    summing to one; delays are in chips.  ``powers_delays_independent`` and
+    ``delays_uniform`` describe structural facts about the law that the
+    scalar solver needs.  Both default to ``False``, since nothing checks
+    them against the atoms: only a law that is built to have them (as the
+    uniform-delay factories are) may claim them.
     """
 
     powers: np.ndarray
     delays: np.ndarray
     weights: np.ndarray
-    powers_delays_independent: bool = True
-    delays_uniform: bool = True
+    powers_delays_independent: bool = False
+    delays_uniform: bool = False
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=float)
@@ -94,17 +99,17 @@ class PowerDelayLaw:
         return float(np.dot(self.weights, self.powers))
 
 
-def uniform_delay_grid(n_delays: int, chip_interval: float) -> np.ndarray:
-    """Equally spaced delay atoms ``i * T_c / n`` on ``[0, T_c)``."""
+def uniform_delay_grid(n_delays: int) -> np.ndarray:
+    """Equally spaced delay atoms ``i / n`` on one chip ``[0, 1)``."""
     if n_delays < 1:
         raise ValueError("need at least one delay atom")
-    return np.arange(n_delays) * chip_interval / n_delays
+    return np.arange(n_delays) / n_delays
 
 
-def equal_power_uniform_delays(n_delays: int = 64, power: float = 1.0,
-                               chip_interval: float = 1.0) -> PowerDelayLaw:
+def equal_power_uniform_delays(n_delays: int = 64,
+                               power: float = 1.0) -> PowerDelayLaw:
     """Unit-weight power atom crossed with a uniform delay grid."""
-    delays = uniform_delay_grid(n_delays, chip_interval)
+    delays = uniform_delay_grid(n_delays)
     return PowerDelayLaw(
         powers=np.full(n_delays, float(power)),
         delays=delays,
@@ -114,12 +119,11 @@ def equal_power_uniform_delays(n_delays: int = 64, power: float = 1.0,
     )
 
 
-def product_law(powers, power_weights, n_delays: int = 64,
-                chip_interval: float = 1.0) -> PowerDelayLaw:
+def product_law(powers, power_weights, n_delays: int = 64) -> PowerDelayLaw:
     """Independent product of a discrete power law and uniform delays."""
     powers = np.asarray(powers, dtype=float)
     pw = np.asarray(power_weights, dtype=float)
-    delays = uniform_delay_grid(n_delays, chip_interval)
+    delays = uniform_delay_grid(n_delays)
     grid_p, grid_t = np.meshgrid(powers, delays, indexing="ij")
     grid_w = np.repeat(pw / n_delays, n_delays)
     return PowerDelayLaw(
@@ -154,7 +158,8 @@ class SystemLaw:
     load : float
         Users per chip ``beta = K/N``.
     noise_density : float
-        One-sided white-noise level ``N_0`` (watts/hertz).
+        One-sided white-noise level ``N_0``; the per-chip SNR at unit
+        power is ``E / N_0``.
     oversampling : int
         Receiver samples per chip ``r``.
     waveform : ChipWaveform
@@ -173,15 +178,13 @@ class SystemLaw:
         if self.noise_density <= 0:
             raise ValueError("noise density must be positive")
         _check_oversampling(self.waveform, self.oversampling)
-        tc = self.waveform.chip_interval
-        if np.any(self.law.delays >= tc):
+        if np.any(self.law.delays >= 1.0):
             raise ValueError("law delays must lie in [0, T_c)")
 
     @property
     def noise_variance(self) -> float:
-        """Discrete-time noise variance ``r * N_0 / T_c``."""
-        return self.oversampling * self.noise_density / \
-            self.waveform.chip_interval
+        """Discrete-time noise variance ``r * N_0``."""
+        return self.oversampling * self.noise_density
 
     @property
     def snr(self) -> float:
@@ -211,7 +214,7 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None,
     The field satisfies, at every grid frequency,
     ``inv(Upsilon) = sigma^2 I + beta * sum_atoms w * lam * delta delta^H
     / (1 + SINR_atom)`` where ``SINR_atom = (lam/2pi) * integral
-    delta^H Upsilon delta`` and ``sigma^2 = r N_0 / T_c``.
+    delta^H Upsilon delta`` and ``sigma^2 = r N_0``.
 
     Returns ``(UpsilonField, FixedPointReport)``; a non-converged run is
     reported, never silent.
@@ -247,8 +250,8 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
     """Limiting MMSE SINR of a user class with the given power and delay.
 
     ``SINR = (power/2pi) * integral delta^H(Omega, delay) Upsilon(Omega)
-    delta(Omega, delay) dOmega`` over the solved grid.  Delays outside
-    ``[0, T_c)`` are reduced modulo the chip (a whole-chip shift only
+    delta(Omega, delay) dOmega`` over the solved grid.  Delays (in chips)
+    outside ``[0, 1)`` are reduced modulo the chip (a whole-chip shift only
     rotates the phase of the delay vector and cancels in the form).
 
     ``power`` and ``delay`` may be arrays, which broadcast against each
@@ -257,7 +260,7 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
     """
     power, delay = np.broadcast_arrays(np.asarray(power, dtype=float),
                                        np.asarray(delay, dtype=float))
-    taus = np.mod(delay, sys.waveform.chip_interval)
+    taus = np.mod(delay, 1.0)
     deltas = _delta_components(sys.waveform, sys.oversampling,
                                field.grid.points, taus.ravel())
     forms = _quadratic_forms(deltas, field.matrices)
@@ -286,21 +289,20 @@ def efficiency_of_user(sinr: float | np.ndarray, power: float | np.ndarray,
 class EfficiencySpectrum:
     """Per-frequency multiuser efficiency density and its integral."""
 
-    frequencies: np.ndarray  # rad/s over the pulse support
+    frequencies: np.ndarray  # rad per chip over the pulse support
     density: np.ndarray     # eta(omega), dimensionless
     scalar: float           # eta = (1/2pi) * integral density
 
 
 def _scalar_hypotheses_ok(sys: SystemLaw) -> bool:
     law = sys.law
-    narrow = sys.waveform.bandwidth <= 1.0 / (
-        2.0 * sys.waveform.chip_interval) + 1e-12
+    narrow = sys.waveform.bandwidth <= 0.5 + 1e-12
     return (law.delays_uniform and law.powers_delays_independent) or narrow
 
 
 def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
-    """Midpoint grid over the (symmetric) pulse support in rad/s."""
-    edge = TWO_PI * waveform.bandwidth
+    """Midpoint grid over the (symmetric) pulse support in rad per chip."""
+    edge = waveform._support_limit()
     spacing = 2.0 * edge / n_points
     return -edge + (np.arange(n_points) + 0.5) * spacing
 
@@ -319,9 +321,9 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
     """Scalar-route multiuser efficiency with its spectral density.
 
     Valid when the law has uniform delays independent of powers, or when
-    the pulse occupies at most ``1/(2*T_c)`` of one-sided bandwidth;
-    otherwise raises "corollary hypotheses violated".  The density obeys
-    ``1/eta(w) = E/|Phi(w)|^2 + (beta/T_c) * sum_atoms w*lam /
+    the pulse occupies at most half the chip rate (``B <= 1/2``) of
+    one-sided bandwidth; otherwise raises "corollary hypotheses violated".
+    The density obeys ``1/eta(w) = E/|Phi(w)|^2 + beta * sum_atoms w*lam /
     (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``; the
     scalar is the ITP root (``numerics.bisect``) of ``eta - (1/2pi) *
     integral eta(w) dw`` on ``(0, 1]``, where the map is monotone.
@@ -330,7 +332,6 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
         raise HypothesisViolationError("corollary hypotheses violated")
     waveform = sys.waveform
     energy = waveform.energy
-    tc = waveform.chip_interval
     omegas = _support_grid(waveform, n_points)
     spacing = omegas[1] - omegas[0]
     gain = waveform.power_spectrum(omegas)
@@ -339,7 +340,7 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
     energy_over_gain = energy / gain[gain > 0]
 
     def integrated(eta: float) -> float:
-        interference = sys.load / tc * float(
+        interference = sys.load * float(
             np.sum(weights * powers / (noise_over_energy + powers * eta)))
         return float(np.sum(1.0 / (energy_over_gain + interference))) \
             * spacing / TWO_PI
@@ -349,13 +350,13 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
     residual = functools.cache(lambda eta: eta - integrated(eta))
     if sys.load == 0 or residual(1.0) <= 0.0:
         # eta = 1 is exact here; don't launder it through the quadrature.
-        interference = sys.load / tc * float(
+        interference = sys.load * float(
             np.sum(weights * powers / (noise_over_energy + powers)))
         density = _efficiency_density(gain, interference, energy)
         return EfficiencySpectrum(frequencies=omegas, density=density,
                                   scalar=1.0)
     scalar = bisect(residual, 1e-15, 1.0, tol=tol)
-    interference = sys.load / tc * float(
+    interference = sys.load * float(
         np.sum(weights * powers / (noise_over_energy + powers * scalar)))
     density = _efficiency_density(gain, interference, energy)
     scalar = float(density.sum()) * spacing / TWO_PI

@@ -12,6 +12,9 @@ multi-symbol stack block-tridiagonally from the FFT signatures and
 eliminates them toward the centre symbol, without forming the stack, its
 full Gram matrix or any delay/pulse matrix.
 
+Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
+plus a sub-chip remainder, and a symbol lasts ``N`` chips.
+
 Reproducibility: every random quantity flows from one 64-bit master seed;
 trial ``t`` uses ``master XOR ((t+1) * 0x9E3779B97F4A7C15 mod 2^64)`` as
 its own generator seed.
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .large_system import SystemLaw
+from .large_system import SystemLaw, _support_grid
 from .numerics import NotPositiveDefiniteError
 from .waveforms import ChipWaveform, _check_oversampling, _delta_components
 
@@ -55,6 +58,7 @@ def trial_seed(master_seed: int, trial: int) -> int:
 class FiniteSystem:
     """One finite-size asynchronous CDMA instance.
 
+    ``delays`` are in chips and lie in one symbol, ``[0, N)``.
     ``signatures`` is the materialized ``rN x K`` matrix whose column ``k``
     is ``amplitude_k * Phi_k @ s_k`` (delay/pulse matrix times the user's
     spreading sequence); it is ``None`` until :func:`materialize` draws the
@@ -83,7 +87,7 @@ class FiniteSystem:
         if amplitudes.shape != (self.n_users,) or \
                 delays.shape != (self.n_users,):
             raise ValueError("per-user arrays must have length n_users")
-        if np.any(delays < 0) or np.any(delays >= self.symbol_interval):
+        if np.any(delays < 0) or np.any(delays >= self.spreading_factor):
             raise ValueError("delays must lie in [0, T_s)")
         amplitudes.setflags(write=False)
         delays.setflags(write=False)
@@ -91,16 +95,8 @@ class FiniteSystem:
         object.__setattr__(self, "delays", delays)
 
     @property
-    def chip_interval(self) -> float:
-        return self.waveform.chip_interval
-
-    @property
-    def symbol_interval(self) -> float:
-        return self.spreading_factor * self.waveform.chip_interval
-
-    @property
     def noise_variance(self) -> float:
-        return self.oversampling * self.noise_density / self.chip_interval
+        return self.oversampling * self.noise_density
 
 
 def finite_system(sys: SystemLaw, spreading_factor: int, seed: int,
@@ -171,9 +167,8 @@ def _time_pulse(waveform: ChipWaveform, times: np.ndarray) -> np.ndarray:
     Midpoint quadrature over the pulse support; with the package's energy
     convention the time pulse then carries energy ``E`` exactly.
     """
-    edge = TWO_PI * waveform.bandwidth
-    spacing = 2.0 * edge / _TIME_GRID_POINTS
-    omegas = -edge + (np.arange(_TIME_GRID_POINTS) + 0.5) * spacing
+    omegas = _support_grid(waveform, _TIME_GRID_POINTS)
+    spacing = 2.0 * waveform._support_limit() / _TIME_GRID_POINTS
     values = waveform.spectrum(omegas)
     out = np.empty(times.shape, dtype=complex)
     chunk = 512
@@ -189,25 +184,24 @@ def _toeplitz_phi(waveform: ChipWaveform, n: int, r: int,
     """Block-Toeplitz ``rN x N`` matrix of time-domain pulse samples.
 
     Entry (block row m, sub-row s, column c) holds
-    ``conj(phi_t(s*T_c/r - tau + (m-c)*T_c))`` — the frequency-limit of the
-    block-circulant form, so a growing delay moves the pulse toward later
-    sample rows in both constructions.  Taps below ``1e-6 * max`` are
+    ``conj(phi_t(s/r - tau + (m-c)))``, with times in chips — the
+    frequency-limit of the block-circulant form, so a growing delay moves
+    the pulse toward later sample rows in both constructions.  Taps below ``1e-6 * max`` are
     zeroed; if more than ``1e-4`` of the pulse energy lies outside the
     N-chip reach the window cannot represent the pulse
     ("pulse too long for N").
     """
-    tc = waveform.chip_interval
     # Energy accounting on the tau = 0 aligned sampling grid.
-    reach = np.arange(-r * n + 1, r * n) * tc / r
+    reach = np.arange(-r * n + 1, r * n) / r
     reach_vals = _time_pulse(waveform, reach)
     total = waveform.energy
-    captured = float(np.sum(np.abs(reach_vals) ** 2)) * tc / r
+    captured = float(np.sum(np.abs(reach_vals) ** 2)) / r
     if total - captured > _ENERGY_TOLERANCE * total:
         raise PulseTooLongError("pulse too long for N")
 
     offsets = np.arange(-(n - 1), n)  # m - c
     sub = np.arange(r)
-    times = (sub[:, None] * tc / r) - tau + offsets[None, :] * tc
+    times = (sub[:, None] / r) - tau + offsets[None, :]
     taps = np.conj(_time_pulse(waveform, times.ravel())).reshape(r,
                                                                  offsets.size)
     taps[np.abs(taps) < _TAP_THRESHOLD * np.max(np.abs(taps))] = 0.0
@@ -232,9 +226,8 @@ def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
     _check_oversampling(waveform, oversampling)
     if delay < 0 or not np.isfinite(delay):
         raise ValueError("delay must be finite and nonnegative")
-    tc = waveform.chip_interval
-    whole = int(delay // tc)
-    tau = float(delay - whole * tc)
+    whole = math.floor(delay)
+    tau = float(delay - whole)
     if kind == "block_circulant":
         base = _circulant_phi(waveform, spreading_factor, oversampling, tau)
         if whole % spreading_factor:
@@ -265,9 +258,8 @@ def _split_delays(waveform: ChipWaveform, n: int, r: int,
     ``deltas`` (see :func:`_dft_deltas`) belongs to the sub-chip
     remainders.  Neither depends on the spreading, so trials share them.
     """
-    tc = waveform.chip_interval
-    whole = np.floor_divide(delays, tc)
-    return whole.astype(int), _dft_deltas(waveform, n, r, delays - whole * tc)
+    whole = np.floor(delays)
+    return whole.astype(int), _dft_deltas(waveform, n, r, delays - whole)
 
 
 def _circulant_signatures(deltas: np.ndarray, spreading: np.ndarray,
@@ -560,9 +552,10 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
 
     Builds, per trial with shared spreading draws, (a) the windowed
     general-asynchronous system where user ``k`` is shifted by its whole
-    number of chips ``floor(delay_k / T_c)`` inside a ``2*window+1`` symbol
-    stack, and (b) the reduced chip-asynchronous system using only
-    ``delay_k mod T_c``; returns center-symbol SINR summaries of both.
+    number of chips ``floor(delay_k)`` (delays in chips) inside a
+    ``2*window+1`` symbol stack, and (b) the reduced chip-asynchronous
+    system using only ``delay_k mod 1``; returns center-symbol SINR
+    summaries of both.
 
     The sub-chip delay vectors are computed once per call.  Each trial
     forms all ``(2*window+1) * K`` signatures in one batched FFT; the
@@ -581,6 +574,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     It is a finite-size effect of the overloaded stack; under-loaded
     systems show no gap beyond their noise.
     """
+    _check_oversampling(waveform, oversampling)
     if window < 2:
         raise ValueError("window must be at least 2 symbols")
     if trials < 1:
@@ -588,9 +582,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     delays = np.asarray(delays, dtype=float)
     if delays.shape != (n_users,):
         raise ValueError("delays must have length n_users")
-    tc = waveform.chip_interval
-    symbol = spreading_factor * tc
-    if np.any(delays < 0) or np.any(delays >= symbol):
+    if np.any(delays < 0) or np.any(delays >= spreading_factor):
         raise ValueError("delays must lie in [0, T_s)")
     if amplitudes is None:
         amplitudes = np.ones(n_users, dtype=complex)
@@ -598,7 +590,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
 
     whole_chips, deltas = _split_delays(waveform, spreading_factor,
                                         oversampling, delays)
-    sigma2 = oversampling * noise_density / tc
+    sigma2 = oversampling * noise_density
     energy = waveform.energy
 
     n_symbols = 2 * window + 1

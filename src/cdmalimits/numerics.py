@@ -180,15 +180,3 @@ class FrequencyGrid:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def integrate(self, samples):
-        """Midpoint-rule integral over the full periodic band.
-
-        Equal-weight ``spacing * sum`` — exact for trigonometric
-        polynomials of degree below ``count``, which is the right rule for
-        integrals of periodic functions over one full period.
-        """
-        y = np.asarray(samples)
-        if y.size == 0:
-            raise ValueError("empty grid")
-        return self.spacing * y.sum(axis=-1)

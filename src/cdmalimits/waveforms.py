@@ -1,20 +1,25 @@
 """Chip-pulse spectra and the frequency/delay objects built from them.
 
+Time is measured in chips throughout the package: the chip interval is the
+unit, delays are in chips and angular frequencies in rad per chip, so the
+chip-rate normalized frequency ``Omega`` and the pulse frequency ``omega``
+share one axis.
+
 A :class:`ChipWaveform` models the spectrum ``Phi(omega)`` of the received
 chip pulse (transmit pulse convolved with the receive filter).  Energy uses
 the convention ``E = (1/2pi) * integral |Phi(omega)|^2 domega`` so that the
 built-in unit-energy pulses integrate to one, and ``bandwidth`` is one-sided
-in hertz: the spectrum vanishes for ``|omega| > 2*pi*bandwidth``.
+in cycles per chip: the spectrum vanishes for ``|omega| > 2*pi*bandwidth``.
 
 From the spectrum the module builds, for an oversampling factor ``r`` and a
 sub-chip delay ``tau``:
 
-* the 2*pi-periodic spectrum ``phi(Omega, tau)`` of the pulse sampled at
-  ``1/T_c``, i.e. the alias sum
-  ``(1/T_c) * sum_nu exp(j*(tau/T_c)*(Omega+2*pi*nu)) * conj(Phi((Omega+2*pi*nu)/T_c))``
+* the 2*pi-periodic spectrum ``phi(Omega, tau)`` of the pulse sampled once
+  per chip, i.e. the alias sum
+  ``sum_nu exp(j*tau*(Omega+2*pi*nu)) * conj(Phi(Omega+2*pi*nu))``
   where only aliases inside the pulse support contribute;
 * the delay vectors ``delta(Omega, tau)`` stacking the r sub-chip sampling
-  phases ``phi(Omega, tau - s*T_c/r)`` (``_delta_components``);
+  phases ``phi(Omega, tau - s/r)`` (``_delta_components``);
 * the delay average of ``delta * delta^H`` (``_delay_free_q``), which
   leaves a zero-trace oscillating remainder, and its closed-form
   eigendecomposition ``q_eigendecomposition``.
@@ -32,6 +37,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,30 +58,31 @@ class UndersampledError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ChipWaveform:
-    """Spectrum of the received chip pulse.
+    """Spectrum of the received chip pulse, with time measured in chips.
 
     Attributes
     ----------
     kind : str
         One of ``"sinc"``, ``"root_raised_cosine"``, ``"tabulated"``.
-    chip_interval : float
-        Chip duration ``T_c`` in seconds.
     bandwidth : float
-        One-sided bandwidth in hertz; ``Phi`` vanishes beyond
-        ``2*pi*bandwidth`` rad/s.
+        One-sided bandwidth in cycles per chip; ``Phi`` vanishes beyond
+        ``2*pi*bandwidth`` rad per chip.
     energy : float
         Pulse energy ``(1/2pi) * integral |Phi|^2``.
     relative_bandwidth : float or None
-        For ``"sinc"``: the bandwidth in units of ``1/(2*T_c)``.
+        For ``"sinc"``: the bandwidth in units of half the chip rate.
     roll_off : float or None
         For ``"root_raised_cosine"``: the excess-bandwidth fraction.
     table_omega, table_value : ndarray or None
-        For ``"tabulated"``: sample frequencies (rad/s, increasing) and
-        complex spectrum values, linearly interpolated.
+        For ``"tabulated"``: sample frequencies (rad per chip, increasing)
+        and complex spectrum values, linearly interpolated.
     """
 
+    #: The unit of time, kept as a read-only constant for external readers;
+    #: the package itself never reads it.
+    chip_interval: ClassVar[float] = 1.0
+
     kind: str
-    chip_interval: float
     bandwidth: float
     energy: float
     relative_bandwidth: float | None = None
@@ -98,10 +105,9 @@ class ChipWaveform:
         scalar = w.ndim == 0
         w = np.atleast_1d(w)
         if self.kind == "sinc":
-            tc = self.chip_interval
             alpha = self.relative_bandwidth
-            out = np.where(np.abs(w) <= np.pi * alpha / tc + 0.0,
-                           math.sqrt(tc / alpha), 0.0).astype(complex)
+            out = np.where(np.abs(w) <= np.pi * alpha + 0.0,
+                           math.sqrt(1.0 / alpha), 0.0).astype(complex)
         elif self.kind == "root_raised_cosine":
             out = np.sqrt(self._rrc_power(w)).astype(complex)
         elif self.kind == "tabulated":
@@ -126,31 +132,29 @@ class ChipWaveform:
         return np.abs(self.spectrum(omega)) ** 2
 
     def _rrc_power(self, w: np.ndarray) -> np.ndarray:
-        tc = self.chip_interval
         rho = self.roll_off
         aw = np.abs(w)
-        flat_edge = (1.0 - rho) * np.pi / tc
-        outer_edge = (1.0 + rho) * np.pi / tc
+        flat_edge = (1.0 - rho) * np.pi
+        outer_edge = (1.0 + rho) * np.pi
         out = np.zeros_like(aw)
-        out[aw <= flat_edge] = tc
+        out[aw <= flat_edge] = 1.0
         if rho > 0:
             band = (aw > flat_edge) & (aw <= outer_edge)
-            out[band] = (tc / 2.0) * (
-                1.0 + np.cos((tc / (2.0 * rho)) * (aw[band] - flat_edge)))
+            out[band] = 0.5 * (
+                1.0 + np.cos((1.0 / (2.0 * rho)) * (aw[band] - flat_edge)))
         return out
 
     # -- derived quantities ----------------------------------------------
 
     @property
     def min_oversampling(self) -> int:
-        """Smallest ``r`` capturing the full bandwidth (``ceil(2*B*T_c)``)."""
-        product = 2.0 * self.bandwidth * self.chip_interval
-        r = math.ceil(product - 1e-12)
+        """Smallest ``r`` capturing the full bandwidth (``ceil(2*B)``)."""
+        r = math.ceil(2.0 * self.bandwidth - 1e-12)
         return max(r, 1)
 
     def _support_limit(self) -> float:
-        """Support edge of ``Phi`` in normalized units: ``2*pi*B*T_c``."""
-        return TWO_PI * self.bandwidth * self.chip_interval
+        """Support edge ``2*pi*B`` of ``Phi`` in rad per chip."""
+        return TWO_PI * self.bandwidth
 
     def _amplitude_at(self, omega: np.ndarray) -> np.ndarray:
         """``Phi`` evaluated with out-of-support queries clamped/zeroed.
@@ -160,7 +164,7 @@ class ChipWaveform:
         genuinely outside evaluates to zero (never an error, even for
         tabulated pulses).
         """
-        edge = TWO_PI * self.bandwidth
+        edge = self._support_limit()
         tol = _EDGE_RTOL * max(1.0, edge)
         w = np.clip(omega, -edge, edge)
         out = np.zeros(w.shape, dtype=complex)
@@ -174,59 +178,48 @@ class ChipWaveform:
         return out
 
 
-def sinc_waveform(relative_bandwidth: float,
-                  chip_interval: float = 1.0) -> ChipWaveform:
-    """Ideal bandlimited pulse, flat over ``|omega| <= pi*alpha/T_c``.
+def sinc_waveform(relative_bandwidth: float) -> ChipWaveform:
+    """Ideal bandlimited pulse, flat over ``|omega| <= pi*alpha``.
 
-    ``|Phi|^2 = T_c/alpha`` on the support, giving unit energy for every
-    ``alpha``; the one-sided bandwidth is ``alpha/(2*T_c)`` hertz.
+    ``|Phi|^2 = 1/alpha`` on the support, giving unit energy for every
+    ``alpha``; the one-sided bandwidth is ``alpha/2`` cycles per chip.
     """
     if relative_bandwidth <= 0:
         raise ValueError("relative bandwidth must be positive")
-    if chip_interval <= 0:
-        raise ValueError("chip interval must be positive")
     return ChipWaveform(
         kind="sinc",
-        chip_interval=chip_interval,
-        bandwidth=relative_bandwidth / (2.0 * chip_interval),
+        bandwidth=relative_bandwidth / 2.0,
         energy=1.0,
         relative_bandwidth=relative_bandwidth,
     )
 
 
-def root_raised_cosine_waveform(roll_off: float,
-                                chip_interval: float = 1.0) -> ChipWaveform:
+def root_raised_cosine_waveform(roll_off: float) -> ChipWaveform:
     """Square-root raised-cosine pulse with zero phase and unit energy.
 
-    ``|Phi|^2`` is flat at ``T_c`` up to ``(1-rho)*pi/T_c``, falls as a
-    raised cosine up to ``(1+rho)*pi/T_c`` and vanishes beyond; the
-    one-sided bandwidth is ``(1+rho)/(2*T_c)`` hertz.
+    ``|Phi|^2`` is flat at 1 up to ``(1-rho)*pi``, falls as a raised
+    cosine up to ``(1+rho)*pi`` and vanishes beyond; the one-sided
+    bandwidth is ``(1+rho)/2`` cycles per chip.
     """
     if not 0.0 <= roll_off <= 1.0:
         raise ValueError("roll-off must lie in [0, 1]")
-    if chip_interval <= 0:
-        raise ValueError("chip interval must be positive")
     return ChipWaveform(
         kind="root_raised_cosine",
-        chip_interval=chip_interval,
-        bandwidth=(1.0 + roll_off) / (2.0 * chip_interval),
+        bandwidth=(1.0 + roll_off) / 2.0,
         energy=1.0,
         roll_off=roll_off,
     )
 
 
-def tabulated_waveform(omega, values,
-                       chip_interval: float = 1.0) -> ChipWaveform:
+def tabulated_waveform(omega, values) -> ChipWaveform:
     """Pulse defined by linear interpolation of spectrum samples.
 
     Parameters
     ----------
     omega : array_like
-        Strictly increasing sample frequencies in rad/s.
+        Strictly increasing sample frequencies in rad per chip.
     values : array_like
         Complex spectrum samples ``Phi(omega)``.
-    chip_interval : float
-        Chip duration in seconds.
 
     The bandwidth is the largest sampled ``|omega|/(2*pi)`` and the energy
     is the trapezoidal ``(1/2pi) * integral |Phi|^2`` over the table.
@@ -239,8 +232,6 @@ def tabulated_waveform(omega, values,
         raise ValueError("frequency and value tables must match in length")
     if np.any(np.diff(om) <= 0):
         raise ValueError("tabulated frequencies must be strictly increasing")
-    if chip_interval <= 0:
-        raise ValueError("chip interval must be positive")
     om = om.copy()
     val = val.copy()
     om.setflags(write=False)
@@ -248,7 +239,6 @@ def tabulated_waveform(omega, values,
     energy = float(np.trapezoid(np.abs(val) ** 2, om) / TWO_PI)
     return ChipWaveform(
         kind="tabulated",
-        chip_interval=chip_interval,
         bandwidth=float(np.max(np.abs(om)) / TWO_PI),
         energy=energy,
         table_omega=om,
@@ -256,11 +246,11 @@ def tabulated_waveform(omega, values,
     )
 
 
-def load_tabulated_waveform(path, chip_interval: float = 1.0) -> ChipWaveform:
+def load_tabulated_waveform(path) -> ChipWaveform:
     """Load a tabulated spectrum from CSV.
 
     The file must have a header row and two or three columns: frequency in
-    rad/s, real part, and optionally imaginary part of ``Phi``.
+    rad per chip, real part, and optionally imaginary part of ``Phi``.
     """
     omegas: list[float] = []
     values: list[complex] = []
@@ -279,7 +269,7 @@ def load_tabulated_waveform(path, chip_interval: float = 1.0) -> ChipWaveform:
             omegas.append(float(row[0]))
             imag = float(row[2]) if len(row) == 3 else 0.0
             values.append(complex(float(row[1]), imag))
-    return tabulated_waveform(omegas, values, chip_interval=chip_interval)
+    return tabulated_waveform(omegas, values)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +281,10 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
 
     For each normalized frequency ``Omega`` in ``omegas`` the contributing
     aliases are the integers ``nu`` with ``|Omega + 2*pi*nu|`` inside the
-    support ``[-2*pi*B*T_c, 2*pi*B*T_c]``.  Returns ``(args, amps)`` of
+    support ``[-2*pi*B, 2*pi*B]``.  Returns ``(args, amps)`` of
     shape ``(len(omegas), n_alias)`` where ``args`` holds
     ``Omega + 2*pi*nu`` and ``amps`` holds
-    ``weight * conj(Phi(arg / T_c))`` with the midpoint weight 1/2 applied
+    ``weight * conj(Phi(arg))`` with the midpoint weight 1/2 applied
     exactly on the support edge; padding entries are zero.
     """
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
@@ -309,8 +299,7 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     weights = np.where(on_edge, 0.5, 1.0) * inside
     amps = np.zeros(args.shape, dtype=complex)
     if np.any(inside):
-        amps[inside] = np.conj(
-            waveform._amplitude_at(args[inside] / waveform.chip_interval))
+        amps[inside] = np.conj(waveform._amplitude_at(args[inside]))
     amps *= weights
     return args, amps
 
@@ -327,27 +316,25 @@ def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,
     """Delay vectors: shape ``(len(taus), len(omegas), r)``.
 
     Component ``s`` (0-based) is the sampled spectrum
-    ``phi(Omega, tau - s*T_c/r)``; component 0 is ``phi(Omega, tau)``.
+    ``phi(Omega, tau - s/r)``; component 0 is ``phi(Omega, tau)``.
     """
     args, amps = _alias_table(waveform, omegas)  # (M, V)
-    tc = waveform.chip_interval
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    shifts = (taus[:, None] - np.arange(r)[None, :] * tc / r) / tc  # (A, r)
+    shifts = taus[:, None] - np.arange(r)[None, :] / r  # (A, r)
     phases = np.exp(1j * shifts[:, :, None, None] * args[None, None, :, :])
-    return np.einsum("asmv,mv->ams", phases, amps) / tc
+    return np.einsum("asmv,mv->ams", phases, amps)
 
 
 def _delay_free_q(waveform: ChipWaveform, r: int, omega: float) -> np.ndarray:
     """Delay-averaged matrix: entries
-    ``(1/T_c^2) * sum_nu w_nu^2 |Phi|^2 * exp(-j*(k-l)/r*(Omega+2*pi*nu))``.
+    ``sum_nu w_nu^2 |Phi|^2 * exp(-j*(k-l)/r*(Omega+2*pi*nu))``.
     """
     args, amps = _alias_table(waveform, np.array([float(omega)]))
-    tc = waveform.chip_interval
     power = np.abs(amps[0]) ** 2  # includes squared edge weights
     idx = np.arange(r)
     diff = idx[:, None] - idx[None, :]  # k - l, 0-based == 1-based diff
     phase = np.exp(-1j * diff[:, :, None] * args[0][None, None, :] / r)
-    return np.einsum("v,klv->kl", power, phase) / tc ** 2
+    return np.einsum("v,klv->kl", power, phase)
 
 
 def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
@@ -357,19 +344,18 @@ def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
     vector ``(1/sqrt(r)) * (1, exp(-j*x/r), ..., exp(-j*(r-1)*x/r))`` at
     ``x = Omega + 2*pi*j`` — the vector depends on ``j`` only modulo ``r``
     — and nonnegative diagonal ``D`` collecting
-    ``(r/T_c^2) * sum |Phi((Omega+2*pi*nu)/T_c)|^2`` over the contributing
+    ``r * sum |Phi(Omega+2*pi*nu)|^2`` over the contributing
     aliases ``nu`` congruent to ``j`` modulo ``r``.  Satisfies
     ``U @ D @ U^H == delay_free`` to machine precision.
     """
     _check_oversampling(waveform, r)
     args, amps = _alias_table(waveform, np.array([float(omega)]))
-    tc = waveform.chip_interval
     power = np.abs(amps[0]) ** 2
     nus = np.round((args[0] - float(omega)) / TWO_PI).astype(int)
     diag = np.zeros(r)
     for nu, p in zip(nus, power):
         diag[nu % r] += p
-    diag *= r / tc ** 2
+    diag *= r
     cols = np.arange(r)
     rows = np.arange(r)
     x = float(omega) + TWO_PI * cols

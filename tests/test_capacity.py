@@ -63,7 +63,6 @@ def _mmse_integrand(sys: SystemLaw, gammas: np.ndarray,
     """
     waveform = sys.waveform
     energy = waveform.energy
-    tc = waveform.chip_interval
     powers, weights = sys.law.power_marginal()
     edge = 2.0 * np.pi * waveform.bandwidth
     spacing = 2.0 * edge / n_points
@@ -78,11 +77,11 @@ def _mmse_integrand(sys: SystemLaw, gammas: np.ndarray,
     etas = np.ones_like(gammas)
 
     def integrated(eta: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # interference term per node: (beta/T_c) sum w*lam/(1/g + lam*eta)
+        # interference term per node: beta * sum w*lam/(1/g + lam*eta)
         inv_g = 1.0 / g
         terms = weights[None, :] * powers[None, :] / (
             inv_g[:, None] + powers[None, :] * eta[:, None])
-        interference = sys.load / tc * terms.sum(axis=1)
+        interference = sys.load * terms.sum(axis=1)
         density = 1.0 / (inv_gain[None, positive]
                          + interference[:, None])
         return density.sum(axis=1) * spacing / (2.0 * np.pi)

@@ -306,6 +306,15 @@ class TestMonteCarloCommand:
         assert header["standard_error"] == "0.0"
         assert header["gap_standard_errors"] == ""
 
+    def test_block_toeplitz_kind_runs(self, capsys):
+        code, out, _ = _run(capsys, ["montecarlo", "--matrix-kind",
+                                     "block_toeplitz", "--n", "32",
+                                     "--trials", "2"])
+        assert code == 0
+        header, rows = _parse(out)
+        assert header["matrix_kind"] == "block_toeplitz"
+        assert len(rows) == 2 * 16
+
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "mc.csv"
         code, out, _ = _run(capsys, self.ARGS + ["--out", str(out_path)])
@@ -329,6 +338,14 @@ class TestTheorem3Command:
         width = float(records["difference"]["sinr_standard_error"])
         assert gap <= 2.0 * width
         assert int(records["windowed"]["trials"]) == 4
+
+    def test_undersampled_exit_code(self, capsys):
+        # RRC 0.22 needs r >= 2, as it does for montecarlo.
+        code, out, err = _run(capsys, ["theorem3", "--r", "1", "--n", "16",
+                                       "--trials", "1"])
+        assert code == 2
+        assert out == ""
+        assert "undersampled configuration" in err
 
     def test_byte_identical_reruns(self, capsys):
         args = ["theorem3", "--n", "16", "--beta", "0.5", "--trials", "3",

@@ -89,10 +89,10 @@ class TestPowerDelayLaw:
 
 class TestLawFactories:
     def test_uniform_delay_grid(self):
-        grid = uniform_delay_grid(4, 2.0)
-        np.testing.assert_allclose(grid, [0.0, 0.5, 1.0, 1.5])
+        grid = uniform_delay_grid(4)
+        np.testing.assert_allclose(grid, [0.0, 0.25, 0.5, 0.75])
         with pytest.raises(ValueError):
-            uniform_delay_grid(0, 1.0)
+            uniform_delay_grid(0)
 
     def test_equal_power_uniform_delays(self):
         law = equal_power_uniform_delays(8, power=3.0)
@@ -120,7 +120,7 @@ class TestSystemLaw:
         sys = SystemLaw(load=1.0, noise_density=0.2, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22),
                         law=equal_power_uniform_delays(4))
-        assert sys.noise_variance == pytest.approx(2 * 0.2 / 1.0)
+        assert sys.noise_variance == pytest.approx(2 * 0.2)
         assert sys.snr == pytest.approx(1.0 / 0.2)
 
     def test_validation(self):
@@ -232,6 +232,19 @@ class TestScalarSpectrumSolver:
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22),
                         law=synchronous_law())
+        with pytest.raises(HypothesisViolationError,
+                           match="corollary hypotheses violated"):
+            solve_efficiency_scalar(sys)
+
+    def test_hand_built_law_claims_no_structure(self):
+        # One atom at a common delay of 0.3 chips is synchronous, like
+        # synchronous_law(delay=0.3).  A law built directly does not claim
+        # uniform, independent delays, so the gate rejects it instead of
+        # answering with the uniform-delay efficiency.
+        law = PowerDelayLaw([1.0], [0.3], [1.0])
+        assert not (law.delays_uniform or law.powers_delays_independent)
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22), law=law)
         with pytest.raises(HypothesisViolationError,
                            match="corollary hypotheses violated"):
             solve_efficiency_scalar(sys)

@@ -22,6 +22,7 @@ from cdmalimits import (
     NotPositiveDefiniteError,
     PulseTooLongError,
     SystemLaw,
+    UndersampledError,
     build_phi_matrix,
     equal_power_uniform_delays,
     finite_system,
@@ -99,8 +100,6 @@ class TestTrialSeed:
 class TestFiniteSystemValidation:
     def test_properties(self):
         fs = _small_system(n=16, load=0.5)
-        assert fs.chip_interval == 1.0
-        assert fs.symbol_interval == 16.0
         assert fs.noise_variance == pytest.approx(2 * 0.1)
 
     def test_unknown_matrix_kind(self):
@@ -404,13 +403,12 @@ def _stack_size(matrix):
 def _windowed_case(n, window, n_users, seed):
     """Random windowed-system inputs for an ``N = n`` RRC 0.22 system.
 
-    Returns ``(delays, amplitudes, spreading)``; the delays include 0,
-    ``N - 1`` whole chips and 0.999 chips.
+    Returns ``(delays, amplitudes, spreading)``; the delays (in chips)
+    include 0, ``N - 1`` and 0.999.
     """
-    tc = RRC.chip_interval
     rng = np.random.default_rng(seed)
-    delays = rng.uniform(0.0, n * tc, n_users)
-    delays[:3] = [0.0, (n - 1) * tc, 0.999 * tc]
+    delays = rng.uniform(0.0, n, n_users)
+    delays[:3] = [0.0, n - 1, 0.999]
     amplitudes = rng.uniform(0.5, 2.0, n_users) * np.exp(
         2j * np.pi * rng.uniform(size=n_users))
     shape = (n, n_users, 2 * window + 1)
@@ -421,10 +419,9 @@ def _windowed_case(n, window, n_users, seed):
 
 def _windowed_inputs(n, r, delays, amplitudes, spreading):
     """``(signatures, row_shifts)`` as :func:`_windowed_sinrs` takes them."""
-    tc = RRC.chip_interval
-    whole = np.floor(delays / tc).astype(int)
+    whole = np.floor(delays).astype(int)
     signatures = _circulant_signatures(
-        _dft_deltas(RRC, n, r, delays - whole * tc), spreading) * \
+        _dft_deltas(RRC, n, r, delays - whole), spreading) * \
         amplitudes[:, None, None]
     return signatures, whole * r
 
@@ -465,12 +462,11 @@ class TestWindowedSinrs:
         # local block, so every diagonal Gram block is singular without
         # the noise term.
         n, r, noise_variance = 8, 2, 0.2
-        tc = RRC.chip_interval
         delays, amplitudes, spreading = _windowed_case(
             n, window, n_users, seed=10 * window + n_users)
         n_symbols = 2 * window + 1
-        whole = np.floor(delays / tc).astype(int)
-        sub_delays = delays - whole * tc
+        whole = np.floor(delays).astype(int)
+        sub_delays = delays - whole
 
         rn = r * n
         stack = np.zeros(((n_symbols + 1) * rn, n_symbols * n_users),
@@ -645,6 +641,26 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="at least one trial"):
             run_trials(_small_system(), 0)
 
+    def test_block_toeplitz_rows_match_dense_signatures(self):
+        # The block-Toeplitz kind builds one matrix per distinct delay and
+        # forms each user's signature from it; row t must equal the SINRs
+        # of the signatures built column by column from build_phi_matrix
+        # and the spreading of trial t.
+        fs = _small_system(n=16, load=0.5, seed=5, kind="block_toeplitz")
+        sinrs, _ = run_trials(fs, 2)
+        n, r = fs.spreading_factor, fs.oversampling
+        for t in range(2):
+            rng = np.random.Generator(np.random.PCG64(trial_seed(5, t)))
+            draws = rng.standard_normal((2, n, fs.n_users))
+            spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
+            h = np.column_stack([
+                fs.amplitudes[k] * (build_phi_matrix(
+                    RRC, n, r, fs.delays[k], "block_toeplitz")
+                    @ spreading[:, k])
+                for k in range(fs.n_users)])
+            assert sinrs[t].tolist() == _mmse_sinrs(
+                h, fs.noise_variance).tolist()
+
 
 class TestTheorem3Harness:
     def test_whole_chip_delays_reduce_to_synchronous(self):
@@ -677,7 +693,7 @@ class TestTheorem3Harness:
         gaps = []
         for n in (32, 64):
             delays = np.random.Generator(np.random.PCG64(7)).uniform(
-                0.0, n * RRC.chip_interval, 4 * n)
+                0.0, n, 4 * n)
             paired = theorem3_harness(RRC, n, 2, 4 * n, delays, 0.1,
                                       window=3, trials=6, seed=7)
             gaps.append(paired.windowed.mean_sinr - paired.reduced.mean_sinr)
@@ -700,3 +716,9 @@ class TestTheorem3Harness:
             theorem3_harness(RRC, 8, 2, 2, np.array([0.0, 9.0]), 0.1)
         with pytest.raises(ValueError, match="trial"):
             theorem3_harness(RRC, 8, 2, 2, np.zeros(2), 0.1, trials=0)
+
+    def test_undersampled_rejected(self):
+        # RRC 0.22 occupies 1.22 cycles per chip, so r = 1 cannot hold it.
+        with pytest.raises(UndersampledError,
+                           match="undersampled configuration"):
+            theorem3_harness(RRC, 8, 1, 2, np.zeros(2), 0.1, trials=1)

@@ -137,19 +137,6 @@ class TestFrequencyGrid:
         grid = FrequencyGrid.midpoints(128)
         assert grid.spacing * grid.points.size == pytest.approx(2.0 * np.pi)
 
-    def test_integrate_constant(self):
-        grid = FrequencyGrid.midpoints(32)
-        assert grid.integrate(np.full(32, 2.5)) == pytest.approx(5.0 * np.pi)
-
-    def test_integrates_oscillations_exactly(self):
-        # The midpoint rule on a full period annihilates e^{i k w} for
-        # 0 < |k| < count: this underlies the exact delay averaging used
-        # downstream.
-        grid = FrequencyGrid.midpoints(16)
-        for k in (1, 2, 7, 15):
-            val = grid.integrate(np.exp(1j * k * grid.points))
-            assert abs(val) < 1e-12
-
     def test_odd_count_rejected(self):
         with pytest.raises(ValueError):
             FrequencyGrid.midpoints(33)

@@ -29,17 +29,16 @@ TWO_PI = 2.0 * math.pi
 
 def _brute_sampled_spectrum(waveform, omega, tau, nu_range=8):
     """Direct alias sum with explicit half-weighting at the support edge."""
-    tc = waveform.chip_interval
-    edge = TWO_PI * waveform.bandwidth * tc
+    edge = TWO_PI * waveform.bandwidth
     total = 0.0 + 0.0j
     for nu in range(-nu_range, nu_range + 1):
         arg = omega + TWO_PI * nu
         if abs(arg) > edge + 1e-9 * max(1.0, edge):
             continue
         weight = 0.5 if abs(abs(arg) - edge) <= 1e-9 * max(1.0, edge) else 1.0
-        amp = waveform.spectrum(np.clip(arg / tc, -edge / tc, edge / tc))
-        total += weight * np.conj(amp) * np.exp(1j * (tau / tc) * arg)
-    return total / tc
+        amp = waveform.spectrum(np.clip(arg, -edge, edge))
+        total += weight * np.conj(amp) * np.exp(1j * tau * arg)
+    return total
 
 
 def _delta(waveform, r, omega, tau):
@@ -51,7 +50,7 @@ def _delta(waveform, r, omega, tau):
 class TestSincWaveform:
     def test_flat_spectrum_value(self):
         wf = sinc_waveform(2.0)
-        # |Phi|^2 = T_c/alpha inside the support.
+        # |Phi|^2 = 1/alpha inside the support.
         assert wf.power_spectrum(0.0) == pytest.approx(0.5)
         assert wf.power_spectrum(1.9 * np.pi) == pytest.approx(0.5)
         assert wf.power_spectrum(2.1 * np.pi) == 0.0
@@ -71,14 +70,10 @@ class TestSincWaveform:
         assert sinc_waveform(1.0).min_oversampling == 1
         assert sinc_waveform(2.0).min_oversampling == 2
         assert sinc_waveform(2.5).min_oversampling == 3
-        assert sinc_waveform(0.25, chip_interval=2.0).bandwidth == \
-            pytest.approx(0.0625)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             sinc_waveform(0.0)
-        with pytest.raises(ValueError):
-            sinc_waveform(1.0, chip_interval=-1.0)
 
 
 class TestRootRaisedCosine:
@@ -204,7 +199,7 @@ class TestSampledSpectrum:
         for wf, r in cases:
             for _ in range(8):
                 omega = rng.uniform(-np.pi, np.pi)
-                tau = rng.uniform(0.0, wf.chip_interval)
+                tau = rng.uniform(0.0, 1.0)
                 got = _delta(wf, r, omega, tau)[0]
                 want = _brute_sampled_spectrum(wf, omega, tau)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -243,14 +238,14 @@ class TestDeltaVector:
         assert vec.shape == (r,)
         for s in range(r):
             want = _brute_sampled_spectrum(
-                wf, omega, tau - s * wf.chip_interval / r)
+                wf, omega, tau - s / r)
             assert vec[s] == pytest.approx(want, abs=1e-12)
 
     def test_whole_chip_shift_is_pure_phase(self):
         wf = root_raised_cosine_waveform(0.3)
         omega = -0.9
         base = _delta(wf, 2, omega, 0.25)
-        shifted = _delta(wf, 2, omega, 0.25 + wf.chip_interval)
+        shifted = _delta(wf, 2, omega, 0.25 + 1.0)
         np.testing.assert_allclose(shifted, np.exp(1j * omega) * base,
                                    atol=1e-12)
 
@@ -276,7 +271,7 @@ class TestQSplit:
         # 256-point uniform grid integrates it exactly.
         wf = root_raised_cosine_waveform(0.5)
         r, omega = 2, -1.1
-        taus = (np.arange(256) + 0.5) / 256 * wf.chip_interval
+        taus = (np.arange(256) + 0.5) / 256
         acc = np.zeros((r, r), dtype=complex)
         for tau in taus:
             d = _delta(wf, r, omega, tau)
@@ -299,7 +294,7 @@ class TestQSplit:
         rng = np.random.default_rng(5)
         coeff = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         twist = phase_twisted_circulant(coeff, omega)
-        taus = (np.arange(128) + 0.5) / 128 * wf.chip_interval
+        taus = (np.arange(128) + 0.5) / 128
         delay_free = _delay_free_q(wf, r, omega)
         acc = np.zeros((r, r), dtype=complex)
         for tau in taus:
