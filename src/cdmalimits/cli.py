@@ -863,9 +863,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[cfg.command](cfg)
     except HypothesisViolationError as exc:
-        print(f"error: {exc}: the delays must be uniform over one chip "
-              "and independent of the powers, or the one-sided bandwidth "
-              "must stay within half a cycle per chip", file=sys.stderr)
+        print(f"error: {exc}: each power level needs more than ceil(2B) - 1 "
+              "uniform, evenly spaced delays over one chip, for one-sided "
+              "bandwidth B in cycles per chip", file=sys.stderr)
         return 2
     except (DivergenceError, ConvergenceError, BracketError,
             NotPositiveDefiniteError) as exc:

@@ -9,10 +9,11 @@ measured in chips (see :mod:`cdmalimits.waveforms`), so delays lie in
   field ``Upsilon(Omega)`` solving a fixed-point matrix equation, from
   which every (power, delay) user class gets its SINR as a quadratic-form
   integral over the normalized band;
-* the scalar route — valid when delays are uniform and independent of the
-  powers (or when the pulse fits inside half the chip rate), where
-  a single scalar multiuser efficiency solves a one-dimensional fixed
-  point and carries a per-frequency efficiency density.
+* the scalar route — valid when the delay-dependent part of
+  ``delta delta^H`` averages out over each power level's delays (checked
+  from the law's atoms), where a single scalar multiuser efficiency solves
+  a one-dimensional fixed point and carries a per-frequency efficiency
+  density.
 
 Plus the closed sinc-bandwidth family, the synchronous baseline it
 degenerates to, and the effective interference spectral density.
@@ -44,18 +45,13 @@ class PowerDelayLaw:
     """Discrete joint law of received power and sub-chip delay.
 
     Atoms are parallel arrays ``(powers, delays, weights)`` with weights
-    summing to one; delays are in chips.  ``powers_delays_independent`` and
-    ``delays_uniform`` describe structural facts about the law that the
-    scalar solver needs.  Both default to ``False``, since nothing checks
-    them against the atoms: only a law that is built to have them (as the
-    uniform-delay factories are) may claim them.
+    summing to one; delays are in chips.  The scalar route's validity is
+    worked out from the atoms (see :func:`solve_efficiency_scalar`).
     """
 
     powers: np.ndarray
     delays: np.ndarray
     weights: np.ndarray
-    powers_delays_independent: bool = False
-    delays_uniform: bool = False
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=float)
@@ -114,8 +110,6 @@ def equal_power_uniform_delays(n_delays: int = 64,
         powers=np.full(n_delays, float(power)),
         delays=delays,
         weights=np.full(n_delays, 1.0 / n_delays),
-        powers_delays_independent=True,
-        delays_uniform=True,
     )
 
 
@@ -130,8 +124,6 @@ def product_law(powers, power_weights, n_delays: int = 64) -> PowerDelayLaw:
         powers=grid_p.ravel(),
         delays=grid_t.ravel(),
         weights=grid_w,
-        powers_delays_independent=True,
-        delays_uniform=True,
     )
 
 
@@ -144,8 +136,6 @@ def synchronous_law(powers=(1.0,), power_weights=(1.0,),
         powers=powers,
         delays=np.full(powers.shape, float(delay)),
         weights=pw,
-        powers_delays_independent=True,
-        delays_uniform=False,
     )
 
 
@@ -206,15 +196,14 @@ def _quadratic_forms(deltas: np.ndarray, field: np.ndarray) -> np.ndarray:
                              deltas, optimize=True))
 
 
-def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None,
-                  tol: float = 1e-10, max_iter: int = 10000,
-                  damping: float = 1.0):
+def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
     """Solve the matrix fixed point for the field ``Upsilon(Omega)``.
 
     The field satisfies, at every grid frequency,
     ``inv(Upsilon) = sigma^2 I + beta * sum_atoms w * lam * delta delta^H
     / (1 + SINR_atom)`` where ``SINR_atom = (lam/2pi) * integral
-    delta^H Upsilon delta`` and ``sigma^2 = r N_0``.
+    delta^H Upsilon delta`` and ``sigma^2 = r N_0``.  The iteration
+    stops at a sup-norm step of 1e-10 or after 10000 steps.
 
     Returns ``(UpsilonField, FixedPointReport)``; a non-converged run is
     reported, never silent.
@@ -239,8 +228,8 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None,
                                  np.conj(deltas), optimize=True)
         return np.linalg.inv(sigma2 * eye[None, :, :] + interference)
 
-    state, report = fixed_point(step, init, tol=tol, max_iter=max_iter,
-                                damping=damping)
+    state, report = fixed_point(step, init, tol=1e-10, max_iter=10000,
+                                damping=1.0)
     return UpsilonField(grid=grid, matrices=state), report
 
 
@@ -294,10 +283,17 @@ class EfficiencySpectrum:
     scalar: float           # eta = (1/2pi) * integral density
 
 
-def _scalar_hypotheses_ok(sys: SystemLaw) -> bool:
-    law = sys.law
-    narrow = sys.waveform.bandwidth <= 0.5 + 1e-12
-    return (law.delays_uniform and law.powers_delays_independent) or narrow
+@functools.lru_cache(maxsize=64)
+def _delays_balanced(law: PowerDelayLaw, degree: int) -> bool:
+    """Whether each power level's delay moments of orders ``1..degree``
+    vanish (below 1e-12 of the level's weight).  Cached per law object,
+    since the capacity inversions re-noise one system many times."""
+    levels = np.unique(law.powers)[:, None]
+    level_weights = (law.powers == levels) * law.weights  # (levels, atoms)
+    moments = level_weights @ np.exp(TWO_PI * 1j * np.outer(
+        law.delays, np.arange(1, degree + 1)))
+    return bool(np.all(np.abs(moments)
+                       <= 1e-12 * level_weights.sum(axis=1)[:, None]))
 
 
 def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
@@ -316,19 +312,23 @@ def _efficiency_density(power_gain: np.ndarray, interference: float,
     return out
 
 
-def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
-                            tol: float = 1e-12) -> EfficiencySpectrum:
+def solve_efficiency_scalar(sys: SystemLaw,
+                            n_points: int = 2048) -> EfficiencySpectrum:
     """Scalar-route multiuser efficiency with its spectral density.
 
-    Valid when the law has uniform delays independent of powers, or when
-    the pulse occupies at most half the chip rate (``B <= 1/2``) of
-    one-sided bandwidth; otherwise raises "corollary hypotheses violated".
+    Valid when the oscillating part of ``delta delta^H``, a trigonometric
+    polynomial of degree ``d = ceil(2B) - 1`` in the delay for one-sided
+    bandwidth ``B``, averages out over each power level's delays: the
+    level's moments ``sum w * exp(2*pi*j*k*tau)`` must vanish for
+    ``k = 1..d``.  Any law passes when ``B <= 1/2`` (``d = 0``); an
+    equal-weight grid of ``n`` evenly spaced delays passes exactly when
+    ``n > d``.  Otherwise raises "corollary hypotheses violated".
     The density obeys ``1/eta(w) = E/|Phi(w)|^2 + beta * sum_atoms w*lam /
     (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``; the
     scalar is the ITP root (``numerics.bisect``) of ``eta - (1/2pi) *
     integral eta(w) dw`` on ``(0, 1]``, where the map is monotone.
     """
-    if not _scalar_hypotheses_ok(sys):
+    if not _delays_balanced(sys.law, sys.waveform.min_oversampling - 1):
         raise HypothesisViolationError("corollary hypotheses violated")
     waveform = sys.waveform
     energy = waveform.energy
@@ -355,7 +355,7 @@ def solve_efficiency_scalar(sys: SystemLaw, n_points: int = 2048,
         density = _efficiency_density(gain, interference, energy)
         return EfficiencySpectrum(frequencies=omegas, density=density,
                                   scalar=1.0)
-    scalar = bisect(residual, 1e-15, 1.0, tol=tol)
+    scalar = bisect(residual, 1e-15, 1.0, tol=1e-12)
     interference = sys.load * float(
         np.sum(weights * powers / (noise_over_energy + powers * scalar)))
     density = _efficiency_density(gain, interference, energy)

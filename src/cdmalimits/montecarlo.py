@@ -22,6 +22,7 @@ its own generator seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -179,6 +180,19 @@ def _time_pulse(waveform: ChipWaveform, times: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _check_pulse_fits(waveform: ChipWaveform, n: int, r: int) -> None:
+    """Raise "pulse too long for N" when more than ``1e-4`` of the pulse
+    energy, sampled on the ``tau = 0`` grid, lies outside the N-chip reach.
+
+    Cached per (waveform, N, r), so the matrices of all delays share it.
+    """
+    reach_vals = _time_pulse(waveform, np.arange(-r * n + 1, r * n) / r)
+    captured = float(np.sum(np.abs(reach_vals) ** 2)) / r
+    if waveform.energy - captured > _ENERGY_TOLERANCE * waveform.energy:
+        raise PulseTooLongError("pulse too long for N")
+
+
 def _toeplitz_phi(waveform: ChipWaveform, n: int, r: int,
                   tau: float) -> np.ndarray:
     """Block-Toeplitz ``rN x N`` matrix of time-domain pulse samples.
@@ -186,18 +200,11 @@ def _toeplitz_phi(waveform: ChipWaveform, n: int, r: int,
     Entry (block row m, sub-row s, column c) holds
     ``conj(phi_t(s/r - tau + (m-c)))``, with times in chips — the
     frequency-limit of the block-circulant form, so a growing delay moves
-    the pulse toward later sample rows in both constructions.  Taps below ``1e-6 * max`` are
-    zeroed; if more than ``1e-4`` of the pulse energy lies outside the
-    N-chip reach the window cannot represent the pulse
-    ("pulse too long for N").
+    the pulse toward later sample rows in both constructions.  Taps below
+    ``1e-6 * max`` are zeroed; a pulse that the N-chip window cannot
+    represent raises (see :func:`_check_pulse_fits`).
     """
-    # Energy accounting on the tau = 0 aligned sampling grid.
-    reach = np.arange(-r * n + 1, r * n) / r
-    reach_vals = _time_pulse(waveform, reach)
-    total = waveform.energy
-    captured = float(np.sum(np.abs(reach_vals) ** 2)) / r
-    if total - captured > _ENERGY_TOLERANCE * total:
-        raise PulseTooLongError("pulse too long for N")
+    _check_pulse_fits(waveform, n, r)
 
     offsets = np.arange(-(n - 1), n)  # m - c
     sub = np.arange(r)
@@ -545,17 +552,16 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
                      oversampling: int, n_users: int, delays,
-                     noise_density: float, amplitudes=None,
-                     window: int = 3, trials: int = 100,
+                     noise_density: float, window: int = 3, trials: int = 100,
                      seed: int = 0) -> PairedSummaries:
     """Paired evidence that only delays modulo one chip matter.
 
-    Builds, per trial with shared spreading draws, (a) the windowed
-    general-asynchronous system where user ``k`` is shifted by its whole
-    number of chips ``floor(delay_k)`` (delays in chips) inside a
-    ``2*window+1`` symbol stack, and (b) the reduced chip-asynchronous
-    system using only ``delay_k mod 1``; returns center-symbol SINR
-    summaries of both.
+    Builds, per trial with shared spreading draws for ``n_users`` users
+    of unit power, (a) the windowed general-asynchronous system where user
+    ``k`` is shifted by its whole number of chips ``floor(delay_k)``
+    (delays in chips) inside a ``2*window+1`` symbol stack, and (b) the
+    reduced chip-asynchronous system using only ``delay_k mod 1``; returns
+    center-symbol SINR summaries of both.
 
     The sub-chip delay vectors are computed once per call.  Each trial
     forms all ``(2*window+1) * K`` signatures in one batched FFT; the
@@ -584,14 +590,10 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
         raise ValueError("delays must have length n_users")
     if np.any(delays < 0) or np.any(delays >= spreading_factor):
         raise ValueError("delays must lie in [0, T_s)")
-    if amplitudes is None:
-        amplitudes = np.ones(n_users, dtype=complex)
-    amplitudes = np.asarray(amplitudes, dtype=complex)
 
     whole_chips, deltas = _split_delays(waveform, spreading_factor,
                                         oversampling, delays)
     sigma2 = oversampling * noise_density
-    energy = waveform.energy
 
     n_symbols = 2 * window + 1
     win_sinr = np.empty((trials, n_users))
@@ -602,15 +604,13 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
                                      n_symbols))
         stack = (draws[0] + 1j * draws[1]) / math.sqrt(
             2.0 * spreading_factor)
-        signatures = (_circulant_signatures(deltas, stack)
-                      * amplitudes[:, None, None])
+        signatures = _circulant_signatures(deltas, stack)
         win_sinr[t] = _windowed_sinrs(signatures, whole_chips * oversampling,
                                       sigma2)
         red_sinr[t] = _mmse_sinrs(signatures[:, window].T, sigma2)
 
-    powers = np.abs(amplitudes) ** 2
-    scale = noise_density / (powers * energy)
+    scale = noise_density / waveform.energy
     return PairedSummaries(
-        windowed=_summarize(win_sinr, win_sinr * scale[None, :]),
-        reduced=_summarize(red_sinr, red_sinr * scale[None, :]),
+        windowed=_summarize(win_sinr, win_sinr * scale),
+        reduced=_summarize(red_sinr, red_sinr * scale),
     )

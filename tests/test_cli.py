@@ -173,6 +173,26 @@ class TestEfficiencyCommand:
         assert code == 2
         assert "uniform" in err and "bandwidth" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--n-delays", "1", "--cross-check"],
+        ["--waveform", "sinc:3", "--r", "3", "--n-delays", "2"],
+    ])
+    def test_too_few_delays_for_the_alias_spread(self, capsys, argv):
+        code, out, err = _run(capsys, ["efficiency"] + argv)
+        assert code == 2
+        assert out == ""
+        assert "ceil(2B) - 1" in err
+
+    def test_two_delays_suffice_below_one_cycle_per_chip(self, capsys):
+        code, out, _ = _run(capsys, ["efficiency", "--n-delays", "2",
+                                     "--cross-check"])
+        assert code == 0
+        _, rows = _parse(out)
+        value = {r["record"]: float(r["value"]) for r in rows
+                 if r["record"] in ("scalar", "matrix_mean")}
+        assert value["matrix_mean"] == pytest.approx(value["scalar"],
+                                                     abs=1e-6)
+
 
 class TestCapacityCommand:
     def test_explicit_snr_matches_closed_form(self, capsys):

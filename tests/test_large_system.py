@@ -35,6 +35,7 @@ from cdmalimits import (
     synchronous_law,
     uniform_delay_grid,
 )
+from cdmalimits.large_system import _delays_balanced
 
 # Closed-form equal-power multiuser efficiency at load 1, unit power,
 # noise level 0.1: the positive root of eta^2 + 0.1*eta - 0.1 = 0.
@@ -96,7 +97,9 @@ class TestLawFactories:
 
     def test_equal_power_uniform_delays(self):
         law = equal_power_uniform_delays(8, power=3.0)
-        assert law.delays_uniform and law.powers_delays_independent
+        # Eight evenly spaced delays balance every alias spread below 8.
+        assert all(_delays_balanced(law, degree) for degree in range(8))
+        assert not _delays_balanced(law, 8)
         np.testing.assert_allclose(law.powers, 3.0)
         np.testing.assert_allclose(law.weights, 1.0 / 8.0)
         assert law.delays.max() < 1.0
@@ -111,7 +114,9 @@ class TestLawFactories:
 
     def test_synchronous_law_flags(self):
         law = synchronous_law([1.0, 2.0], [0.5, 0.5])
-        assert not law.delays_uniform
+        # A common delay suits only pulses without alias spread.
+        assert _delays_balanced(law, 0)
+        assert not _delays_balanced(law, 1)
         np.testing.assert_allclose(law.delays, 0.0)
 
 
@@ -238,16 +243,55 @@ class TestScalarSpectrumSolver:
 
     def test_hand_built_law_claims_no_structure(self):
         # One atom at a common delay of 0.3 chips is synchronous, like
-        # synchronous_law(delay=0.3).  A law built directly does not claim
-        # uniform, independent delays, so the gate rejects it instead of
-        # answering with the uniform-delay efficiency.
+        # synchronous_law(delay=0.3).  Its first delay moment does not
+        # vanish, so the gate rejects it instead of answering with the
+        # uniform-delay efficiency.
         law = PowerDelayLaw([1.0], [0.3], [1.0])
-        assert not (law.delays_uniform or law.powers_delays_independent)
+        assert not _delays_balanced(law, 1)
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22), law=law)
         with pytest.raises(HypothesisViolationError,
                            match="corollary hypotheses violated"):
             solve_efficiency_scalar(sys)
+
+    def test_balanced_levels_accepted_without_independence(self):
+        # Power 1 at {0, 1/2} and power 2 at {1/4, 3/4}: the delays depend
+        # on the power, but each level's first moment vanishes, which is
+        # all RRC 0.22 (alias spread 1) needs.
+        law = PowerDelayLaw([1.0, 1.0, 2.0, 2.0], [0.0, 0.5, 0.25, 0.75],
+                            [0.25] * 4)
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22), law=law)
+        etas = _matrix_efficiency(sys, law.delays, law.powers)
+        matrix_mean = float(np.dot(law.weights, etas))
+        scalar = solve_efficiency_scalar(sys).scalar
+        assert scalar == pytest.approx(matrix_mean, rel=1e-6)
+
+    def test_correlated_levels_rejected(self):
+        # Power 1 at 0 and power 2 at 1/2: the pooled first moment
+        # vanishes, but neither level's does.
+        law = PowerDelayLaw([1.0, 2.0], [0.0, 0.5], [0.5, 0.5])
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22), law=law)
+        with pytest.raises(HypothesisViolationError,
+                           match="corollary hypotheses violated"):
+            solve_efficiency_scalar(sys)
+
+    @pytest.mark.parametrize("n_delays", [1, 2, 3, 4])
+    def test_grid_passes_exactly_above_alias_spread(self, n_delays):
+        # sinc:3 has one-sided bandwidth 1.5, so aliases spread over
+        # ceil(2B) - 1 = 2 and an even grid needs more than 2 delays.
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=3,
+                        waveform=sinc_waveform(3.0),
+                        law=product_law([1.0, 2.0], [0.5, 0.5], n_delays))
+        if n_delays <= 2:
+            with pytest.raises(HypothesisViolationError):
+                solve_efficiency_scalar(sys)
+        else:
+            want = solve_efficiency_sinc(1.0, 3.0, [1.0, 2.0], [0.5, 0.5],
+                                         0.1)
+            assert solve_efficiency_scalar(sys).scalar == \
+                pytest.approx(want, rel=1e-9)
 
     def test_one_quadrature_pass_at_unit_efficiency(self, monkeypatch):
         # Every quadrature pass multiplies the power levels by its trial

@@ -34,6 +34,7 @@ from cdmalimits import (
     theorem3_harness,
     trial_seed,
 )
+from cdmalimits import montecarlo
 from cdmalimits.montecarlo import (
     _circulant_signatures,
     _dft_deltas,
@@ -209,6 +210,22 @@ class TestToeplitzPhi:
             build_phi_matrix(RRC, 4, 2, 0.3, "block_toeplitz")
         phi = build_phi_matrix(RRC, 8, 2, 0.3, "block_toeplitz")
         assert phi.shape == (16, 8)
+
+    def test_window_checked_once_per_waveform_and_size(self, monkeypatch):
+        # The energy check depends on the waveform, N and r only: after
+        # the first matrix, each delay transforms just its own taps, and a
+        # pulse too long for its window is rejected on every call.
+        waveform = root_raised_cosine_waveform(0.3)
+        sizes = []
+        time_pulse = montecarlo._time_pulse
+        monkeypatch.setattr(montecarlo, "_time_pulse", lambda wf, t: (
+            sizes.append(t.size), time_pulse(wf, t))[1])
+        for tau in (0.1, 0.2, 0.3):
+            build_phi_matrix(waveform, 8, 2, tau, "block_toeplitz")
+        assert sizes == [31, 30, 30, 30]
+        for _ in range(2):
+            with pytest.raises(PulseTooLongError):
+                build_phi_matrix(waveform, 4, 2, 0.3, "block_toeplitz")
 
     def test_whole_chip_shift_zero_fills(self):
         base = build_phi_matrix(RRC, 8, 2, 0.25, "block_toeplitz")
