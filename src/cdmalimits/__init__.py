@@ -33,7 +33,6 @@ from .large_system import (
     SystemLaw,
     UpsilonField,
     ZeroPowerError,
-    effective_interference_density,
     efficiency_of_user,
     equal_power_uniform_delays,
     product_law,
@@ -104,7 +103,6 @@ __all__ = [
     "capacity_penalty_term",
     "capacity_sync_closed_form",
     "decibels_to_linear",
-    "effective_interference_density",
     "efficiency_of_user",
     "equal_power_uniform_delays",
     "finite_system",

@@ -44,13 +44,13 @@ import functools
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+import types
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .capacity import (
-    ZeroBandwidthError,
     capacity_constrained,
     capacity_penalty_term,
     capacity_sync_closed_form,
@@ -62,7 +62,6 @@ from .capacity import (
 from .large_system import (
     HypothesisViolationError,
     SystemLaw,
-    ZeroPowerError,
     efficiency_of_user,
     equal_power_uniform_delays,
     sinr_user,
@@ -72,12 +71,7 @@ from .large_system import (
     solve_upsilon,
     synchronous_law,
 )
-from .montecarlo import (
-    PulseTooLongError,
-    finite_system,
-    run_trials,
-    theorem3_harness,
-)
+from .montecarlo import finite_system, run_trials, theorem3_harness
 from .numerics import (
     BracketError,
     DivergenceError,
@@ -86,8 +80,6 @@ from .numerics import (
 )
 from .waveforms import (
     ChipWaveform,
-    TabulatedRangeError,
-    UndersampledError,
     _delay_free_q,
     _delta_components,
     load_tabulated_waveform,
@@ -205,20 +197,25 @@ def parse_waveform(text: str) -> ChipWaveform:
 
 
 def parse_value_grid(text: str, name: str) -> tuple[float, ...]:
-    """Parse ``<f>`` or ``<lo:hi:count>`` into a tuple of floats."""
+    """Parse ``<f>`` or ``<lo:hi:count>`` into a tuple of finite floats."""
     parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) == 3:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 2 or hi <= lo:
-                raise ValueError
-            return tuple(float(x) for x in np.linspace(lo, hi, count))
-    except ValueError:
-        pass
-    raise ConfigError(
+    malformed = ConfigError(
         f"{name} must be a number or lo:hi:count range (got {text!r})")
+    if len(parts) not in (1, 3):
+        raise malformed
+    try:
+        ends = tuple(float(part) for part in parts[:2])
+        count = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise malformed from None
+    if not all(math.isfinite(end) for end in ends):
+        raise ConfigError(f"{name} must be finite")
+    if len(parts) == 1:
+        return ends
+    lo, hi = ends
+    if count < 2 or hi <= lo:
+        raise malformed
+    return tuple(float(x) for x in np.linspace(lo, hi, count))
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -253,6 +250,60 @@ def _parse_float(value: str, key: str, positive: bool = True) -> float:
     return out
 
 
+def _optional(parse):
+    """``parse``, except that an empty value means unset (``None``)."""
+    return lambda value, key: None if value == "" else parse(value, key)
+
+
+def _checked(parse, ok: Callable[[object], bool], requirement: str):
+    """``parse``, then "<key> must be <requirement>" unless ``ok``."""
+    def parser(value: str, key: str):
+        out = parse(value, key)
+        if not ok(out):
+            raise ConfigError(f"{key} must be {requirement}")
+        return out
+    return parser
+
+
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _at_least(minimum: int):
+    return functools.partial(_parse_int, minimum=minimum)
+
+
+# Each key's string is turned into its typed value here, and nowhere else.
+_PARSERS: dict[str, Callable[[str, str], object]] = {
+    "waveform": lambda value, key: parse_waveform(value),
+    "beta": _checked(parse_value_grid, lambda grid: min(grid) >= 0,
+                     "nonnegative"),
+    "alpha": _checked(parse_value_grid, lambda grid: min(grid) > 0,
+                      "positive"),
+    "ebn0_db": _optional(functools.partial(_parse_float, positive=False)),
+    "snr": _optional(_parse_float),
+    "n0": _parse_float,
+    "r": _at_least(1),
+    "n": _at_least(1),
+    "trials": _at_least(1),
+    "grid": _checked(_at_least(2), lambda grid: grid % 2 == 0, "even"),
+    "density_points": _at_least(2),
+    "n_delays": _at_least(1),
+    "delays": _checked(_text, lambda kind: kind in ("uniform", "zero"),
+                       "'uniform' or 'zero'"),
+    "window": _at_least(2),
+    "matrix_kind": _checked(
+        _text, lambda kind: kind in ("block_circulant", "block_toeplitz"),
+        "block_circulant or block_toeplitz"),
+    "instances": _at_least(1),
+    "sync_baseline": _parse_bool,
+    "cross_check": _parse_bool,
+    "negative_control": _parse_bool,
+    "seed": _at_least(0),
+    "out": _text,
+}
+
+
 def load_config_file(path: str, command: str) -> dict[str, str]:
     """Read a flat ``key = value`` file, validating keys for the command."""
     allowed = _DEFAULTS[command]
@@ -278,38 +329,14 @@ def load_config_file(path: str, command: str) -> dict[str, str]:
     return values
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(types.SimpleNamespace):
     """Fully resolved, validated parameters of one CLI invocation.
 
-    ``raw`` holds the merged string form (defaults, then config file, then
-    flags) in a stable key order; it is what ``--dump-config`` prints and
-    what every CSV header embeds.
+    ``command`` names the subcommand.  ``raw`` holds the merged string
+    form (defaults, then config file, then flags) in a stable key order;
+    it is what ``--dump-config`` prints and what every CSV header embeds.
+    Every key's parsed value is the attribute of the same name.
     """
-
-    command: str
-    raw: dict[str, str]
-    waveform: ChipWaveform | None = None
-    betas: tuple[float, ...] = ()
-    alphas: tuple[float, ...] = ()
-    ebn0: float | None = None  # linear, converted from dB at parse time
-    n0: float | None = None
-    snr: float | None = None
-    oversampling: int = 1
-    spreading_factor: int = 0
-    trials: int = 0
-    grid: int = 0
-    density_points: int = 0
-    n_delays: int = 0
-    delays_kind: str = "uniform"
-    window: int = 0
-    matrix_kind: str = "block_circulant"
-    instances: int = 0
-    sync_baseline: bool = False
-    cross_check: bool = False
-    negative_control: bool = False
-    seed: int = 0
-    out: str = "-"
 
 
 def resolve_config(command: str, file_values: dict[str, str],
@@ -321,62 +348,8 @@ def resolve_config(command: str, file_values: dict[str, str],
         if key not in raw:
             raise ConfigError(f"unknown key {key!r} for {command}")
         raw[key] = value
-
-    kwargs: dict[str, object] = {}
-    if "waveform" in raw:
-        kwargs["waveform"] = parse_waveform(raw["waveform"])
-    if "beta" in raw:
-        betas = parse_value_grid(raw["beta"], "beta")
-        if any(b < 0 for b in betas):
-            raise ConfigError("beta must be nonnegative")
-        kwargs["betas"] = betas
-    if "alpha" in raw:
-        alphas = parse_value_grid(raw["alpha"], "alpha")
-        if any(a <= 0 for a in alphas):
-            raise ConfigError("alpha must be positive")
-        kwargs["alphas"] = alphas
-    if "ebn0_db" in raw and raw["ebn0_db"] != "":
-        kwargs["ebn0"] = decibels_to_linear(
-            _parse_float(raw["ebn0_db"], "ebn0_db", positive=False))
-    if "snr" in raw and raw["snr"] != "":
-        kwargs["snr"] = _parse_float(raw["snr"], "snr")
-    if "n0" in raw:
-        kwargs["n0"] = _parse_float(raw["n0"], "n0")
-    if "r" in raw:
-        kwargs["oversampling"] = _parse_int(raw["r"], "r", 1)
-    if "n" in raw:
-        kwargs["spreading_factor"] = _parse_int(raw["n"], "n", 1)
-    if "trials" in raw:
-        kwargs["trials"] = _parse_int(raw["trials"], "trials", 1)
-    if "grid" in raw:
-        grid = _parse_int(raw["grid"], "grid", 2)
-        if grid % 2:
-            raise ConfigError("grid must be even")
-        kwargs["grid"] = grid
-    if "density_points" in raw:
-        kwargs["density_points"] = _parse_int(raw["density_points"],
-                                              "density_points", 2)
-    if "n_delays" in raw:
-        kwargs["n_delays"] = _parse_int(raw["n_delays"], "n_delays", 1)
-    if "delays" in raw:
-        if raw["delays"] not in ("uniform", "zero"):
-            raise ConfigError("delays must be 'uniform' or 'zero'")
-        kwargs["delays_kind"] = raw["delays"]
-    if "window" in raw:
-        kwargs["window"] = _parse_int(raw["window"], "window", 2)
-    if "matrix_kind" in raw:
-        if raw["matrix_kind"] not in ("block_circulant", "block_toeplitz"):
-            raise ConfigError(
-                "matrix_kind must be block_circulant or block_toeplitz")
-        kwargs["matrix_kind"] = raw["matrix_kind"]
-    if "instances" in raw:
-        kwargs["instances"] = _parse_int(raw["instances"], "instances", 1)
-    for key in ("sync_baseline", "cross_check", "negative_control"):
-        if key in raw:
-            kwargs[key] = _parse_bool(raw[key], key)
-    kwargs["seed"] = _parse_int(raw["seed"], "seed", 0)
-    kwargs["out"] = raw["out"]
-    return ExperimentConfig(command=command, raw=raw, **kwargs)
+    return ExperimentConfig(command=command, raw=raw, **{
+        key: _PARSERS[key](value, key) for key, value in raw.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -427,20 +400,30 @@ def _warn(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _make_system(cfg: ExperimentConfig, load: float) -> SystemLaw:
-    if cfg.delays_kind == "zero":
+    if cfg.delays == "zero":
         law = synchronous_law()
     else:
         law = equal_power_uniform_delays(cfg.n_delays)
-    return SystemLaw(load=load, noise_density=cfg.n0,
-                     oversampling=cfg.oversampling, waveform=cfg.waveform,
-                     law=law)
+    return SystemLaw(load=load, noise_density=cfg.n0, oversampling=cfg.r,
+                     waveform=cfg.waveform, law=law)
+
+
+def _capacity_curve(waveform: ChipWaveform, load: float, oversampling: int,
+                    density_points: int) -> Callable[[float], float]:
+    """Capacity per chip against per-chip SNR, for equal powers on 64
+    uniform delays.  The SNR re-noises the system, so its N_0 is moot."""
+    sys_law = SystemLaw(load=load, noise_density=1.0,
+                        oversampling=oversampling, waveform=waveform,
+                        law=equal_power_uniform_delays(64))
+    return lambda snr: capacity_constrained(sys_law, snr=snr,
+                                            density_points=density_points)
 
 
 def _single_beta(cfg: ExperimentConfig) -> float:
-    if len(cfg.betas) != 1:
+    if len(cfg.beta) != 1:
         raise ConfigError(
             f"{cfg.command} takes a single beta, not a range")
-    return cfg.betas[0]
+    return cfg.beta[0]
 
 
 def _solved_field(sys: SystemLaw, grid_size: int):
@@ -502,23 +485,17 @@ def cmd_capacity(cfg: ExperimentConfig) -> int:
     columns = ["beta", "snr", "ebn0_db", "capacity_per_chip",
                "spectral_efficiency"]
     rows: list[tuple] = []
-    for beta in cfg.betas:
+    for beta in cfg.beta:
         if beta == 0.0:
             rows.append((beta, "", "", 0.0, 0.0))
             continue
-        sys_law = _make_system(replace(cfg, delays_kind="uniform",
-                                       n_delays=64), beta)
-
-        def cap(s: float) -> float:
-            return capacity_constrained(sys_law, snr=s,
-                                        density_points=cfg.density_points)
-
+        cap = _capacity_curve(cfg.waveform, beta, cfg.r, cfg.density_points)
         if cfg.snr is not None:
             snr = cfg.snr
-        elif cfg.ebn0 is not None:
-            snr = snr_for_ebn0(cfg.ebn0, beta, cap)
+        elif cfg.ebn0_db is not None:
+            snr = snr_for_ebn0(decibels_to_linear(cfg.ebn0_db), beta, cap)
         else:
-            snr = sys_law.snr
+            snr = cfg.waveform.energy / cfg.n0
         value = cap(snr)
         gamma = spectral_efficiency(value, cfg.waveform)
         ebn0_db = (linear_to_decibels(beta * snr / value)
@@ -530,24 +507,17 @@ def cmd_capacity(cfg: ExperimentConfig) -> int:
 
 def cmd_figure2(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
-    if cfg.ebn0 is None:
+    if cfg.ebn0_db is None:
         raise ConfigError("figure2 needs ebn0_db")
+    ebn0 = decibels_to_linear(cfg.ebn0_db)
     sync_point = _ebn0_solved_point(
-        cfg.ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
+        ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
     columns = ["alpha", "gamma_async_sinc", "gamma_sync"]
     rows: list[tuple] = []
-    for alpha in cfg.alphas:
+    for alpha in cfg.alpha:
         waveform = sinc_waveform(alpha)
-        sys_law = SystemLaw(load=beta, noise_density=1.0,
-                            oversampling=waveform.min_oversampling,
-                            waveform=waveform,
-                            law=equal_power_uniform_delays(64))
-
-        def cap(s: float) -> float:
-            return capacity_constrained(sys_law, snr=s,
-                                        density_points=cfg.density_points)
-
-        async_point = _ebn0_solved_point(cfg.ebn0, beta, cap)
+        async_point = _ebn0_solved_point(ebn0, beta, _capacity_curve(
+            waveform, beta, waveform.min_oversampling, cfg.density_points))
         gamma_async = (spectral_efficiency(async_point[1], waveform)
                        if async_point else "")
         gamma_sync = (sync_point[1] / (alpha / 2.0) if sync_point else "")
@@ -557,24 +527,17 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
 
 
 def cmd_figure3(cfg: ExperimentConfig) -> int:
-    if cfg.ebn0 is None:
+    if cfg.ebn0_db is None:
         raise ConfigError("figure3 needs ebn0_db")
+    ebn0 = decibels_to_linear(cfg.ebn0_db)
     waveform = cfg.waveform
     columns = ["beta", "gamma_async", "gamma_sync", "relative_gap"]
     rows: list[tuple] = []
-    for beta in cfg.betas:
-        sys_law = SystemLaw(load=beta, noise_density=1.0,
-                            oversampling=cfg.oversampling,
-                            waveform=waveform,
-                            law=equal_power_uniform_delays(64))
-
-        def cap(s: float) -> float:
-            return capacity_constrained(sys_law, snr=s,
-                                        density_points=cfg.density_points)
-
-        async_point = _ebn0_solved_point(cfg.ebn0, beta, cap)
+    for beta in cfg.beta:
+        async_point = _ebn0_solved_point(ebn0, beta, _capacity_curve(
+            waveform, beta, cfg.r, cfg.density_points))
         sync_point = _ebn0_solved_point(
-            cfg.ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
+            ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
         gamma_async = (spectral_efficiency(async_point[1], waveform)
                        if async_point else "")
         gamma_sync = (spectral_efficiency(sync_point[1], waveform)
@@ -593,10 +556,8 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
 def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
     sys_law = _make_system(cfg, beta)
-    system = finite_system(sys_law, cfg.spreading_factor, cfg.seed,
-                           cfg.matrix_kind)
-    realized = replace(sys_law,
-                       load=system.n_users / cfg.spreading_factor)
+    system = finite_system(sys_law, cfg.n, cfg.seed, cfg.matrix_kind)
+    realized = replace(sys_law, load=system.n_users / cfg.n)
     field = _solved_field(realized, cfg.grid)
     powers = np.abs(system.amplitudes) ** 2
     predicted = efficiency_of_user(
@@ -626,14 +587,13 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
 
 def cmd_theorem3(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
-    n_users = int(round(beta * cfg.spreading_factor))
+    n_users = int(round(beta * cfg.n))
     if n_users < 1:
         raise ConfigError("beta too small: no users at this n")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    delays = rng.uniform(0.0, cfg.spreading_factor, n_users)
-    result = theorem3_harness(cfg.waveform, cfg.spreading_factor,
-                              cfg.oversampling, n_users, delays, cfg.n0,
-                              window=cfg.window, trials=cfg.trials,
+    delays = rng.uniform(0.0, cfg.n, n_users)
+    result = theorem3_harness(cfg.waveform, cfg.n, cfg.r, n_users, delays,
+                              cfg.n0, window=cfg.window, trials=cfg.trials,
                               seed=cfg.seed)
     columns = ["record", "mean_sinr", "sinr_standard_error",
                "mean_efficiency", "efficiency_standard_error", "trials"]
@@ -799,8 +759,6 @@ _COMMANDS: dict[str, Callable[[ExperimentConfig], int]] = {
     "verify": cmd_verify,
 }
 
-_BOOL_FLAGS = ("sync_baseline", "cross_check", "negative_control")
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -822,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
             if key in ("seed", "out"):
                 continue
             flag = "--" + key.replace("_", "-")
-            if key in _BOOL_FLAGS:
+            if _PARSERS[key] is _parse_bool:
                 p.add_argument(flag, dest=key, action="store_const",
                                const="true", default=None)
             else:
@@ -871,12 +829,7 @@ def main(argv=None) -> int:
             NotPositiveDefiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, UndersampledError, TabulatedRangeError,
-            PulseTooLongError, ZeroPowerError, ZeroBandwidthError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

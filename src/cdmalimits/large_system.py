@@ -15,8 +15,8 @@ measured in chips (see :mod:`cdmalimits.waveforms`), so delays lie in
   a one-dimensional fixed point and carries a per-frequency efficiency
   density.
 
-Plus the closed sinc-bandwidth family, the synchronous baseline it
-degenerates to, and the effective interference spectral density.
+Plus the closed sinc-bandwidth family and the synchronous baseline it
+degenerates to.
 """
 
 from __future__ import annotations
@@ -228,8 +228,7 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
                                  np.conj(deltas), optimize=True)
         return np.linalg.inv(sigma2 * eye[None, :, :] + interference)
 
-    state, report = fixed_point(step, init, tol=1e-10, max_iter=10000,
-                                damping=1.0)
+    state, report = fixed_point(step, init)
     return UpsilonField(grid=grid, matrices=state), report
 
 
@@ -285,10 +284,11 @@ class EfficiencySpectrum:
 
 @functools.lru_cache(maxsize=64)
 def _delays_balanced(law: PowerDelayLaw, degree: int) -> bool:
-    """Whether each power level's delay moments of orders ``1..degree``
-    vanish (below 1e-12 of the level's weight).  Cached per law object,
+    """Whether each nonzero power level's delay moments of orders
+    ``1..degree`` vanish (below 1e-12 of the level's weight); a zero-power
+    level adds no interference on either route.  Cached per law object,
     since the capacity inversions re-noise one system many times."""
-    levels = np.unique(law.powers)[:, None]
+    levels = np.unique(law.powers[law.powers > 0])[:, None]
     level_weights = (law.powers == levels) * law.weights  # (levels, atoms)
     moments = level_weights @ np.exp(TWO_PI * 1j * np.outer(
         law.delays, np.arange(1, degree + 1)))
@@ -318,8 +318,8 @@ def solve_efficiency_scalar(sys: SystemLaw,
 
     Valid when the oscillating part of ``delta delta^H``, a trigonometric
     polynomial of degree ``d = ceil(2B) - 1`` in the delay for one-sided
-    bandwidth ``B``, averages out over each power level's delays: the
-    level's moments ``sum w * exp(2*pi*j*k*tau)`` must vanish for
+    bandwidth ``B``, averages out over each nonzero power level's delays:
+    the level's moments ``sum w * exp(2*pi*j*k*tau)`` must vanish for
     ``k = 1..d``.  Any law passes when ``B <= 1/2`` (``d = 0``); an
     equal-weight grid of ``n`` evenly spaced delays passes exactly when
     ``n > d``.  Otherwise raises "corollary hypotheses violated".
@@ -405,16 +405,3 @@ def solve_efficiency_sync(load: float, powers, weights,
         raise ValueError("load must be nonnegative")
     return _scalar_root(load, 1.0, powers, weights, noise_density)
 
-
-def effective_interference_density(p_self: float, p_other: float,
-                                   sinr: float) -> float:
-    """Per-frequency effective interference between two power densities.
-
-    ``p_self * p_other / (p_self + p_other * sinr)``, by convention zero
-    when either density vanishes.
-    """
-    if p_self < 0 or p_other < 0 or sinr < 0:
-        raise ValueError("densities and sinr must be nonnegative")
-    if p_self == 0.0 or p_other == 0.0:
-        return 0.0
-    return p_self * p_other / (p_self + p_other * sinr)

@@ -39,14 +39,19 @@ class FixedPointReport:
     damping_used: float
 
 
-def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,
-                damping: float = 1.0):
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 10000
+
+
+def fixed_point(step, init):
     """Damped fixed-point iteration ``x <- (1-d)*x + d*step(x)``.
 
-    The residual is the sup norm of ``step(x) - x`` (the undamped equation
-    residual, independent of the damping factor).  When the residual
-    increases from one iteration to the next the damping is halved, which
-    only matters for maps that are not contractive out of the box.
+    The damping ``d`` starts at 1.  The residual is the sup norm of
+    ``step(x) - x`` (the undamped equation residual, independent of the
+    damping factor).  When the residual increases from one iteration to
+    the next the damping is halved, which only matters for maps that are
+    not contractive out of the box.  The iteration stops once the residual
+    is at most ``FIXED_POINT_TOL`` or after ``FIXED_POINT_MAX_ITER`` steps.
 
     Parameters
     ----------
@@ -54,8 +59,6 @@ def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,
         Self-map on the state (scalar or ndarray).
     init : array_like or scalar
         Starting state.
-    tol, max_iter, damping : float, int, float
-        Sup-norm tolerance, iteration cap, initial damping in (0, 1].
 
     Returns
     -------
@@ -66,18 +69,10 @@ def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,
     DivergenceError
         If the state stops being finite ("divergence").
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-
+    damping = 1.0
     x = np.asarray(init, dtype=np.result_type(np.asarray(init), np.float64))
     prev_residual = np.inf
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         fx = np.asarray(step(x))
         if not np.all(np.isfinite(fx)):
             raise DivergenceError("divergence")
@@ -86,11 +81,11 @@ def fixed_point(step, init, tol: float = 1e-10, max_iter: int = 10000,
             damping *= 0.5
         prev_residual = residual
         x = (1.0 - damping) * x + damping * fx
-        if residual <= tol:
+        if residual <= FIXED_POINT_TOL:
             break
     report = FixedPointReport(iterations=iterations,
                               final_residual=residual,
-                              converged=residual <= tol,
+                              converged=residual <= FIXED_POINT_TOL,
                               damping_used=damping)
     if x.ndim == 0:
         return x[()], report

@@ -17,7 +17,7 @@ import pytest
 
 import cdmalimits
 from cdmalimits import solve_efficiency_sync
-from cdmalimits.cli import _BOOL_FLAGS, _DEFAULTS, main
+from cdmalimits.cli import _DEFAULTS, main
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
 
@@ -106,11 +106,14 @@ _FLAG_VALUES = {
 }
 
 
+_BOOLEAN_KEYS = {"sync_baseline", "cross_check", "negative_control"}
+
+
 @pytest.mark.parametrize("command, key", [
     (command, key) for command, keys in _DEFAULTS.items() for key in keys])
 def test_every_config_key_has_a_flag(command, key, capsys):
     flag = "--" + key.replace("_", "-")
-    if key in _BOOL_FLAGS:
+    if key in _BOOLEAN_KEYS:
         argv, want = [flag], "true"
     else:
         argv, want = [flag, _FLAG_VALUES[key]], _FLAG_VALUES[key]
@@ -118,6 +121,98 @@ def test_every_config_key_has_a_flag(command, key, capsys):
     assert code == 0
     lines = dict(line.split(" = ", 1) for line in out.strip().splitlines())
     assert lines[key] == want
+
+
+# Every command's keys in order with their defaults.  The CSV header
+# repeats these lines after "# command = ...".
+_DEFAULT_CONFIGS = {
+    "efficiency": [
+        ("waveform", "rrc:0.22"), ("beta", "1"), ("n0", "0.1"), ("r", "2"),
+        ("grid", "512"), ("density_points", "2048"), ("delays", "uniform"),
+        ("n_delays", "64"), ("sync_baseline", "false"),
+        ("cross_check", "false"), ("seed", "12345"), ("out", "-")],
+    "capacity": [
+        ("waveform", "rrc:0.22"), ("beta", "1"), ("n0", "0.1"),
+        ("ebn0_db", ""), ("snr", ""), ("r", "2"), ("density_points", "2048"),
+        ("seed", "12345"), ("out", "-")],
+    "figure2": [
+        ("alpha", "0.25:2:8"), ("beta", "1"), ("ebn0_db", "10"),
+        ("density_points", "2048"), ("seed", "12345"), ("out", "-")],
+    "figure3": [
+        ("waveform", "rrc:0.22"), ("beta", "0.25:8:10"), ("ebn0_db", "10"),
+        ("r", "2"), ("density_points", "2048"), ("seed", "12345"),
+        ("out", "-")],
+    "montecarlo": [
+        ("waveform", "rrc:0.22"), ("beta", "0.5"), ("n0", "0.1"), ("r", "2"),
+        ("n", "128"), ("trials", "200"), ("delays", "uniform"),
+        ("n_delays", "64"), ("matrix_kind", "block_circulant"),
+        ("grid", "512"), ("seed", "12345"), ("out", "-")],
+    "theorem3": [
+        ("waveform", "rrc:0.22"), ("beta", "0.5"), ("n0", "0.1"), ("r", "2"),
+        ("n", "64"), ("trials", "100"), ("window", "3"), ("seed", "12345"),
+        ("out", "-")],
+    "verify": [
+        ("instances", "1000"), ("negative_control", "false"),
+        ("seed", "12345"), ("out", "-")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULT_CONFIGS))
+def test_default_dump_config_text(command, capsys):
+    code, out, err = _run(capsys, [command, "--dump-config"])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{key} = {value}\n"
+                          for key, value in _DEFAULT_CONFIGS[command])
+
+
+def test_dump_config_lines_are_the_csv_header(capsys):
+    argv = ["capacity", "--beta", "0", "--snr", "1"]
+    _, dump, _ = _run(capsys, argv + ["--dump-config"])
+    _, out, _ = _run(capsys, argv)
+    header = [line for line in out.splitlines() if line.startswith("#")]
+    assert header == ["# command = capacity"] + [
+        "# " + line for line in dump.splitlines()]
+
+
+# One invalid value per key.  A path for "out" is only checked when the
+# CSV is written, so that key has no entry.
+_INVALID_VALUES = {
+    "waveform": "gauss:1", "beta": "fast", "alpha": "0", "ebn0_db": "loud",
+    "snr": "-1", "n0": "0", "r": "0", "n": "0", "trials": "0",
+    "grid": "31", "density_points": "1", "n_delays": "0",
+    "delays": "random", "window": "1", "matrix_kind": "dense",
+    "instances": "0", "sync_baseline": "maybe", "cross_check": "maybe",
+    "negative_control": "maybe", "seed": "-1",
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, keys in _DEFAULTS.items() for key in keys
+    if key != "out"])
+def test_invalid_value_names_its_key(command, key, tmp_path, capsys):
+    if key in _BOOLEAN_KEYS:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {_INVALID_VALUES[key]}\n")
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--" + key.replace("_", "-"), _INVALID_VALUES[key]]
+    code, out, err = _run(capsys, [command, *argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["efficiency", "--beta", "nan"], "beta"),
+    (["efficiency", "--beta", "inf"], "beta"),
+    (["figure2", "--alpha", "nan"], "alpha"),
+    (["capacity", "--beta", "0.5:inf:3"], "beta"),
+    (["figure3", "--beta=-inf:1:3"], "beta"),
+    (["figure2", "--alpha", "nan:2:3"], "alpha"),
+])
+def test_non_finite_grid_values_rejected(argv, key, capsys):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"{key} must be finite" in err
 
 
 class TestEfficiencyCommand:

@@ -21,7 +21,6 @@ from cdmalimits import (
     SystemLaw,
     UndersampledError,
     ZeroPowerError,
-    effective_interference_density,
     efficiency_of_user,
     equal_power_uniform_delays,
     product_law,
@@ -277,6 +276,29 @@ class TestScalarSpectrumSolver:
                            match="corollary hypotheses violated"):
             solve_efficiency_scalar(sys)
 
+    def test_zero_power_level_is_not_gated(self):
+        # The power-0 atom at 0.3 chips adds no interference on either
+        # route, so only the power-1 level at {0, 1/2} has to balance.
+        law = PowerDelayLaw([1.0, 1.0, 0.0], [0.0, 0.5, 0.3],
+                            [0.4, 0.4, 0.2])
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22), law=law)
+        etas = _matrix_efficiency(sys, law.delays[:2], law.powers[:2])
+        scalar = solve_efficiency_scalar(sys).scalar
+        assert scalar == pytest.approx(etas[0], abs=1e-6)
+        assert scalar == pytest.approx(etas[1], abs=1e-6)
+
+    def test_unbalanced_nonzero_level_beside_zero_power_rejected(self):
+        # Zero-power atoms at 1/2 would balance the power-1 atom at 0 if
+        # they were counted; the nonzero level alone does not balance.
+        law = PowerDelayLaw([1.0, 0.0], [0.0, 0.5], [0.5, 0.5])
+        assert not _delays_balanced(law, 1)
+        sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22), law=law)
+        with pytest.raises(HypothesisViolationError,
+                           match="corollary hypotheses violated"):
+            solve_efficiency_scalar(sys)
+
     @pytest.mark.parametrize("n_delays", [1, 2, 3, 4])
     def test_grid_passes_exactly_above_alias_spread(self, n_delays):
         # sinc:3 has one-sided bandwidth 1.5, so aliases spread over
@@ -430,20 +452,3 @@ class TestUserMetrics:
         with pytest.raises(ZeroPowerError, match="zero power"):
             efficiency_of_user(sinrs, np.array([0.5, 0.0, 3.0]), self.SYS)
 
-
-class TestInterferenceDensity:
-    def test_formula(self):
-        got = effective_interference_density(2.0, 3.0, 4.0)
-        assert got == pytest.approx(2.0 * 3.0 / (2.0 + 3.0 * 4.0))
-
-    def test_zero_rules(self):
-        assert effective_interference_density(0.0, 3.0, 1.0) == 0.0
-        assert effective_interference_density(2.0, 0.0, 1.0) == 0.0
-        assert effective_interference_density(2.0, 3.0, 0.0) == \
-            pytest.approx(3.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            effective_interference_density(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            effective_interference_density(1.0, 1.0, -2.0)
