@@ -6,9 +6,13 @@ Two routes to total capacity per chip for the large-system limit:
   the load and the per-chip SNR, with its square-root correction term;
 * ``capacity_constrained`` — the pulse-constrained asynchronous capacity
   in the free-energy closed form (generalizing Verdu-Shamai, IEEE Trans.
-  IT 45(2), 1999), fed by one scalar-route efficiency solve.  The I-MMSE
-  route (Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), which integrates
-  the per-class MMSE over the SNR axis, is kept in the tests as an oracle.
+  IT 45(2), 1999), fed by one scalar-route efficiency solve.  For the
+  flat and RRC pulses both spectral integrals of that form are
+  elementary, so nothing is integrated numerically; tabulated pulses use
+  a midpoint rule.  Two heavier routes are kept in the tests as oracles:
+  the I-MMSE route (Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), which
+  integrates the per-class MMSE over the SNR axis, and the same free
+  energy on a fine midpoint grid.
 
 Time is measured in chips, so the time-bandwidth product is the one-sided
 bandwidth ``B`` (cycles per chip) stored on the waveform.  Spectral
@@ -21,15 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 
-from .large_system import SystemLaw, solve_efficiency_scalar
+from .large_system import SystemLaw, _efficiency_root
 from .numerics import BracketError, bisect
-from .waveforms import ChipWaveform
-
-LOG2_E = math.log2(math.e)
+from .waveforms import LOG2_E, ChipWaveform
 
 
 class ZeroBandwidthError(ValueError):
@@ -73,10 +74,13 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
 
     Free-energy closed form at the scalar efficiency ``eta`` of the system
     re-noised to per-chip SNR ``snr``:
-    ``C = beta * sum_atoms w*log2(1 + lam*snr*eta) + (1/2pi) * integral
-    [-log2 q(w) + (q(w) - 1)*log2 e] dw`` with ``q = eta(w)*E/|Phi(w)|^2``
-    over the support where ``|Phi|^2 > 0``, on the solver's midpoint grid.
-    ``snr`` defaults to the system's own ``E/N_0``.
+    ``C = beta * sum_levels w*log2(1 + lam*snr*eta) + F`` with the
+    waveform's free-energy band mean ``F = (1/2pi) * integral [log2(1 +
+    x*|Phi|^2) - log2(e) * x*|Phi|^2 / (1 + x*|Phi|^2)] dw`` at the
+    interference level ``x`` of the efficiency solve.  ``F`` is elementary
+    for the built-in pulses; tabulated pulses integrate it on
+    ``density_points`` midpoints of the support.  ``snr`` defaults to the
+    system's own ``E/N_0``.
     """
     if snr is None:
         snr = sys.snr
@@ -84,19 +88,11 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
         raise ValueError("snr must be nonnegative")
     if sys.load == 0.0 or snr == 0.0:
         return 0.0
-    energy = sys.waveform.energy
-    spectrum = solve_efficiency_scalar(
-        replace(sys, noise_density=energy / snr), n_points=density_points)
-    omegas = spectrum.frequencies
-    gain = sys.waveform.power_spectrum(omegas)
-    positive = gain > 0
-    q = spectrum.density[positive] * energy / gain[positive]
-    free_energy = float(np.sum(-np.log2(q) + (q - 1.0) * LOG2_E))
+    _, eta, free_energy = _efficiency_root(sys, sys.waveform.energy / snr,
+                                           density_points)
     powers, weights = sys.law.power_marginal()
-    user_term = float(np.sum(weights * np.log2(
-        1.0 + powers * snr * spectrum.scalar)))
-    return (sys.load * user_term
-            + (omegas[1] - omegas[0]) / (2.0 * math.pi) * free_energy)
+    user_term = float(np.sum(weights * np.log1p(powers * snr * eta)))
+    return sys.load * LOG2_E * user_term + free_energy
 
 
 def spectral_efficiency(capacity_per_chip: float,

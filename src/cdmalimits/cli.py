@@ -128,7 +128,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "alpha": "0.25:2:8",
         "beta": "1",
         "ebn0_db": "10",
-        "density_points": "2048",
         "seed": "12345",
         "out": "-",
     },
@@ -409,9 +408,10 @@ def _make_system(cfg: ExperimentConfig, load: float) -> SystemLaw:
 
 
 def _capacity_curve(waveform: ChipWaveform, load: float, oversampling: int,
-                    density_points: int) -> Callable[[float], float]:
+                    density_points: int = 2048) -> Callable[[float], float]:
     """Capacity per chip against per-chip SNR, for equal powers on 64
-    uniform delays.  The SNR re-noises the system, so its N_0 is moot."""
+    uniform delays.  The SNR re-noises the system, so its N_0 is moot;
+    ``density_points`` matters only for tabulated pulses."""
     sys_law = SystemLaw(load=load, noise_density=1.0,
                         oversampling=oversampling, waveform=waveform,
                         law=equal_power_uniform_delays(64))
@@ -517,7 +517,7 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
     for alpha in cfg.alpha:
         waveform = sinc_waveform(alpha)
         async_point = _ebn0_solved_point(ebn0, beta, _capacity_curve(
-            waveform, beta, waveform.min_oversampling, cfg.density_points))
+            waveform, beta, waveform.min_oversampling))
         gamma_async = (spectral_efficiency(async_point[1], waveform)
                        if async_point else "")
         gamma_sync = (sync_point[1] / (alpha / 2.0) if sync_point else "")
@@ -678,14 +678,31 @@ def _delay_independence_residual() -> float:
     return abs(etas[0] - etas[1]) / etas[0]
 
 
-def _scaling_identity_residual(density_points: int) -> float:
+def _scaling_identity_residual() -> float:
     waveform = sinc_waveform(2.0)
     sys_law = SystemLaw(load=1.0, noise_density=1.0, oversampling=2,
                         waveform=waveform, law=equal_power_uniform_delays(64))
-    async_value = capacity_constrained(sys_law, snr=10.0,
-                                       density_points=density_points)
+    async_value = capacity_constrained(sys_law, snr=10.0)
     reference = 2.0 * capacity_sync_closed_form(0.5, 10.0)
     return abs(async_value - reference) / reference
+
+
+def _low_snr_ebn0_residual() -> float:
+    """Departure from linearity of ``Eb/N0 / ln 2 - 1`` in the SNR.
+
+    Eb/N0 tends to the Shannon limit ``ln 2`` from above, linearly in the
+    SNR, so the excess at snr = 1e-9 (where ``snr_for_ebn0`` stops its
+    bracket search) is 1e-3 of the excess at 1e-6 for RRC 0.22 and
+    ``sinc:1.9`` at load 1.  An excess at or below zero gives a residual
+    of at least one.
+    """
+    worst = 0.0
+    for waveform in (root_raised_cosine_waveform(0.22), sinc_waveform(1.9)):
+        capacity = _capacity_curve(waveform, 1.0, waveform.min_oversampling)
+        excess = [snr / (capacity(snr) * math.log(2.0)) - 1.0
+                  for snr in (1e-6, 1e-9)]
+        worst = max(worst, abs(1e3 * excess[1] / excess[0] - 1.0))
+    return worst
 
 
 def _alpha_one_equality_residual() -> float:
@@ -727,7 +744,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         ("delay_average_factorization", factor, 1e-10),
         ("delay_independence_flat_pulse", _delay_independence_residual(),
          1e-6),
-        ("sinc_capacity_scaling", _scaling_identity_residual(2048), 1e-4),
+        ("sinc_capacity_scaling", _scaling_identity_residual(), 1e-4),
+        ("low_snr_ebn0_floor", _low_snr_ebn0_residual(), 1e-3),
         ("alpha_one_matches_synchronous", _alpha_one_equality_residual(),
          1e-12),
         ("equal_power_quadratic_root", _equal_power_root_residual(), 1e-10),

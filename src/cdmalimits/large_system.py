@@ -13,7 +13,10 @@ measured in chips (see :mod:`cdmalimits.waveforms`), so delays lie in
   ``delta delta^H`` averages out over each power level's delays (checked
   from the law's atoms), where a single scalar multiuser efficiency solves
   a one-dimensional fixed point and carries a per-frequency efficiency
-  density.
+  density.  The fixed point needs only the band mean of that density,
+  which the waveform gives in closed form for the flat and RRC pulses
+  (``ChipWaveform._band_means``), so only tabulated pulses and the
+  sampled density rows use a midpoint grid over the pulse support.
 
 Plus the closed sinc-bandwidth family and the synchronous baseline it
 degenerates to.
@@ -27,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import FrequencyGrid, bisect, fixed_point
-from .waveforms import ChipWaveform, _check_oversampling, _delta_components
+from .waveforms import (
+    ChipWaveform,
+    _check_oversampling,
+    _delta_components,
+    _support_grid,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -296,13 +304,6 @@ def _delays_balanced(law: PowerDelayLaw, degree: int) -> bool:
                        <= 1e-12 * level_weights.sum(axis=1)[:, None]))
 
 
-def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
-    """Midpoint grid over the (symmetric) pulse support in rad per chip."""
-    edge = waveform._support_limit()
-    spacing = 2.0 * edge / n_points
-    return -edge + (np.arange(n_points) + 0.5) * spacing
-
-
 def _efficiency_density(power_gain: np.ndarray, interference: float,
                         energy: float) -> np.ndarray:
     """Closed-form density: ``1/eta(w) = E/|Phi|^2 + interference``."""
@@ -310,6 +311,46 @@ def _efficiency_density(power_gain: np.ndarray, interference: float,
     positive = power_gain > 0
     out[positive] = 1.0 / (energy / power_gain[positive] + interference)
     return out
+
+
+def _efficiency_root(sys: SystemLaw, noise_density: float,
+                     n_points: int) -> tuple[float, float, float]:
+    """Scalar-route fixed point at noise level ``noise_density``.
+
+    The efficiency is the band mean ``D`` of its own density at the
+    interference level ``x = J/E``, ``J = beta * sum_levels w*lam /
+    (N_0/E + lam*eta)``.  Finds the ITP root (``numerics.bisect``) of
+    ``eta - D(x(eta))`` on ``(0, 1]``, where the map is monotone, and
+    returns ``(x, D, F)`` there from ``ChipWaveform._band_means``, so
+    ``D`` is the efficiency; ``n_points`` matters only for tabulated
+    pulses.  Raises "corollary hypotheses violated" when the law fails
+    the delay-balance gate of :func:`solve_efficiency_scalar`.
+    """
+    waveform = sys.waveform
+    if not _delays_balanced(sys.law, waveform.min_oversampling - 1):
+        raise HypothesisViolationError("corollary hypotheses violated")
+    powers, weights = sys.law.power_marginal()
+    noise_over_energy = noise_density / waveform.energy
+    load_over_energy = sys.load / waveform.energy
+
+    # Memoized so the eta = 1 shortcut and bisect's upper end share one
+    # evaluation.
+    @functools.cache
+    def means(eta: float) -> tuple[float, float, float]:
+        x = load_over_energy * float(
+            np.sum(weights * powers / (noise_over_energy + powers * eta)))
+        return (x, *waveform._band_means(x, n_points))
+
+    def residual(eta: float) -> float:
+        return eta - means(eta)[1]
+
+    if sys.load == 0 or residual(1.0) <= 0.0:
+        # eta = 1 is exact here.
+        x, _, free_energy = means(1.0)
+        return x, 1.0, free_energy
+    # An absolute 1e-13 keeps eta within about 1e-12 relative down to
+    # eta ~ 1e-4 (load 8, N_0 = 1e-3); 1e-12 left up to 4e-10 there.
+    return means(bisect(residual, 1e-15, 1.0, tol=1e-13))
 
 
 def solve_efficiency_scalar(sys: SystemLaw,
@@ -324,42 +365,17 @@ def solve_efficiency_scalar(sys: SystemLaw,
     equal-weight grid of ``n`` evenly spaced delays passes exactly when
     ``n > d``.  Otherwise raises "corollary hypotheses violated".
     The density obeys ``1/eta(w) = E/|Phi(w)|^2 + beta * sum_atoms w*lam /
-    (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``; the
-    scalar is the ITP root (``numerics.bisect``) of ``eta - (1/2pi) *
-    integral eta(w) dw`` on ``(0, 1]``, where the map is monotone.
+    (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``.  The
+    scalar solves that equation with the band mean of the waveform, in
+    closed form for the built-in pulses and on ``n_points`` midpoints for
+    tabulated ones; the density is sampled on ``n_points`` midpoints of
+    the support.
     """
-    if not _delays_balanced(sys.law, sys.waveform.min_oversampling - 1):
-        raise HypothesisViolationError("corollary hypotheses violated")
+    x, scalar, _ = _efficiency_root(sys, sys.noise_density, n_points)
     waveform = sys.waveform
-    energy = waveform.energy
     omegas = _support_grid(waveform, n_points)
-    spacing = omegas[1] - omegas[0]
-    gain = waveform.power_spectrum(omegas)
-    powers, weights = sys.law.power_marginal()
-    noise_over_energy = sys.noise_density / energy
-    energy_over_gain = energy / gain[gain > 0]
-
-    def integrated(eta: float) -> float:
-        interference = sys.load * float(
-            np.sum(weights * powers / (noise_over_energy + powers * eta)))
-        return float(np.sum(1.0 / (energy_over_gain + interference))) \
-            * spacing / TWO_PI
-
-    # Memoized so the eta = 1 shortcut and bisect's upper end share one
-    # quadrature pass.
-    residual = functools.cache(lambda eta: eta - integrated(eta))
-    if sys.load == 0 or residual(1.0) <= 0.0:
-        # eta = 1 is exact here; don't launder it through the quadrature.
-        interference = sys.load * float(
-            np.sum(weights * powers / (noise_over_energy + powers)))
-        density = _efficiency_density(gain, interference, energy)
-        return EfficiencySpectrum(frequencies=omegas, density=density,
-                                  scalar=1.0)
-    scalar = bisect(residual, 1e-15, 1.0, tol=1e-12)
-    interference = sys.load * float(
-        np.sum(weights * powers / (noise_over_energy + powers * scalar)))
-    density = _efficiency_density(gain, interference, energy)
-    scalar = float(density.sum()) * spacing / TWO_PI
+    density = _efficiency_density(waveform.power_spectrum(omegas),
+                                  x * waveform.energy, waveform.energy)
     return EfficiencySpectrum(frequencies=omegas, density=density,
                               scalar=scalar)
 

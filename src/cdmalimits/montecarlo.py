@@ -28,9 +28,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .large_system import SystemLaw, _support_grid
+from .large_system import SystemLaw
 from .numerics import NotPositiveDefiniteError
-from .waveforms import ChipWaveform, _check_oversampling, _delta_components
+from .waveforms import (
+    ChipWaveform,
+    _check_oversampling,
+    _delta_components,
+    _support_grid,
+)
 
 TWO_PI = 2.0 * np.pi
 _SEED_STRIDE = 0x9E3779B97F4A7C15

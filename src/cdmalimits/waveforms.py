@@ -22,7 +22,9 @@ sub-chip delay ``tau``:
   phases ``phi(Omega, tau - s/r)`` (``_delta_components``);
 * the delay average of ``delta * delta^H`` (``_delay_free_q``), which
   leaves a zero-trace oscillating remainder, and its closed-form
-  eigendecomposition ``q_eigendecomposition``.
+  eigendecomposition ``q_eigendecomposition``;
+* the two band means of the scalar route and the capacity
+  (``ChipWaveform._band_means``), elementary for the flat and RRC pulses.
 
 Alias terms that land exactly on a jump of ``|Phi|`` (the band edge of an
 ideally bandlimited flat pulse) are weighted by 1/2 — the Fourier-series
@@ -42,6 +44,7 @@ from typing import ClassVar
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+LOG2_E = math.log2(math.e)
 
 #: Relative slack used to decide whether an alias sits exactly on the
 #: support edge (and gets the midpoint 1/2 weight) or just outside.
@@ -156,6 +159,40 @@ class ChipWaveform:
         """Support edge ``2*pi*B`` of ``Phi`` in rad per chip."""
         return TWO_PI * self.bandwidth
 
+    def _band_means(self, x: float,
+                    n_points: int = 2048) -> tuple[float, float]:
+        """Band averages ``(D, F)`` at the interference level ``x = J/E``.
+
+        With ``g = |Phi|^2``, ``D = (1/2pi) * integral dw / (E/g + J)`` is
+        the mean of the efficiency density and ``F = (1/2pi) * integral
+        [log2(1 + x*g) - log2(e) * x*g / (1 + x*g)] dw`` the free-energy
+        integral of the capacity.  Both are elementary for the built-in
+        unit-energy pulses, with ``s = sqrt(1 + x)`` for RRC (from
+        ``integral_0^pi dt / (a + b cos t) = pi / sqrt(a^2 - b^2)`` and
+        ``integral_0^pi ln(a + b cos t) dt = pi ln((a + sqrt(a^2 - b^2))
+        / 2)``); tabulated pulses take the ``n_points``-midpoint rule over
+        the support.
+        """
+        if self.kind == "sinc":
+            alpha = self.relative_bandwidth
+            y = x / alpha
+            return (alpha / (alpha + x),
+                    alpha * LOG2_E * (math.log1p(y) - y / (1.0 + y)))
+        if self.kind == "root_raised_cosine":
+            rho = self.roll_off
+            s = math.sqrt(1.0 + x)
+            t = 1.0 / (s * (1.0 + s))  # (1 - 1/s) / x, rationalized
+            flat = math.log1p(x) - x / (1.0 + x)
+            edges = 2.0 * math.log1p(x / (2.0 * (1.0 + s))) - x * t
+            return ((1.0 - rho) / (1.0 + x) + 2.0 * rho * t,
+                    LOG2_E * ((1.0 - rho) * flat + 2.0 * rho * edges))
+        gain = self.power_spectrum(_support_grid(self, n_points))
+        gain = gain[gain > 0]
+        y = x * gain
+        weight = 2.0 * self.bandwidth / n_points  # spacing / 2pi
+        return (float(np.sum(gain / (1.0 + y))) * weight / self.energy,
+                float(np.sum(np.log1p(y) - y / (1.0 + y))) * weight * LOG2_E)
+
     def _amplitude_at(self, omega: np.ndarray) -> np.ndarray:
         """``Phi`` evaluated with out-of-support queries clamped/zeroed.
 
@@ -176,6 +213,13 @@ class ChipWaveform:
         if np.any(inside):
             out[inside] = self.spectrum(w[inside])
         return out
+
+
+def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
+    """Midpoint grid over the (symmetric) pulse support in rad per chip."""
+    edge = waveform._support_limit()
+    spacing = 2.0 * edge / n_points
+    return -edge + (np.arange(n_points) + 0.5) * spacing
 
 
 def sinc_waveform(relative_bandwidth: float) -> ChipWaveform:

@@ -240,7 +240,7 @@ def test_criterion_08_equal_power_quadratic_root():
 
 
 def test_criterion_09_figure_shapes(capsys):
-    rows2 = _run_cli_csv(["figure2", "--density-points", "1024"], capsys)
+    rows2 = _run_cli_csv(["figure2"], capsys)
     alphas = [float(r["alpha"]) for r in rows2]
     async2 = [float(r["gamma_async_sinc"]) for r in rows2]
     sync2 = [float(r["gamma_sync"]) for r in rows2]
@@ -250,7 +250,7 @@ def test_criterion_09_figure_shapes(capsys):
     exceeds = all(async2[i] > sync2[i] for i, a in enumerate(alphas)
                   if a > 1.0)
 
-    rows3 = _run_cli_csv(["figure3", "--density-points", "1024"], capsys)
+    rows3 = _run_cli_csv(["figure3"], capsys)
     gaps = [float(r["relative_gap"]) for r in rows3]
     nonnegative = all(g >= -1e-12 for g in gaps)
     nondecreasing = all(b >= a - 1e-9 for a, b in zip(gaps, gaps[1:]))

@@ -3,15 +3,18 @@
 The strongest oracles here are route independence: the closed-form
 synchronous expression must match the pulse-constrained free-energy form,
 because a unit-bandwidth flat pulse makes the asynchronous system
-synchronous in distribution; and the free-energy form must match the
-I-MMSE route, which integrates the scalar MMSE solver over the SNR axis
-(Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), for every pulse and law.
+synchronous in distribution; the free-energy form must match the I-MMSE
+route, which integrates the scalar MMSE solver over the SNR axis
+(Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), for every pulse and law;
+and the closed-form band means of the built-in pulses must match the
+same free energy summed on a fine midpoint grid.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,8 +33,10 @@ from cdmalimits import (
     root_raised_cosine_waveform,
     sinc_waveform,
     snr_for_ebn0,
+    solve_efficiency_scalar,
     spectral_efficiency,
     synchronous_law,
+    tabulated_waveform,
 )
 
 # Frozen values computed once from the closed form and pinned.
@@ -129,6 +134,117 @@ def _immse_capacity(sys: SystemLaw, snr: float, rel_tol: float = 1e-5,
         if 2 * nodes - 1 > max_nodes:
             return value
         nodes = 2 * nodes - 1
+
+
+def _fine_grid_route(sys: SystemLaw,
+                     n_points: int = 65536) -> tuple[float, float]:
+    """``(eta, capacity)`` of the free-energy form on a midpoint grid.
+
+    The efficiency density ``1/(E/|Phi|^2 + J(eta))`` is sampled on
+    ``n_points`` midpoints of the pulse support, its band mean's fixed
+    point is found by Brent's method, and the free energy
+    ``-log2 q + (q - 1) log2 e`` with ``q = eta(w) E/|Phi|^2`` is summed on
+    the same grid.
+    """
+    waveform = sys.waveform
+    energy = waveform.energy
+    edge = 2.0 * np.pi * waveform.bandwidth
+    spacing = 2.0 * edge / n_points
+    gain = waveform.power_spectrum(
+        -edge + (np.arange(n_points) + 0.5) * spacing)
+    gain = gain[gain > 0]
+    weight = spacing / (2.0 * np.pi)
+    powers, weights = sys.law.power_marginal()
+    noise = sys.noise_density / energy
+
+    def interference(eta: float) -> float:
+        return sys.load * float(np.sum(weights * powers
+                                       / (noise + powers * eta)))
+
+    def residual(eta: float) -> float:
+        return eta - weight * float(np.sum(
+            1.0 / (energy / gain + interference(eta))))
+
+    eta = scipy.optimize.brentq(residual, 1e-300, 1.0, xtol=1e-300,
+                                rtol=1e-15)
+    q = energy / (energy + interference(eta) * gain)
+    free_energy = weight * float(np.sum(-np.log2(q)
+                                        + (q - 1.0) / math.log(2.0)))
+    user_term = float(np.sum(weights * np.log2(
+        1.0 + powers * eta / noise)))
+    return eta, sys.load * user_term + free_energy
+
+
+_BUILT_IN_PULSES = {
+    **{f"rrc{rho}": lambda rho=rho: root_raised_cosine_waveform(rho)
+       for rho in (0.05, 0.22, 0.5, 1.0)},
+    **{f"sinc{alpha}": lambda alpha=alpha: sinc_waveform(alpha)
+       for alpha in (0.5, 1.0, 1.9, 2.0)},
+}
+
+
+@pytest.mark.parametrize("two_level", [False, True],
+                         ids=["equal_powers", "two_levels"])
+@pytest.mark.parametrize("pulse", sorted(_BUILT_IN_PULSES))
+def test_closed_form_matches_fine_grid(pulse, two_level):
+    waveform = _BUILT_IN_PULSES[pulse]()
+    law = (product_law([1.0, 4.0], [0.5, 0.5], 16) if two_level
+           else equal_power_uniform_delays(16))
+    for load in (0.25, 1.0, 4.0, 8.0):
+        for n0 in (1e-3, 1e-2, 0.1, 1.0):
+            sys = SystemLaw(load=load, noise_density=n0,
+                            oversampling=waveform.min_oversampling,
+                            waveform=waveform, law=law)
+            want_eta, want_capacity = _fine_grid_route(sys)
+            eta = solve_efficiency_scalar(sys).scalar
+            assert abs(eta / want_eta - 1.0) <= 1e-9, (load, n0)
+            capacity = capacity_constrained(sys)
+            assert abs(capacity / want_capacity - 1.0) <= 1e-9, (load, n0)
+
+
+def test_tabulated_rrc_takes_the_grid_route():
+    # A table of RRC 0.22 is integrated on density_points midpoints, so
+    # its values move with the grid while the closed form does not, and
+    # it stays within the table's interpolation error of the closed form.
+    rrc = root_raised_cosine_waveform(0.22)
+    edge = 2.0 * np.pi * rrc.bandwidth
+    table_omega = np.linspace(-edge, edge, 1221)
+    table = tabulated_waveform(table_omega, rrc.spectrum(table_omega))
+    fine = np.linspace(-edge, edge, 100001)
+    interpolation_error = float(np.max(np.abs(
+        table.power_spectrum(fine) - rrc.power_spectrum(fine))))
+    assert interpolation_error < 1e-4
+    for load, n0 in ((0.5, 0.1), (4.0, 1e-3), (8.0, 1.0)):
+        systems = [SystemLaw(load=load, noise_density=n0, oversampling=2,
+                             waveform=waveform,
+                             law=equal_power_uniform_delays(16))
+                   for waveform in (rrc, table)]
+        for solve in (lambda sys, n: solve_efficiency_scalar(sys, n).scalar,
+                      lambda sys, n: capacity_constrained(
+                          sys, density_points=n)):
+            closed, tabulated = (solve(sys, 2048) for sys in systems)
+            assert solve(systems[0], 1024) == closed
+            assert solve(systems[1], 1024) != tabulated
+            assert abs(tabulated / closed - 1.0) <= interpolation_error
+
+
+@pytest.mark.parametrize("waveform", [root_raised_cosine_waveform(0.22),
+                                      sinc_waveform(1.9)],
+                         ids=["rrc0.22", "sinc1.9"])
+def test_ebn0_approaches_the_shannon_limit_from_above(waveform):
+    # Eb/N0 tends to ln 2 from above, linearly in the SNR, down to
+    # snr = 1e-9 where snr_for_ebn0 stops its bracket search.  Computing
+    # log2(1 + x) and the free-energy differences without log1p made the
+    # excess -8.3e-8 there.  The quadratic term moves the slope by 6e-4
+    # at snr = 1e-3.
+    sys = SystemLaw(load=1.0, noise_density=1.0,
+                    oversampling=waveform.min_oversampling,
+                    waveform=waveform, law=equal_power_uniform_delays(64))
+    snrs = np.logspace(-3.0, -9.0, 7)
+    slopes = [(snr / (capacity_constrained(sys, snr=snr) * math.log(2.0))
+               - 1.0) / snr for snr in snrs]
+    assert min(slopes) > 0.0
+    assert max(abs(slope / slopes[-1] - 1.0) for slope in slopes) <= 2e-3
 
 
 class TestPenaltyTerm:

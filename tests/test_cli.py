@@ -137,7 +137,7 @@ _DEFAULT_CONFIGS = {
         ("seed", "12345"), ("out", "-")],
     "figure2": [
         ("alpha", "0.25:2:8"), ("beta", "1"), ("ebn0_db", "10"),
-        ("density_points", "2048"), ("seed", "12345"), ("out", "-")],
+        ("seed", "12345"), ("out", "-")],
     "figure3": [
         ("waveform", "rrc:0.22"), ("beta", "0.25:8:10"), ("ebn0_db", "10"),
         ("r", "2"), ("density_points", "2048"), ("seed", "12345"),
@@ -332,8 +332,7 @@ class TestCapacityCommand:
 
 class TestFigureCommands:
     def test_figure2_shape(self, capsys):
-        code, out, _ = _run(capsys, ["figure2", "--alpha", "1:2:3",
-                                     "--density-points", "512"])
+        code, out, _ = _run(capsys, ["figure2", "--alpha", "1:2:3"])
         assert code == 0
         _, rows = _parse(out)
         assert [float(r["alpha"]) for r in rows] == [1.0, 1.5, 2.0]
@@ -476,7 +475,7 @@ class TestVerifyCommand:
         code, out, _ = _run(capsys, ["verify", "--instances", "3"])
         assert code == 0
         _, rows = _parse(out)
-        assert len(rows) == 8
+        assert len(rows) == 9
         assert {r["status"] for r in rows} == {"pass"}
         for r in rows:
             assert float(r["residual"]) <= float(r["tolerance"])

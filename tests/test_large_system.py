@@ -216,12 +216,24 @@ class TestScalarSpectrumSolver:
         assert result.scalar == 1.0
 
     def test_scalar_is_integral_of_density(self):
+        # The scalar is the band mean in closed form, the same on every
+        # grid; the sampled density integrates to it up to the midpoint
+        # rule's error, which each fourfold refinement cuts at least
+        # tenfold (about 60-fold here).
         sys = self._rrc_system()
-        result = solve_efficiency_scalar(sys)
-        spacing = result.frequencies[1] - result.frequencies[0]
-        integral = result.density.sum() * spacing / (2.0 * np.pi)
-        assert result.scalar == pytest.approx(integral, rel=1e-12)
+        errors = []
+        scalars = set()
+        for n_points in (512, 2048, 8192):
+            result = solve_efficiency_scalar(sys, n_points=n_points)
+            spacing = result.frequencies[1] - result.frequencies[0]
+            integral = result.density.sum() * spacing / (2.0 * np.pi)
+            errors.append(abs(integral / result.scalar - 1.0))
+            scalars.add(result.scalar)
+        assert len(scalars) == 1
         assert 0.0 < result.scalar < 1.0
+        assert errors[1] <= 1e-9
+        assert errors[1] <= errors[0] / 10.0
+        assert errors[2] <= errors[1] / 10.0
 
     def test_density_positive_on_support(self):
         result = solve_efficiency_scalar(self._rrc_system())
@@ -316,9 +328,9 @@ class TestScalarSpectrumSolver:
                 pytest.approx(want, rel=1e-9)
 
     def test_one_quadrature_pass_at_unit_efficiency(self, monkeypatch):
-        # Every quadrature pass multiplies the power levels by its trial
-        # efficiency.  The eta = 1 shortcut test and the root finder's
-        # upper bracket end must share one pass there.
+        # Every evaluation of the fixed-point map multiplies the power
+        # levels by its trial efficiency.  The eta = 1 shortcut test and
+        # the root finder's upper bracket end must share one there.
         factors = []
 
         class Recording(np.ndarray):
