@@ -35,6 +35,7 @@ from .waveforms import (
     _check_oversampling,
     _delta_components,
     _support_grid,
+    sinc_waveform,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -98,9 +99,6 @@ class PowerDelayLaw:
         weights = np.bincount(inverse, weights=self.weights,
                               minlength=unique.size)
         return unique, weights
-
-    def mean_power(self) -> float:
-        return float(np.dot(self.weights, self.powers))
 
 
 def uniform_delay_grid(n_delays: int) -> np.ndarray:
@@ -313,9 +311,11 @@ def _efficiency_density(power_gain: np.ndarray, interference: float,
     return out
 
 
-def _efficiency_root(sys: SystemLaw, noise_density: float,
-                     n_points: int) -> tuple[float, float, float]:
-    """Scalar-route fixed point at noise level ``noise_density``.
+def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
+               weights: np.ndarray, noise_density: float,
+               n_points: int = 2048) -> tuple[float, float, float]:
+    """Scalar-route fixed point of a power law at noise level
+    ``noise_density``.
 
     The efficiency is the band mean ``D`` of its own density at the
     interference level ``x = J/E``, ``J = beta * sum_levels w*lam /
@@ -323,15 +323,10 @@ def _efficiency_root(sys: SystemLaw, noise_density: float,
     ``eta - D(x(eta))`` on ``(0, 1]``, where the map is monotone, and
     returns ``(x, D, F)`` there from ``ChipWaveform._band_means``, so
     ``D`` is the efficiency; ``n_points`` matters only for tabulated
-    pulses.  Raises "corollary hypotheses violated" when the law fails
-    the delay-balance gate of :func:`solve_efficiency_scalar`.
+    pulses.
     """
-    waveform = sys.waveform
-    if not _delays_balanced(sys.law, waveform.min_oversampling - 1):
-        raise HypothesisViolationError("corollary hypotheses violated")
-    powers, weights = sys.law.power_marginal()
     noise_over_energy = noise_density / waveform.energy
-    load_over_energy = sys.load / waveform.energy
+    load_over_energy = load / waveform.energy
 
     # Memoized so the eta = 1 shortcut and bisect's upper end share one
     # evaluation.
@@ -344,13 +339,27 @@ def _efficiency_root(sys: SystemLaw, noise_density: float,
     def residual(eta: float) -> float:
         return eta - means(eta)[1]
 
-    if sys.load == 0 or residual(1.0) <= 0.0:
+    if load == 0 or residual(1.0) <= 0.0:
         # eta = 1 is exact here.
         x, _, free_energy = means(1.0)
         return x, 1.0, free_energy
     # An absolute 1e-13 keeps eta within about 1e-12 relative down to
     # eta ~ 1e-4 (load 8, N_0 = 1e-3); 1e-12 left up to 4e-10 there.
     return means(bisect(residual, 1e-15, 1.0, tol=1e-13))
+
+
+def _efficiency_root(sys: SystemLaw, noise_density: float,
+                     n_points: int) -> tuple[float, float, float]:
+    """:func:`_band_root` of the system's power marginal.
+
+    Raises "corollary hypotheses violated" when the law fails the
+    delay-balance gate of :func:`solve_efficiency_scalar`.
+    """
+    if not _delays_balanced(sys.law, sys.waveform.min_oversampling - 1):
+        raise HypothesisViolationError("corollary hypotheses violated")
+    powers, weights = sys.law.power_marginal()
+    return _band_root(sys.waveform, sys.load, powers, weights,
+                      noise_density, n_points)
 
 
 def solve_efficiency_scalar(sys: SystemLaw,
@@ -380,9 +389,9 @@ def solve_efficiency_scalar(sys: SystemLaw,
                               scalar=scalar)
 
 
-def _scalar_root(load: float, bandwidth_scale: float, powers, weights,
-                 noise_density: float, tol: float = 1e-13) -> float:
-    """Positive root of ``1/eta = 1 + (beta/alpha) sum w*lam/(N0+lam*eta)``."""
+def _scalar_root(load: float, powers, weights,
+                 noise_density: float) -> float:
+    """Positive root of ``1/eta = 1 + beta * sum w*lam/(N0 + lam*eta)``."""
     powers = np.asarray(powers, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if load == 0:
@@ -391,27 +400,28 @@ def _scalar_root(load: float, bandwidth_scale: float, powers, weights,
     def residual(eta: float) -> float:
         s = float(np.sum(weights * powers /
                          (noise_density + powers * eta)))
-        return 1.0 + (load / bandwidth_scale) * s - 1.0 / eta
+        return 1.0 + load * s - 1.0 / eta
 
     if residual(1.0) == 0.0:
         return 1.0
-    return bisect(residual, 1e-300, 1.0, tol=tol)
+    return bisect(residual, 1e-300, 1.0, tol=1e-13)
 
 
 def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,
                           weights, noise_density: float) -> float:
     """Multiuser efficiency of the flat bandlimited pulse family.
 
-    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` with
-    the ITP root finder (``numerics.bisect``) on ``(0, 1]``; the bandwidth
-    enters only through the effective load ``beta/alpha``.
+    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` as the
+    scalar route's fixed point ``eta = D(x(eta))`` of the pulse
+    ``sinc_waveform(alpha)``, whose band mean is ``alpha / (alpha + x)``;
+    the bandwidth enters only through the effective load ``beta/alpha``.
     """
-    if relative_bandwidth <= 0:
-        raise ValueError("relative bandwidth must be positive")
     if load < 0:
         raise ValueError("load must be nonnegative")
-    return _scalar_root(load, relative_bandwidth, powers, weights,
-                        noise_density)
+    _, eta, _ = _band_root(sinc_waveform(relative_bandwidth), load,
+                           np.asarray(powers, dtype=float),
+                           np.asarray(weights, dtype=float), noise_density)
+    return eta
 
 
 def solve_efficiency_sync(load: float, powers, weights,
@@ -419,5 +429,5 @@ def solve_efficiency_sync(load: float, powers, weights,
     """Synchronous-system multiuser efficiency (unit-bandwidth case)."""
     if load < 0:
         raise ValueError("load must be nonnegative")
-    return _scalar_root(load, 1.0, powers, weights, noise_density)
+    return _scalar_root(load, powers, weights, noise_density)
 

@@ -1,16 +1,18 @@
 """Exact finite-size Monte Carlo validation of the asymptotic formulas.
 
-Builds the ``rN x N`` delay/pulse matrices (block-circulant by default,
-block-Toeplitz to demonstrate their spectral equivalence), draws i.i.d.
-circularly symmetric Gaussian spreading, forms the signatures (by FFT for
-the block-circulant kind, so no circulant matrix is built, with the delay
-vectors computed once per run), computes all users' linear MMSE SINRs
-from one dense solve of the smaller Gram matrix, and runs the
-paired windowed / reduced-delay harness showing that only delays modulo
-one chip matter.  The harness assembles the Gram blocks of its windowed
-multi-symbol stack block-tridiagonally from the FFT signatures and
-eliminates them toward the centre symbol, without forming the stack, its
-full Gram matrix or any delay/pulse matrix.
+Builds the ``rN x N`` delay/pulse matrices, block-circulant by default
+and block-Toeplitz to demonstrate their spectral equivalence: both hold
+the same pulse taps, the inverse DFT of the delay vectors, wrapped at N
+chips for the circulant kind and at 16384 chips for the Toeplitz kind.
+It draws i.i.d. circularly symmetric Gaussian spreading, forms the
+signatures (by FFT for the block-circulant kind, so no circulant matrix
+is built, with the delay vectors computed once per run), computes all
+users' linear MMSE SINRs from one dense solve of the smaller Gram
+matrix, and runs the paired windowed / reduced-delay harness showing
+that only delays modulo one chip matter.  The harness assembles the Gram
+blocks of its windowed multi-symbol stack block-tridiagonally from the
+FFT signatures and eliminates them toward the centre symbol, without
+forming the stack, its full Gram matrix or any delay/pulse matrix.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
@@ -34,7 +36,6 @@ from .waveforms import (
     ChipWaveform,
     _check_oversampling,
     _delta_components,
-    _support_grid,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -46,8 +47,8 @@ _MASK64 = (1 << 64) - 1
 _TAP_THRESHOLD = 1e-6
 #: Largest tolerated fraction of pulse energy outside the N-chip reach.
 _ENERGY_TOLERANCE = 1e-4
-#: Frequency samples used for the inverse transform of the spectrum.
-_TIME_GRID_POINTS = 16384
+#: Period in chips at which the block-Toeplitz kind wraps the pulse taps.
+_TOEPLITZ_PERIOD = 16384
 
 
 class PulseTooLongError(ValueError):
@@ -149,81 +150,33 @@ def _dft_deltas(waveform: ChipWaveform, n: int, r: int,
     return _delta_components(waveform, r, wrapped, taus)
 
 
-def _circulant_phi(waveform: ChipWaveform, n: int, r: int,
-                   tau: float) -> np.ndarray:
-    """Block-circulant ``rN x N`` matrix with DFT-domain blocks.
+def _pulse_taps(waveform: ChipWaveform, period: int, r: int,
+                tau: float) -> np.ndarray:
+    """Pulse taps ``conj(phi_t(k + s/r - tau))`` wrapped at ``period`` chips.
 
-    Equals ``(F kron I_r) @ blockdiag(delta(Omega_l, tau)) @ F^H`` with the
-    unitary DFT ``F`` and ``Omega_l = 2*pi*l/N``, evaluated directly via
-    the inverse FFT of the per-frequency delay vectors.
+    Shape ``(period, r)``; row ``k`` (chips, modulo ``period``) and column
+    ``s`` (sub-row).  The inverse DFT of the delay vectors on the
+    ``period``-point grid sums ``conj(Phi(w)) exp(-j w t)`` over every alias
+    at spacing ``2*pi/period``, which by Poisson summation is the time pulse
+    folded onto ``period`` chips.
     """
-    deltas = _dft_deltas(waveform, n, r, np.array([tau]))[0]
-    # Block m of column n equals (1/N) sum_l delta(Omega_l) e^{-2pi i l(m-n)/N},
-    # so a whole-chip delay (phase e^{j Omega_l}) shifts rows down one block.
-    first_cols = np.fft.fft(deltas, axis=0) / n  # (N, r): C[m-n] pattern
-    out = np.empty((r * n, n), dtype=complex)
-    for col in range(n):
-        out[:, col] = np.roll(first_cols, col, axis=0).reshape(-1)
-    return out
-
-
-def _time_pulse(waveform: ChipWaveform, times: np.ndarray) -> np.ndarray:
-    """Inverse transform ``(1/2pi) * integral Phi(w) e^{jwt} dw``.
-
-    Midpoint quadrature over the pulse support; with the package's energy
-    convention the time pulse then carries energy ``E`` exactly.
-    """
-    omegas = _support_grid(waveform, _TIME_GRID_POINTS)
-    spacing = 2.0 * waveform._support_limit() / _TIME_GRID_POINTS
-    values = waveform.spectrum(omegas)
-    out = np.empty(times.shape, dtype=complex)
-    chunk = 512
-    for start in range(0, times.size, chunk):
-        t = times[start:start + chunk]
-        out[start:start + chunk] = (
-            np.exp(1j * np.outer(t, omegas)) @ values) * (spacing / TWO_PI)
-    return out
+    deltas = _dft_deltas(waveform, period, r, np.array([tau]))[0]
+    return np.fft.fft(deltas, axis=0) / period
 
 
 @functools.lru_cache(maxsize=16)
 def _check_pulse_fits(waveform: ChipWaveform, n: int, r: int) -> None:
     """Raise "pulse too long for N" when more than ``1e-4`` of the pulse
-    energy, sampled on the ``tau = 0`` grid, lies outside the N-chip reach.
+    energy, sampled at ``tau = 0`` on the ``1/r`` grid of ``(-N, N)``, lies
+    outside the N-chip reach.
 
     Cached per (waveform, N, r), so the matrices of all delays share it.
     """
-    reach_vals = _time_pulse(waveform, np.arange(-r * n + 1, r * n) / r)
-    captured = float(np.sum(np.abs(reach_vals) ** 2)) / r
+    taps = _pulse_taps(waveform, _TOEPLITZ_PERIOD, r, 0.0)[np.arange(-n, n)]
+    # Raveled, the rows hold times -N, -N + 1/r, ..., N - 1/r; drop -N.
+    captured = float(np.sum(np.abs(taps.ravel()[1:]) ** 2)) / r
     if waveform.energy - captured > _ENERGY_TOLERANCE * waveform.energy:
         raise PulseTooLongError("pulse too long for N")
-
-
-def _toeplitz_phi(waveform: ChipWaveform, n: int, r: int,
-                  tau: float) -> np.ndarray:
-    """Block-Toeplitz ``rN x N`` matrix of time-domain pulse samples.
-
-    Entry (block row m, sub-row s, column c) holds
-    ``conj(phi_t(s/r - tau + (m-c)))``, with times in chips — the
-    frequency-limit of the block-circulant form, so a growing delay moves
-    the pulse toward later sample rows in both constructions.  Taps below
-    ``1e-6 * max`` are zeroed; a pulse that the N-chip window cannot
-    represent raises (see :func:`_check_pulse_fits`).
-    """
-    _check_pulse_fits(waveform, n, r)
-
-    offsets = np.arange(-(n - 1), n)  # m - c
-    sub = np.arange(r)
-    times = (sub[:, None] / r) - tau + offsets[None, :]
-    taps = np.conj(_time_pulse(waveform, times.ravel())).reshape(r,
-                                                                 offsets.size)
-    taps[np.abs(taps) < _TAP_THRESHOLD * np.max(np.abs(taps))] = 0.0
-
-    rows = np.arange(n)
-    diff = rows[:, None] - rows[None, :] + (n - 1)  # index into offsets
-    out = np.empty((r * n, n), dtype=complex)
-    for s in range(r):
-        out[s::r, :] = taps[s][diff]
-    return out
 
 
 def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
@@ -231,31 +184,37 @@ def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
                      kind: str = "block_circulant") -> np.ndarray:
     """Build the ``rN x N`` delay/pulse matrix of one user.
 
-    ``delay`` may exceed one chip: the whole-chip part shifts the matrix by
-    whole blocks (cyclically for the circulant kind, zero-filled for the
-    Toeplitz kind) and the sub-chip remainder shapes the blocks.
+    Both kinds hold the same pulse taps (:func:`_pulse_taps`) at two
+    periods: entry (block row m, sub-row s, column c) is
+    ``conj(phi_t(s/r - tau + (m - c - floor(delay))))``, with ``tau`` the
+    sub-chip remainder of ``delay``.  The block-circulant kind wraps the
+    pulse at N chips, so a whole-chip delay shifts the blocks cyclically;
+    it equals ``(F kron I_r) @ blockdiag(delta(Omega_l, tau)) @ F^H`` with
+    the unitary DFT ``F`` and ``Omega_l = 2*pi*l/N``.  The block-Toeplitz
+    kind wraps it at 16384 chips, far beyond the window, zeroes taps
+    below ``1e-6 * max`` of the reach and zero-fills the first
+    ``floor(delay)`` block rows; a pulse that the N-chip window cannot
+    represent raises (see :func:`_check_pulse_fits`).
     """
     _check_oversampling(waveform, oversampling)
     if delay < 0 or not np.isfinite(delay):
         raise ValueError("delay must be finite and nonnegative")
     whole = math.floor(delay)
     tau = float(delay - whole)
+    n, r = spreading_factor, oversampling
+    lags = np.subtract.outer(np.arange(n) - whole, np.arange(n))  # m - c
     if kind == "block_circulant":
-        base = _circulant_phi(waveform, spreading_factor, oversampling, tau)
-        if whole % spreading_factor:
-            base = np.roll(base, (whole % spreading_factor) * oversampling,
-                           axis=0)
-        return base
-    if kind == "block_toeplitz":
-        base = _toeplitz_phi(waveform, spreading_factor, oversampling, tau)
-        if whole:
-            shifted = np.zeros_like(base)
-            keep = base.shape[0] - whole * oversampling
-            if keep > 0:
-                shifted[whole * oversampling:, :] = base[:keep, :]
-            base = shifted
-        return base
-    raise ValueError(f"unknown matrix kind {kind!r}")
+        blocks = _pulse_taps(waveform, n, r, tau)[lags % n]
+    elif kind == "block_toeplitz":
+        _check_pulse_fits(waveform, n, r)
+        taps = _pulse_taps(waveform, _TOEPLITZ_PERIOD, r, tau)
+        peak = np.max(np.abs(taps[np.arange(1 - n, n)]))
+        taps[np.abs(taps) < _TAP_THRESHOLD * peak] = 0.0
+        blocks = taps[lags % _TOEPLITZ_PERIOD]
+        blocks[:whole] = 0.0
+    else:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    return blocks.swapaxes(1, 2).reshape(r * n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -421,13 +421,14 @@ class TestMonteCarloCommand:
         assert header["gap_standard_errors"] == ""
 
     def test_block_toeplitz_kind_runs(self, capsys):
-        code, out, _ = _run(capsys, ["montecarlo", "--matrix-kind",
-                                     "block_toeplitz", "--n", "32",
-                                     "--trials", "2"])
+        argv = ["montecarlo", "--matrix-kind", "block_toeplitz", "--n", "32",
+                "--trials", "2", "--seed", "7"]
+        code, out, _ = _run(capsys, argv)
         assert code == 0
         header, rows = _parse(out)
         assert header["matrix_kind"] == "block_toeplitz"
         assert len(rows) == 2 * 16
+        assert _run(capsys, argv)[:2] == (0, out)
 
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "mc.csv"

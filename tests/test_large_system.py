@@ -55,10 +55,6 @@ class TestPowerDelayLaw:
         with pytest.raises(ValueError):
             law.powers[0] = 9.0
 
-    def test_mean_power(self):
-        law = PowerDelayLaw([1.0, 3.0], [0.0, 0.25], [0.75, 0.25])
-        assert law.mean_power() == pytest.approx(1.5)
-
     def test_power_marginal_merges_duplicates(self):
         law = equal_power_uniform_delays(n_delays=16, power=2.0)
         powers, weights = law.power_marginal()

@@ -47,9 +47,9 @@ RRC = root_raised_cosine_waveform(0.22)
 
 # Toeplitz-vs-circulant singular-value distances for the 0.22 roll-off
 # pulse at tau = 0.3 chips, frozen from the deterministic construction.
-SPECTRAL_DISTANCE_N8 = 0.01913412938229409
-SPECTRAL_DISTANCE_N16 = 0.013505574040976253
-SPECTRAL_DISTANCE_N64 = 0.00675143247569691
+SPECTRAL_DISTANCE_N8 = 0.01913413013173865
+SPECTRAL_DISTANCE_N16 = 0.013505574556918268
+SPECTRAL_DISTANCE_N64 = 0.006751432728000252
 
 
 def _spectral_distance(a, b) -> float:
@@ -216,16 +216,33 @@ class TestToeplitzPhi:
         # the first matrix, each delay transforms just its own taps, and a
         # pulse too long for its window is rejected on every call.
         waveform = root_raised_cosine_waveform(0.3)
-        sizes = []
-        time_pulse = montecarlo._time_pulse
-        monkeypatch.setattr(montecarlo, "_time_pulse", lambda wf, t: (
-            sizes.append(t.size), time_pulse(wf, t))[1])
+        taus = []
+        pulse_taps = montecarlo._pulse_taps
+        monkeypatch.setattr(montecarlo, "_pulse_taps", lambda wf, p, r, tau: (
+            taus.append(tau), pulse_taps(wf, p, r, tau))[1])
         for tau in (0.1, 0.2, 0.3):
             build_phi_matrix(waveform, 8, 2, tau, "block_toeplitz")
-        assert sizes == [31, 30, 30, 30]
+        assert taus == [0.0, 0.1, 0.2, 0.3]
         for _ in range(2):
             with pytest.raises(PulseTooLongError):
                 build_phi_matrix(waveform, 4, 2, 0.3, "block_toeplitz")
+
+    def test_taps_match_closed_form_rrc_pulse(self):
+        # Entry (m, s, c) is the pulse at s/r - tau + (m - c) chips; tau = 0
+        # also lands on the closed form's limits (t = 0, and t = 1/2 for
+        # rho = 0.5).
+        r = 2
+        for rho in (0.22, 0.5, 1.0):
+            waveform = root_raised_cosine_waveform(rho)
+            for n, tau in ((16, 0.3), (64, 0.77), (16, 0.0)):
+                phi = build_phi_matrix(waveform, n, r, tau, "block_toeplitz")
+                blocks = np.arange(n)
+                times = (np.arange(r)[None, :, None] / r - tau
+                         + np.subtract.outer(blocks, blocks)[:, None, :])
+                want = _rrc_pulse(times.reshape(r * n, n), rho)
+                kept = phi != 0
+                err = np.max(np.abs(phi - want)[kept])
+                assert err <= 5e-9 * np.max(np.abs(want))
 
     def test_whole_chip_shift_zero_fills(self):
         base = build_phi_matrix(RRC, 8, 2, 0.25, "block_toeplitz")
@@ -254,6 +271,25 @@ class TestToeplitzPhi:
         assert dists[16] == pytest.approx(SPECTRAL_DISTANCE_N16, abs=1e-12)
         assert dists[64] == pytest.approx(SPECTRAL_DISTANCE_N64, abs=1e-12)
         assert 1.8 <= dists[16] / dists[64] <= 2.2
+
+
+def _rrc_pulse(t, rho):
+    """Closed-form unit-energy RRC impulse response, time in chips, with
+    its limits at ``t = 0`` and ``t = +-1/(4 rho)``."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    centre = np.abs(t) < 1e-12
+    edge = np.abs(np.abs(t) - 1.0 / (4.0 * rho)) < 1e-12
+    rest = ~(centre | edge)
+    x = t[rest]
+    out[rest] = ((np.sin(np.pi * x * (1.0 - rho))
+                  + 4.0 * rho * x * np.cos(np.pi * x * (1.0 + rho)))
+                 / (np.pi * x * (1.0 - (4.0 * rho * x) ** 2)))
+    out[centre] = 1.0 - rho + 4.0 * rho / np.pi
+    angle = np.pi / (4.0 * rho)
+    out[edge] = rho / math.sqrt(2.0) * ((1.0 + 2.0 / np.pi) * np.sin(angle)
+                                        + (1.0 - 2.0 / np.pi) * np.cos(angle))
+    return out
 
 
 class TestSpectralDistance:
