@@ -43,6 +43,7 @@ import csv
 import functools
 import io
 import math
+import pathlib
 import sys
 import types
 from dataclasses import replace
@@ -386,6 +387,7 @@ def write_output(cfg: ExperimentConfig, text: str) -> None:
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
+        pathlib.Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
 

@@ -25,6 +25,7 @@ degenerates to.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ class PowerDelayLaw:
             raise ValueError("law atom arrays must share one shape")
         if powers.ndim != 1 or powers.size == 0:
             raise ValueError("law needs at least one atom")
+        if not all(np.all(np.isfinite(arr))
+                   for arr in (powers, delays, weights)):
+            raise ValueError("law atoms must be finite")
         if np.any(powers < 0):
             raise ValueError("powers must be nonnegative")
         if np.any(delays < 0):
@@ -169,10 +173,10 @@ class SystemLaw:
     law: PowerDelayLaw
 
     def __post_init__(self):
-        if self.load < 0:
-            raise ValueError("load must be nonnegative")
-        if self.noise_density <= 0:
-            raise ValueError("noise density must be positive")
+        if not 0 <= self.load < math.inf:
+            raise ValueError("load must be finite and nonnegative")
+        if not 0 < self.noise_density < math.inf:
+            raise ValueError("noise density must be finite and positive")
         _check_oversampling(self.waveform, self.oversampling)
         if np.any(self.law.delays >= 1.0):
             raise ValueError("law delays must lie in [0, T_c)")

@@ -6,13 +6,16 @@ the same pulse taps, the inverse DFT of the delay vectors, wrapped at N
 chips for the circulant kind and at 16384 chips for the Toeplitz kind.
 It draws i.i.d. circularly symmetric Gaussian spreading, forms the
 signatures (by FFT for the block-circulant kind, so no circulant matrix
-is built, with the delay vectors computed once per run), computes all
-users' linear MMSE SINRs from one dense solve of the smaller Gram
-matrix, and runs the paired windowed / reduced-delay harness showing
-that only delays modulo one chip matter.  The harness assembles the Gram
-blocks of its windowed multi-symbol stack block-tridiagonally from the
-FFT signatures and eliminates them toward the centre symbol, without
-forming the stack, its full Gram matrix or any delay/pulse matrix.
+is built, with the delay vectors computed once per run and each delay's
+whole chips folded into them as a DFT phase ramp), computes all users'
+linear MMSE SINRs from one dense solve of the smaller Gram matrix, and
+runs the paired windowed / reduced-delay harness showing that only
+delays modulo one chip matter.  The harness takes each symbol's local
+block of its windowed multi-symbol stack as the ramp-rotated FFT
+signatures masked at their whole-chip shifts, assembles the Gram blocks
+block-tridiagonally and eliminates them toward the centre symbol,
+without forming the stack, its full Gram matrix or any delay/pulse
+matrix; its trials reuse one set of work arrays per call.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
@@ -94,7 +97,7 @@ class FiniteSystem:
         if amplitudes.shape != (self.n_users,) or \
                 delays.shape != (self.n_users,):
             raise ValueError("per-user arrays must have length n_users")
-        if np.any(delays < 0) or np.any(delays >= self.spreading_factor):
+        if not np.all((delays >= 0) & (delays < self.spreading_factor)):
             raise ValueError("delays must lie in [0, T_s)")
         amplitudes.setflags(write=False)
         delays.setflags(write=False)
@@ -233,19 +236,33 @@ def _split_delays(waveform: ChipWaveform, n: int, r: int,
     return whole.astype(int), _dft_deltas(waveform, n, r, delays - whole)
 
 
-def _circulant_signatures(deltas: np.ndarray, spreading: np.ndarray,
-                          whole: np.ndarray | None = None) -> np.ndarray:
+def _phase_ramp(deltas: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """Fold whole-chip shifts into the delay vectors of :func:`_dft_deltas`.
+
+    Multiplies user ``k``'s vectors at DFT bin ``l`` by
+    ``exp(2*pi*j * l * whole[k] / N)``, so that the FFT of
+    :func:`_circulant_signatures` returns its signatures rotated down by
+    ``whole[k]`` blocks (``whole[k] * r`` rows), as the whole-chip part of
+    a delay shifts the blocks of :func:`build_phi_matrix`.  The ramp is
+    exactly 1 for a user with no whole chips.
+    """
+    n = deltas.shape[1]
+    bins = np.outer(whole, np.arange(n)) % n
+    return deltas * np.exp(1j * TWO_PI / n * bins)[..., None]
+
+
+def _circulant_signatures(deltas: np.ndarray,
+                          spreading: np.ndarray) -> np.ndarray:
     """Products ``Phi(tau_k) @ s``, block-circulant kind, by FFT.
 
-    ``deltas`` holds user ``k``'s delay vectors (from :func:`_dft_deltas`)
-    and ``spreading`` has shape ``(N, K, ...)``; the result has shape
-    ``(K, ..., rN)`` with ``Phi(tau_k)`` applied to every vector of user
-    ``k``.  Sub-row ``s`` of block ``m`` of ``Phi(tau) @ x`` is the cyclic
-    convolution ``sum_c C[m-c, s] x[c]`` with ``C = fft(delta) / N``, which
-    equals ``fft(delta[:, s] * ifft(x))[m]``.  ``whole``, if given, rolls
-    user ``k``'s rows down by ``whole[k]`` blocks, as the whole-chip part
-    of a delay does in :func:`build_phi_matrix`.  Costs ``N*r`` numbers
-    per vector instead of one ``rN x N`` matrix per user.
+    ``deltas`` holds user ``k``'s delay vectors (from :func:`_dft_deltas`,
+    or :func:`_phase_ramp` for delays of whole chips) and ``spreading``
+    has shape ``(N, K, ...)``; the result has shape ``(K, ..., rN)`` with
+    ``Phi(tau_k)`` applied to every vector of user ``k``.  Sub-row ``s`` of
+    block ``m`` of ``Phi(tau) @ x`` is the cyclic convolution
+    ``sum_c C[m-c, s] x[c]`` with ``C = fft(delta) / N``, which equals
+    ``fft(delta[:, s] * ifft(x))[m]``.  Costs ``N*r`` numbers per vector
+    instead of one ``rN x N`` matrix per user.
     """
     n, n_users = spreading.shape[:2]
     r = deltas.shape[-1]
@@ -255,10 +272,6 @@ def _circulant_signatures(deltas: np.ndarray, spreading: np.ndarray,
     batch = (1,) * (coeffs.ndim - 2)
     deltas = deltas.swapaxes(-1, -2).reshape((n_users,) + batch + (r, n))
     blocks = np.fft.fft(deltas * coeffs[..., None, :], axis=-1)
-    if whole is not None:
-        rows = (np.arange(n)[None, :] - whole[:, None]) % n
-        blocks = np.take_along_axis(
-            blocks, rows.reshape((n_users,) + batch + (1, n)), axis=-1)
     return blocks.swapaxes(-1, -2).reshape(blocks.shape[:-2] + (r * n,))
 
 
@@ -273,8 +286,9 @@ def _signature_builder(system: FiniteSystem):
     amplitudes = system.amplitudes
     if system.matrix_kind == "block_circulant":
         whole, deltas = _split_delays(system.waveform, n, r, system.delays)
+        deltas = _phase_ramp(deltas, whole)
         return lambda spreading: (_circulant_signatures(
-            deltas, spreading, whole).T * amplitudes[None, :])
+            deltas, spreading).T * amplitudes[None, :])
 
     phis = {tau: build_phi_matrix(system.waveform, n, r, tau,
                                   system.matrix_kind)
@@ -443,19 +457,50 @@ class PairedSummaries:
     reduced: TrialSummary
 
 
-def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
+class _WindowedStack:
+    """Work arrays of the windowed stack, allocated once and reused by
+    every trial of one :func:`theorem3_harness` call.
+
+    ``local[m, k]`` holds user ``k``'s column of symbol ``m`` in the two
+    ``rN``-row halves of that symbol's local block, each half laid out as
+    ``(r, N)`` (sub-row, chip).  A user's chips before its whole-chip
+    shift, ``early``, go to the bottom half and the rest to the top half.
+    Each trial writes only those entries, and the pattern is fixed at
+    construction, so the others keep the zeros they start with.
+    """
+
+    def __init__(self, whole: np.ndarray, n_symbols: int, r: int, n: int):
+        n_users = whole.size
+        self.early = (np.arange(n) < whole[:, None])[:, None, :]
+        self.local = np.zeros((n_symbols, n_users, 2, r, n), dtype=complex)
+        self.conj = np.empty_like(self.local)
+        self.diagonal = np.empty((n_symbols, n_users, n_users),
+                                 dtype=complex)
+        self.links = np.empty((2, n_symbols // 2, n_users, n_users),
+                              dtype=complex)
+        self.link_conj = np.empty_like(self.links)
+        self.correction = np.empty((2, n_users, n_users), dtype=complex)
+
+
+def _windowed_sinrs(rotated: np.ndarray, stack: _WindowedStack,
                     noise_variance: float) -> np.ndarray:
     """Center-symbol SINRs in the (2M+1)-symbol stacked system.
 
-    ``signatures[k, m]`` is ``amp_k * Phi_k s_k^{(m)}``, of length ``rN``.
-    Column (k, m) of the stack places it ``row_shifts[k]`` rows (its whole
-    chips) below symbol m's base row ``m*rN``, so it lies inside rows
-    ``[m*rN, (m+2)*rN)`` and the regularized Gram matrix
-    ``G = H^H H + sigma^2 I`` of the stack is block-tridiagonal in m.
-    Each symbol's columns are scattered into a ``2rN x K`` local block
-    ``B_m``, which gives the diagonal blocks ``D_m = B_m^H B_m + sigma^2 I``
-    and the links ``U_m = B_m[rN:]^H B_{m+1}[:rN]``; neither the
-    ``(2M+2)rN``-row stack nor ``G`` is formed.
+    Column (k, m) of the stack is ``amp_k * Phi_k s_k^{(m)}`` placed its
+    whole chips ``w_k`` (``w_k * r`` rows) below symbol m's base row
+    ``m*rN``, so it lies inside rows ``[m*rN, (m+2)*rN)`` and the
+    regularized Gram matrix ``G = H^H H + sigma^2 I`` of the stack is
+    block-tridiagonal in m.  ``rotated[m, k]``, of shape ``(r, N)``, is
+    that column rotated cyclically by ``w_k`` chips (see
+    :func:`_phase_ramp`): its chips at or past ``w_k`` are the top half of
+    the ``2rN x K`` local block ``B_m`` of the symbol, and the chips before
+    it the bottom half.  So ``B_m`` is the rotated column masked at
+    ``w_k``, copied into ``stack`` with no zero-filled scatter.  Any order
+    of the rows inside a half serves as long as every half shares it, so
+    each keeps the ``(r, N)`` layout.  The blocks give the diagonal blocks
+    ``D_m = B_m^H B_m + sigma^2 I`` and the links
+    ``U_m = B_m[rN:]^H B_{m+1}[:rN]``; neither the ``(2M+2)rN``-row stack
+    nor ``G`` is formed.
 
     Only the centre symbol's diagonal of ``G^{-1}`` is needed, and it is
     the diagonal of the inverse of the centre's Schur complement ``C``.
@@ -463,16 +508,17 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
     Appl. 13(3), 1992) folds the outer symbols in from both ends at once:
     ``S_0 = D_0``, ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` from the left
     and the mirror image from the right, so ``C`` is ``D_M`` less both
-    sides' last corrections.  Each step solves both sides' pivots in one
-    stacked ``numpy.linalg.solve``, so a call makes ``2M`` dense solves
-    of ``K x K`` matrices and one ``K x K`` inverse in
-    :func:`_gram_sinrs`, which turns ``C`` into the SINRs, instead of
-    factoring the ``(2M+1)K``-side ``G``.  A link has rank at most rN, so
-    an overloaded window (``rN < K``) solves for ``P_j^H`` with
-    ``P_j = B_j[rN:]`` (rN right-hand sides, not K) and forms the
-    correction as ``Q_j^H (P_j S_j^{-1} P_j^H) Q_j`` with
-    ``Q_j = B_{j+1}[:rN]``; at N = 64, r = 2, K = 256 that cut a call
-    from 115 to 93 ms against solving for the links (one thread).
+    sides' last corrections.  The links of all ``M`` steps come from one
+    batched product per side before the elimination.  Each step solves
+    both sides' pivots in one stacked ``numpy.linalg.solve``, so a call
+    makes ``2M`` dense solves of ``K x K`` matrices and one ``K x K``
+    inverse in :func:`_gram_sinrs`, which turns ``C`` into the SINRs,
+    instead of factoring the ``(2M+1)K``-side ``G``.  A link has rank at
+    most rN, so an overloaded window (``rN < K``) forms no link: it solves
+    for ``P_j^H`` with ``P_j = B_j[rN:]`` (rN right-hand sides, not K) and
+    forms the correction as ``Q_j^H (P_j S_j^{-1} P_j^H) Q_j`` with
+    ``Q_j = B_{j+1}[:rN]``; at N = 64, r = 2, K = 256 a call took 71-76 ms
+    that way and 104-125 ms solving for the links (one thread).
 
     It always uses that Gram-side identity, also when the window is
     overloaded (more columns than rows), where :func:`_mmse_sinrs` would
@@ -482,34 +528,51 @@ def _windowed_sinrs(signatures: np.ndarray, row_shifts: np.ndarray,
     the relative error measured up to 2e-11 at ``sigma^2 = 1e-4`` and
     1.5e-6 at ``sigma^2 = 2e-9``.
     """
-    n_users, n_symbols, rn = signatures.shape
-    local = np.zeros((n_symbols, 2 * rn, n_users), dtype=complex)
-    rows = row_shifts[:, None] + np.arange(rn)[None, :]
-    local[:, rows, np.arange(n_users)[:, None]] = signatures.swapaxes(0, 1)
-    diagonal = local.conj().swapaxes(1, 2) @ local
-    diagonal[:, np.arange(n_users), np.arange(n_users)] += noise_variance
+    local = stack.local
+    n_symbols, n_users = local.shape[:2]
+    np.copyto(local[:, :, 0], rotated, where=~stack.early)
+    np.copyto(local[:, :, 1], rotated, where=stack.early)
+    np.conjugate(local, out=stack.conj)
+    # Row k of ``blocks[m]`` is user k's column of ``B_m``, so
+    # ``B_m^H B_m = conj(blocks[m]) @ blocks[m]^T``.
+    blocks = local.reshape(n_symbols, n_users, -1)
+    diagonal = stack.diagonal
+    np.matmul(stack.conj.reshape(blocks.shape), blocks.swapaxes(1, 2),
+              out=diagonal)
+    diagonal.reshape(n_symbols, -1)[:, ::n_users + 1] += noise_variance
+    halves = local.reshape(n_symbols, n_users, 2, -1)
+    conj_halves = stack.conj.reshape(halves.shape)
     # Pivot j of row 0 is symbol j, of row 1 symbol 2M - j.  It shares rN
     # rows with the next symbol toward the centre: ``facing`` holds its
     # own and ``onward`` the next symbol's, so their link is
     # ``facing^H onward``, of rank at most rN.
-    halves = local.reshape(n_symbols, 2, rn, n_users)
     half = n_symbols // 2
-    correction = np.zeros((2, n_users, n_users), dtype=complex)
-    for j in range(half):
-        facing = halves[[j, -1 - j], [1, 0]]
-        onward = halves[[j + 1, -2 - j], [0, 1]]
-        pivots = diagonal[[j, -1 - j]] - correction
-        if rn < n_users:
-            # Overloaded: solving for the rN shared rows is cheaper than
-            # for the K columns of the link.
-            solved = _lapack(np.linalg.solve, pivots,
-                             facing.conj().swapaxes(1, 2))
-            correction = (onward.conj().swapaxes(1, 2)
-                          @ (facing @ solved) @ onward)
-        else:
-            link = facing.conj().swapaxes(1, 2) @ onward
-            solved = _lapack(np.linalg.solve, pivots, link)
-            correction = link.conj().swapaxes(1, 2) @ solved
+    correction = stack.correction
+    correction[...] = 0.0
+    if halves.shape[-1] < n_users:
+        # Overloaded: solving for the rN shared rows is cheaper than for
+        # the K columns of the link.
+        for j in range(half):
+            facing = ([j, -1 - j], slice(None), [1, 0])
+            onward = ([j + 1, -2 - j], slice(None), [0, 1])
+            pivots = diagonal[[j, -1 - j]] - correction
+            solved = _lapack(np.linalg.solve, pivots, conj_halves[facing])
+            shared = halves[facing].swapaxes(1, 2) @ solved
+            np.matmul(conj_halves[onward] @ shared,
+                      halves[onward].swapaxes(1, 2), out=correction)
+    else:
+        links, link_conj = stack.links, stack.link_conj
+        # Left pivots are symbols 0 .. M-1, right ones 2M .. M+1.
+        np.matmul(conj_halves[:half, :, 1],
+                  halves[1:half + 1, :, 0].swapaxes(1, 2), out=links[0])
+        np.matmul(conj_halves[:half:-1, :, 0],
+                  halves[-2:half - 1:-1, :, 1].swapaxes(1, 2), out=links[1])
+        np.conjugate(links, out=link_conj)
+        for j in range(half):
+            pivots = diagonal[[j, -1 - j]] - correction
+            solved = _lapack(np.linalg.solve, pivots, links[:, j])
+            np.matmul(link_conj[:, j].swapaxes(1, 2), solved,
+                      out=correction)
     centre = diagonal[half] - correction[0] - correction[1]
     return _gram_sinrs(centre, noise_variance, np.arange(n_users))
 
@@ -527,13 +590,20 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     reduced chip-asynchronous system using only ``delay_k mod 1``; returns
     center-symbol SINR summaries of both.
 
-    The sub-chip delay vectors are computed once per call.  Each trial
-    forms all ``(2*window+1) * K`` signatures in one batched FFT; the
-    reduced system reuses the center symbol's, and the windowed one goes
+    The sub-chip delay vectors, their whole-chip phase ramps
+    (:func:`_phase_ramp`) and every work array are made once per call;
+    each trial draws into the same arrays and writes through ``out=``.
+    A trial forms all ``(2*window+1) * K`` signatures, already rotated by
+    their whole chips, in one batched FFT, and the windowed system goes
     through the centre-symbol block elimination of :func:`_windowed_sinrs`,
     which solves only ``K x K`` matrices (``2*window + 1`` of them), so
     an overloaded window costs about ``(2*window+1) * K**3`` rather than
-    ``((2*window+1) * K)**3``.  No delay/pulse matrix is built.
+    ``((2*window+1) * K)**3``.  The reduced system keeps its own FFT of the
+    unrotated centre symbol.  No delay/pulse matrix is built.  At N = 64,
+    beta = 0.5, window 3 and 32 trials per call, a trial took 2.6 ms
+    against 4.2 ms when each one allocated its arrays and scattered the
+    signatures into a zero-filled stack, and it page-faulted 18.5 times
+    instead of 416 (medians of 21 runs, one BLAS thread, 2 vCPUs).
 
     When users outnumber the ``rN`` rows of one symbol the windowed SINR
     sits above the reduced one by far more than the trial noise, and the
@@ -552,26 +622,42 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     delays = np.asarray(delays, dtype=float)
     if delays.shape != (n_users,):
         raise ValueError("delays must have length n_users")
-    if np.any(delays < 0) or np.any(delays >= spreading_factor):
+    if not np.all((delays >= 0) & (delays < spreading_factor)):
         raise ValueError("delays must lie in [0, T_s)")
 
-    whole_chips, deltas = _split_delays(waveform, spreading_factor,
-                                        oversampling, delays)
-    sigma2 = oversampling * noise_density
+    n, r = spreading_factor, oversampling
+    whole, deltas = _split_delays(waveform, n, r, delays)
+    # Chips last, as in :func:`_circulant_signatures`.
+    rotated_deltas = _phase_ramp(deltas, whole).swapaxes(1, 2)
+    deltas = deltas.swapaxes(1, 2)
+    sigma2 = r * noise_density
+    # Each spreading component has this standard deviation.  numpy divides
+    # a complex number by a real ``c`` as ``z * (1 / c)``, so scaling the
+    # real and imaginary draws apart matches ``(a + 1j*b) / c`` bit for bit.
+    component_std = 1.0 / math.sqrt(2.0 * n)
 
     n_symbols = 2 * window + 1
+    draws = np.empty((2, n, n_users, n_symbols))
+    spreading = np.empty((n_symbols, n_users, n), dtype=complex)
+    coeffs = np.empty_like(spreading)
+    rotated = np.empty((n_symbols, n_users, r, n), dtype=complex)
+    centre = np.empty((n_users, r, n), dtype=complex)
+    stack = _WindowedStack(whole, n_symbols, r, n)
     win_sinr = np.empty((trials, n_users))
     red_sinr = np.empty((trials, n_users))
     for t in range(trials):
         rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
-        draws = rng.standard_normal((2, spreading_factor, n_users,
-                                     n_symbols))
-        stack = (draws[0] + 1j * draws[1]) / math.sqrt(
-            2.0 * spreading_factor)
-        signatures = _circulant_signatures(deltas, stack)
-        win_sinr[t] = _windowed_sinrs(signatures, whole_chips * oversampling,
-                                      sigma2)
-        red_sinr[t] = _mmse_sinrs(signatures[:, window].T, sigma2)
+        rng.standard_normal(out=draws)
+        np.multiply(draws[0].T, component_std, out=spreading.real)
+        np.multiply(draws[1].T, component_std, out=spreading.imag)
+        np.fft.ifft(spreading, axis=-1, out=coeffs)
+        np.multiply(rotated_deltas, coeffs[:, :, None], out=rotated)
+        np.fft.fft(rotated, axis=-1, out=rotated)
+        win_sinr[t] = _windowed_sinrs(rotated, stack, sigma2)
+        np.multiply(deltas, coeffs[window, :, None], out=centre)
+        np.fft.fft(centre, axis=-1, out=centre)
+        red_sinr[t] = _mmse_sinrs(
+            centre.swapaxes(1, 2).reshape(n_users, r * n).T, sigma2)
 
     scale = noise_density / waveform.energy
     return PairedSummaries(

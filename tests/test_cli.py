@@ -439,6 +439,12 @@ class TestMonteCarloCommand:
         assert text.startswith("# command = montecarlo")
         assert "predicted_efficiency" in text
 
+    def test_creates_missing_output_directory(self, tmp_path, capsys):
+        out_path = tmp_path / "out" / "figures" / "mc.csv"
+        code, _, _ = _run(capsys, self.ARGS + ["--out", str(out_path)])
+        assert code == 0
+        assert out_path.read_text().startswith("# command = montecarlo")
+
 
 class TestTheorem3Command:
     def test_windowed_vs_reduced_rows(self, capsys):

@@ -82,6 +82,13 @@ class TestPowerDelayLaw:
         with pytest.raises(ValueError, match="sum to one"):
             PowerDelayLaw([1.0], [0.0], [0.7])
 
+    @pytest.mark.parametrize("atoms", [
+        ([np.nan], [0.0], [1.0]), ([1.0], [np.nan], [1.0]),
+        ([1.0, 1.0], [0.0, 0.5], [np.nan, 0.5]), ([np.inf], [0.0], [1.0])])
+    def test_non_finite_atoms_rejected(self, atoms):
+        with pytest.raises(ValueError, match="must be finite"):
+            PowerDelayLaw(*atoms)
+
 
 class TestLawFactories:
     def test_uniform_delay_grid(self):
@@ -139,6 +146,14 @@ class TestSystemLaw:
         with pytest.raises(ValueError, match="T_c"):
             SystemLaw(load=1.0, noise_density=0.1, oversampling=1,
                       waveform=wf, law=bad)
+
+    @pytest.mark.parametrize("load, noise_density", [
+        (np.nan, 0.1), (np.inf, 0.1), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_parameters_rejected(self, load, noise_density):
+        with pytest.raises(ValueError, match="must be finite"):
+            SystemLaw(load=load, noise_density=noise_density,
+                      oversampling=1, waveform=sinc_waveform(1.0),
+                      law=equal_power_uniform_delays(4))
 
 
 class TestScalarClosedForms:

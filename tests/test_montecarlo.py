@@ -6,8 +6,10 @@ SINR computation, the literal leave-one-out SINR for the one-factorization
 kernel, dense delay/pulse matrices for the FFT-formed signatures, the
 literal dense multi-symbol stack and the dense block-tridiagonal Gram
 matrix for the centre-symbol elimination of the windowed kernel,
-per-side Cholesky solves (scipy) for its stacked elimination steps, the
-interference-free single-user formula, and frozen spectral
+per-side Cholesky solves (scipy) for its stacked elimination steps,
+the unshifted signatures rolled per column for the whole-chip phase
+ramp, per-trial rebuilds from fresh arrays for the harness's reused work
+arrays, the interference-free single-user formula, and frozen spectral
 distances computed once from the deterministic constructions.
 """
 
@@ -40,7 +42,11 @@ from cdmalimits.montecarlo import (
     _dft_deltas,
     _gram_sinrs,
     _mmse_sinrs,
+    _phase_ramp,
+    _split_delays,
+    _summarize,
     _windowed_sinrs,
+    _WindowedStack,
 )
 
 RRC = root_raised_cosine_waveform(0.22)
@@ -118,6 +124,13 @@ class TestFiniteSystemValidation:
             FiniteSystem(spreading_factor=8, n_users=1, oversampling=2,
                          waveform=RRC, amplitudes=np.ones(1),
                          delays=np.array([8.0]), noise_density=0.1, seed=0)
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(ValueError, match="T_s"):
+            FiniteSystem(spreading_factor=8, n_users=2, oversampling=2,
+                         waveform=RRC, amplitudes=np.ones(2),
+                         delays=np.array([0.0, np.nan]), noise_density=0.1,
+                         seed=0)
 
 
 class TestFiniteSystemFactory:
@@ -366,6 +379,32 @@ class TestCirculantSignatures:
         assert got.shape == (r * n, 8)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("waveform, r", [(sinc_waveform(1.0), 1),
+                                             (RRC, 2)])
+    def test_phase_ramp_rolls_by_whole_chips(self, waveform, r):
+        # One user per whole-chip shift 0 .. N-1, each with its own
+        # sub-chip remainder.
+        n = 16
+        whole = np.arange(n)
+        delays = whole + np.linspace(0.0, 0.95, n)
+        got_whole, deltas = _split_delays(waveform, n, r, delays)
+        assert got_whole.tolist() == whole.tolist()
+        spreading = _gaussian_columns(n, n, seed=4)
+        plain = _circulant_signatures(deltas, spreading)
+        ramped = _circulant_signatures(_phase_ramp(deltas, whole), spreading)
+        want = np.stack([np.roll(plain[k], whole[k] * r) for k in whole])
+        assert np.max(np.abs(ramped - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_phase_ramp_is_exactly_one_below_a_chip(self):
+        n, r = 16, 2
+        delays = np.linspace(0.0, 0.999, 8)
+        whole, deltas = _split_delays(RRC, n, r, delays)
+        ramped = _phase_ramp(deltas, whole)
+        assert np.array_equal(ramped, deltas)
+        spreading = _gaussian_columns(n, 8, seed=5)
+        assert np.array_equal(_circulant_signatures(ramped, spreading),
+                              _circulant_signatures(deltas, spreading))
+
 
 def _leave_one_out(h, noise_variance):
     """Literal ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k`` for every column."""
@@ -470,13 +509,28 @@ def _windowed_case(n, window, n_users, seed):
     return delays, amplitudes, spreading
 
 
-def _windowed_inputs(n, r, delays, amplitudes, spreading):
-    """``(signatures, row_shifts)`` as :func:`_windowed_sinrs` takes them."""
+def _windowed_signatures(n, r, delays, amplitudes, spreading):
+    """``(signatures, row_shifts)`` as :func:`_dense_windowed_sinrs` takes
+    them: the unrotated ``(K, 2M+1, rN)`` signatures and each user's whole
+    chips in rows."""
     whole = np.floor(delays).astype(int)
     signatures = _circulant_signatures(
         _dft_deltas(RRC, n, r, delays - whole), spreading) * \
         amplitudes[:, None, None]
     return signatures, whole * r
+
+
+def _windowed_inputs(n, r, delays, amplitudes, spreading):
+    """``(rotated, stack)`` as :func:`_windowed_sinrs` takes them: the
+    signatures rotated by the phase ramp, laid out ``(2M+1, K, r, N)``, and
+    fresh work arrays."""
+    whole, deltas = _split_delays(RRC, n, r, delays)
+    signatures = _circulant_signatures(_phase_ramp(deltas, whole),
+                                       spreading) * amplitudes[:, None, None]
+    n_users, n_symbols = signatures.shape[:2]
+    rotated = signatures.reshape(n_users, n_symbols, n, r).transpose(1, 0,
+                                                                     3, 2)
+    return rotated, _WindowedStack(whole, n_symbols, r, n)
 
 
 def _dense_windowed_sinrs(signatures, row_shifts, noise_variance):
@@ -544,13 +598,13 @@ class TestWindowedSinrs:
         # of solving the whole Gram matrix (measured 4.6e-16 at K = 4 and
         # 8.5e-15 at K = 12).
         n, r, window, noise_variance = 8, 2, 3, 2e-9
-        signatures, row_shifts = _windowed_inputs(
-            n, r, *_windowed_case(n, window, n_users, seed=n_users))
-        want = _dense_windowed_sinrs(signatures, row_shifts, noise_variance)
+        case = _windowed_case(n, window, n_users, seed=n_users)
+        want = _dense_windowed_sinrs(*_windowed_signatures(n, r, *case),
+                                     noise_variance)
         assert np.min(want) > 1e6
         np.testing.assert_allclose(
-            _windowed_sinrs(signatures, row_shifts, noise_variance), want,
-            rtol=1e-9)
+            _windowed_sinrs(*_windowed_inputs(n, r, *case), noise_variance),
+            want, rtol=1e-9)
 
     def test_factors_only_k_by_k_matrices(self, monkeypatch):
         # An overloaded window (280 columns against 128 rows) must not
@@ -558,9 +612,8 @@ class TestWindowedSinrs:
         # two matrices counts as two.
         n, r, window, n_users = 8, 2, 3, 40
         calls = _record_linalg(monkeypatch)
-        signatures, row_shifts = _windowed_inputs(
-            n, r, *_windowed_case(n, window, n_users, seed=5))
-        _windowed_sinrs(signatures, row_shifts, 0.2)
+        _windowed_sinrs(*_windowed_inputs(
+            n, r, *_windowed_case(n, window, n_users, seed=5)), 0.2)
         shapes = [shape for _, matrix, *_ in calls
                   for shape in [matrix.shape[-2:]] * _stack_size(matrix)]
         assert shapes == [(n_users, n_users)] * (2 * window + 1)
@@ -574,9 +627,8 @@ class TestWindowedSinrs:
         # when the window is overloaded (K = 40).
         n, r, window = 8, 2, 3
         calls = _record_linalg(monkeypatch)
-        signatures, row_shifts = _windowed_inputs(
-            n, r, *_windowed_case(n, window, n_users, seed=3))
-        _windowed_sinrs(signatures, row_shifts, 0.2)
+        _windowed_sinrs(*_windowed_inputs(
+            n, r, *_windowed_case(n, window, n_users, seed=3)), 0.2)
         steps = [call for call in calls if call[0] == "solve"]
         assert len(steps) == window
         for _, pivots, sides, solved in steps:
@@ -753,6 +805,37 @@ class TestTheorem3Harness:
         assert gaps[0] > 0.0
         assert gaps[1] <= 0.75 * gaps[0]
 
+    @pytest.mark.parametrize("n_users", [6, 24])
+    def test_trials_reusing_arrays_match_fresh_reference(self, n_users):
+        # The harness writes every trial into arrays made once per call.
+        # Rebuild each trial from fresh arrays instead: the same draws, the
+        # unrotated signatures scattered into the dense windowed Gram
+        # matrix, and the reduced system's own MMSE solve.  K = 24
+        # overloads each symbol's rN = 16 rows.
+        n, r, window, noise_density, seed, trials = 8, 2, 2, 0.1, 11, 5
+        delays, _, _ = _windowed_case(n, window, n_users, seed=n_users)
+        paired = theorem3_harness(RRC, n, r, n_users, delays, noise_density,
+                                  window=window, trials=trials, seed=seed)
+        sigma2 = r * noise_density
+        n_symbols = 2 * window + 1
+        win = np.empty((trials, n_users))
+        red = np.empty((trials, n_users))
+        for t in range(trials):
+            rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
+            draws = rng.standard_normal((2, n, n_users, n_symbols))
+            spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
+            signatures, row_shifts = _windowed_signatures(
+                n, r, delays, np.ones(n_users), spreading)
+            win[t] = _dense_windowed_sinrs(signatures, row_shifts, sigma2)
+            red[t] = _mmse_sinrs(signatures[:, window].T, sigma2)
+        scale = noise_density / RRC.energy
+        windowed = _summarize(win, win * scale)
+        for field in ("mean_sinr", "mean_efficiency", "standard_error",
+                      "mean_sinr_standard_error"):
+            assert getattr(paired.windowed, field) == pytest.approx(
+                getattr(windowed, field), rel=1e-12)
+        assert vars(paired.reduced) == vars(_summarize(red, red * scale))
+
     def test_summary_shapes(self):
         paired = theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1,
                                   window=2, trials=2, seed=0)
@@ -767,6 +850,8 @@ class TestTheorem3Harness:
             theorem3_harness(RRC, 8, 2, 2, np.zeros(3), 0.1)
         with pytest.raises(ValueError, match="T_s"):
             theorem3_harness(RRC, 8, 2, 2, np.array([0.0, 9.0]), 0.1)
+        with pytest.raises(ValueError, match="T_s"):
+            theorem3_harness(RRC, 8, 2, 2, np.array([0.0, np.nan]), 0.1)
         with pytest.raises(ValueError, match="trial"):
             theorem3_harness(RRC, 8, 2, 2, np.zeros(2), 0.1, trials=0)
 
