@@ -35,7 +35,6 @@ from .large_system import (
     ZeroPowerError,
     efficiency_of_user,
     equal_power_uniform_delays,
-    product_law,
     sinr_user,
     solve_efficiency_scalar,
     solve_efficiency_sinc,
@@ -111,7 +110,6 @@ __all__ = [
     "load_tabulated_waveform",
     "materialize",
     "phase_twisted_circulant",
-    "product_law",
     "q_eigendecomposition",
     "root_raised_cosine_waveform",
     "run_trials",

@@ -32,6 +32,11 @@ from .large_system import SystemLaw, _efficiency_root
 from .numerics import BracketError, bisect
 from .waveforms import LOG2_E, ChipWaveform
 
+#: SNR range searched for an Eb/N0 target, and its root's relative tolerance.
+_MIN_SNR = 1e-9
+_MAX_SNR = 1e18
+_EBN0_REL_TOL = 1e-8
+
 
 class ZeroBandwidthError(ValueError):
     """Raised when spectral efficiency is requested at zero bandwidth."""
@@ -107,15 +112,14 @@ def spectral_efficiency(capacity_per_chip: float,
     return capacity_per_chip / waveform.bandwidth
 
 
-def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
-                 rel_tol: float = 1e-8, max_snr: float = 1e18) -> float:
+def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn) -> float:
     """Invert ``Eb/N0 = load * snr / C(snr)`` for the SNR.
 
     ``capacity_fn`` maps an SNR to bits/chip and must make the ratio
     nondecreasing in SNR.  After a geometric bracket search from
-    ``snr = 1`` (down to ``1e-9`` or up to ``max_snr``), the ITP root
+    ``snr = 1`` (down to ``1e-9`` or up to ``1e18``), the ITP root
     finder (``numerics.bisect``) solves ``ln(Eb/N0) = ln(target)`` in
-    ``ln snr``, so the result lies within ``rel_tol / 2`` of the root in
+    ``ln snr``, so the result lies within ``1e-8 / 2`` of the root in
     relative terms.  Raises "unreachable Eb/N0" when the target lies below
     the channel's minimum or beyond the searchable range.
     """
@@ -134,21 +138,21 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn,
             return -math.inf
         return math.log(load * snr / c) - log_target
 
-    # Step from snr = 1 by factors of 8 toward the root, down to min_snr
-    # or up to max_snr, and keep the last step as the bracket.
-    min_snr = 1e-9
+    # Step from snr = 1 by factors of 8 toward the root, down to
+    # _MIN_SNR or up to _MAX_SNR, and keep the last step as the bracket.
     lo = hi = 1.0
     while excess(math.log(lo)) > 0.0:
-        if lo <= min_snr:
+        if lo <= _MIN_SNR:
             raise BracketError("unreachable Eb/N0")
-        hi, lo = lo, max(lo / 8.0, min_snr)
+        hi, lo = lo, max(lo / 8.0, _MIN_SNR)
     while excess(math.log(hi)) < 0.0:
         lo, hi = hi, hi * 8.0
-        if hi > max_snr:
+        if hi > _MAX_SNR:
             raise BracketError("unreachable Eb/N0")
     if lo == hi:
         return hi
-    return math.exp(bisect(excess, math.log(lo), math.log(hi), tol=rel_tol))
+    return math.exp(bisect(excess, math.log(lo), math.log(hi),
+                           tol=_EBN0_REL_TOL))
 
 
 def linear_to_decibels(value: float) -> float:

@@ -437,15 +437,18 @@ def _solved_field(sys: SystemLaw, grid_size: int):
     return field
 
 
-def _ebn0_solved_point(ebn0: float, load: float,
-                       capacity_fn: Callable[[float], float]):
-    """(snr, capacity) meeting an Eb/N0 target, or None on bracket failure."""
+def _ebn0_capacity(ebn0: float, load: float,
+                   capacity_fn: Callable[[float], float]) -> float | None:
+    """Capacity meeting an Eb/N0 target, 0.0 at zero load (where no user
+    transmits), or None on bracket failure."""
+    if load == 0.0:
+        return 0.0
     try:
         snr = snr_for_ebn0(ebn0, load, capacity_fn)
     except BracketError as exc:
         _warn(f"load {load:g}: {exc}")
         return None
-    return snr, capacity_fn(snr)
+    return capacity_fn(snr)
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +515,17 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
     if cfg.ebn0_db is None:
         raise ConfigError("figure2 needs ebn0_db")
     ebn0 = decibels_to_linear(cfg.ebn0_db)
-    sync_point = _ebn0_solved_point(
+    sync_cap = _ebn0_capacity(
         ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
     columns = ["alpha", "gamma_async_sinc", "gamma_sync"]
     rows: list[tuple] = []
     for alpha in cfg.alpha:
         waveform = sinc_waveform(alpha)
-        async_point = _ebn0_solved_point(ebn0, beta, _capacity_curve(
+        async_cap = _ebn0_capacity(ebn0, beta, _capacity_curve(
             waveform, beta, waveform.min_oversampling))
-        gamma_async = (spectral_efficiency(async_point[1], waveform)
-                       if async_point else "")
-        gamma_sync = (sync_point[1] / (alpha / 2.0) if sync_point else "")
+        gamma_async = (spectral_efficiency(async_cap, waveform)
+                       if async_cap is not None else "")
+        gamma_sync = sync_cap / (alpha / 2.0) if sync_cap is not None else ""
         rows.append((alpha, gamma_async, gamma_sync))
     write_output(cfg, render_csv(cfg, columns, rows))
     return 0
@@ -536,16 +539,17 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
     columns = ["beta", "gamma_async", "gamma_sync", "relative_gap"]
     rows: list[tuple] = []
     for beta in cfg.beta:
-        async_point = _ebn0_solved_point(ebn0, beta, _capacity_curve(
+        async_cap = _ebn0_capacity(ebn0, beta, _capacity_curve(
             waveform, beta, cfg.r, cfg.density_points))
-        sync_point = _ebn0_solved_point(
+        sync_cap = _ebn0_capacity(
             ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
-        gamma_async = (spectral_efficiency(async_point[1], waveform)
-                       if async_point else "")
-        gamma_sync = (spectral_efficiency(sync_point[1], waveform)
-                      if sync_point else "")
+        gamma_async = (spectral_efficiency(async_cap, waveform)
+                       if async_cap is not None else "")
+        gamma_sync = (spectral_efficiency(sync_cap, waveform)
+                      if sync_cap is not None else "")
+        # A zero capacity (zero load) leaves the gap empty, as does a miss.
         gap = ((gamma_async - gamma_sync) / gamma_sync
-               if async_point and sync_point else "")
+               if async_cap and sync_cap else "")
         rows.append((beta, gamma_async, gamma_sync, gap))
     gaps = [(row[3], row[0]) for row in rows if row[3] != ""]
     peak_gap, peak_beta = max(gaps) if gaps else ("", "")

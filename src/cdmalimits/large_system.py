@@ -123,20 +123,6 @@ def equal_power_uniform_delays(n_delays: int = 64,
     )
 
 
-def product_law(powers, power_weights, n_delays: int = 64) -> PowerDelayLaw:
-    """Independent product of a discrete power law and uniform delays."""
-    powers = np.asarray(powers, dtype=float)
-    pw = np.asarray(power_weights, dtype=float)
-    delays = uniform_delay_grid(n_delays)
-    grid_p, grid_t = np.meshgrid(powers, delays, indexing="ij")
-    grid_w = np.repeat(pw / n_delays, n_delays)
-    return PowerDelayLaw(
-        powers=grid_p.ravel(),
-        delays=grid_t.ravel(),
-        weights=grid_w,
-    )
-
-
 def synchronous_law(powers=(1.0,), power_weights=(1.0,),
                     delay: float = 0.0) -> PowerDelayLaw:
     """All users at one common delay (chip-synchronous when zero)."""

@@ -13,9 +13,10 @@ runs the paired windowed / reduced-delay harness showing that only
 delays modulo one chip matter.  The harness takes each symbol's local
 block of its windowed multi-symbol stack as the ramp-rotated FFT
 signatures masked at their whole-chip shifts, assembles the Gram blocks
-block-tridiagonally and eliminates them toward the centre symbol,
-without forming the stack, its full Gram matrix or any delay/pulse
-matrix; its trials reuse one set of work arrays per call.
+of the side with the smaller ones block-tridiagonally and eliminates
+them toward the centre symbol, without forming the stack, its full Gram
+matrix or any delay/pulse matrix; its trials reuse one set of work
+arrays per call.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
@@ -341,53 +342,55 @@ def _lapack(routine, *args):
         raise NotPositiveDefiniteError("not positive definite") from exc
 
 
-def _gram_sinrs(regularized: np.ndarray, noise_variance: float,
-                cols: np.ndarray) -> np.ndarray:
-    """MMSE SINRs of the columns ``cols`` from their regularized Gram matrix.
+def _gram_sinrs(regularized: np.ndarray, noise_variance: float) -> np.ndarray:
+    """MMSE SINRs of every column from their regularized Gram matrix.
 
     ``regularized`` is ``H^H H + sigma^2 I``, or the Schur complement of the
     centre symbol in such a matrix, which has the same inverse on those
-    columns.  It is inverted once, and the SINRs follow from the identity
-    ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``.  The
-    identity holds for any number of columns and stays accurate at high
-    SINR.  A diagonal entry of the inverse that is not finite and positive
-    raises :class:`NotPositiveDefiniteError`.
+    columns.  One inverse gives
+    ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``, accurate
+    at high SINR unless columns outnumber rows.  A diagonal entry of the
+    inverse that is not finite and positive raises
+    :class:`NotPositiveDefiniteError`.
     """
     inverse = _lapack(np.linalg.inv, regularized)
-    diagonal = np.real(inverse[cols, cols])
+    diagonal = np.real(np.diagonal(inverse))
     if not np.all((diagonal > 0.0) & (diagonal < np.inf)):
         raise NotPositiveDefiniteError("not positive definite")
     return 1.0 / (noise_variance * diagonal) - 1.0
 
 
-def _mmse_sinrs(h: np.ndarray, noise_variance: float,
-                users=None) -> np.ndarray:
-    """Linear MMSE SINRs of the columns ``users`` of ``h`` (all by default).
+def _row_sinrs(regularized: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """MMSE SINRs ``u / (1 - u)`` of the columns ``selected`` of ``H``.
 
-    One dense solve of the smaller Gram matrix serves every column.  With
-    no more columns than rows it inverts the ``K x K``
-    ``H^H H + sigma^2 I`` and uses the identity
-    ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``, which
-    also stays accurate at high SINR; otherwise it solves the row-side
-    ``H H^H + sigma^2 I`` against the selected columns and returns
-    ``u / (1 - u)`` with ``u = h_k^H (H H^H + sigma^2 I)^{-1} h_k``.  Both
-    equal the leave-one-out ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``.
-    A positive-definite row side keeps every ``u`` in ``[0, 1)``; a ``u``
-    outside it raises :class:`NotPositiveDefiniteError`.
+    ``regularized`` is ``H H^H + sigma^2 I``, or the Schur complement of
+    the rows ``selected`` spans, and ``u = h_k^H regularized^{-1} h_k``
+    comes from one solve.  A ``u`` outside the ``[0, 1)`` that a
+    positive-definite matrix keeps raises :class:`NotPositiveDefiniteError`.
     """
-    rows, n_cols = h.shape
-    cols = np.arange(n_cols) if users is None else np.asarray(users)
-    row_side = n_cols > rows
-    gram = h @ h.conj().T if row_side else h.conj().T @ h
-    gram[np.diag_indices(gram.shape[0])] += noise_variance
-    if not row_side:
-        return _gram_sinrs(gram, noise_variance, cols)
-    selected = h[:, cols]
-    solved = _lapack(np.linalg.solve, gram, selected)
+    solved = _lapack(np.linalg.solve, regularized, selected)
     u = np.real(np.sum(np.conj(selected) * solved, axis=0))
     if not np.all((u >= 0.0) & (u < 1.0)):
         raise NotPositiveDefiniteError("not positive definite")
     return u / (1.0 - u)
+
+
+def _mmse_sinrs(h: np.ndarray, noise_variance: float) -> np.ndarray:
+    """Linear MMSE SINRs of every column of ``h``.
+
+    One dense solve of the smaller Gram matrix serves every column: the
+    ``K x K`` ``H^H H + sigma^2 I`` through :func:`_gram_sinrs` when
+    columns do not outnumber rows, the row-side ``H H^H + sigma^2 I``
+    through :func:`_row_sinrs` otherwise.  Both equal the leave-one-out
+    ``h_k^H (H_k H_k^H + sigma^2 I)^{-1} h_k``.
+    """
+    rows, n_cols = h.shape
+    row_side = n_cols > rows
+    gram = h @ h.conj().T if row_side else h.conj().T @ h
+    gram[np.diag_indices(gram.shape[0])] += noise_variance
+    if row_side:
+        return _row_sinrs(gram, h)
+    return _gram_sinrs(gram, noise_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,115 +469,109 @@ class _WindowedStack:
     ``(r, N)`` (sub-row, chip).  A user's chips before its whole-chip
     shift, ``early``, go to the bottom half and the rest to the top half.
     Each trial writes only those entries, and the pattern is fixed at
-    construction, so the others keep the zeros they start with.
+    construction, so the others keep the zeros they start with.  The
+    elimination's blocks are ``K x K`` on the Gram side and ``rN x rN`` on
+    the row side, which ``row_side`` picks when users outnumber ``rN``.
     """
 
     def __init__(self, whole: np.ndarray, n_symbols: int, r: int, n: int):
         n_users = whole.size
+        self.row_side = n_users > r * n
+        size = min(n_users, r * n)
         self.early = (np.arange(n) < whole[:, None])[:, None, :]
         self.local = np.zeros((n_symbols, n_users, 2, r, n), dtype=complex)
         self.conj = np.empty_like(self.local)
-        self.diagonal = np.empty((n_symbols, n_users, n_users),
+        self.diagonal = np.empty((n_symbols + self.row_side, size, size),
                                  dtype=complex)
-        self.links = np.empty((2, n_symbols // 2, n_users, n_users),
-                              dtype=complex)
+        self.links = np.empty((2, n_symbols // 2, size, size), dtype=complex)
         self.link_conj = np.empty_like(self.links)
-        self.correction = np.empty((2, n_users, n_users), dtype=complex)
+        self.correction = np.empty((2, size, size), dtype=complex)
+        if self.row_side:
+            self.products = np.empty((n_symbols, 2 * r * n, 2 * r * n),
+                                     dtype=complex)
 
 
 def _windowed_sinrs(rotated: np.ndarray, stack: _WindowedStack,
                     noise_variance: float) -> np.ndarray:
     """Center-symbol SINRs in the (2M+1)-symbol stacked system.
 
-    Column (k, m) of the stack is ``amp_k * Phi_k s_k^{(m)}`` placed its
-    whole chips ``w_k`` (``w_k * r`` rows) below symbol m's base row
-    ``m*rN``, so it lies inside rows ``[m*rN, (m+2)*rN)`` and the
-    regularized Gram matrix ``G = H^H H + sigma^2 I`` of the stack is
-    block-tridiagonal in m.  ``rotated[m, k]``, of shape ``(r, N)``, is
-    that column rotated cyclically by ``w_k`` chips (see
-    :func:`_phase_ramp`): its chips at or past ``w_k`` are the top half of
-    the ``2rN x K`` local block ``B_m`` of the symbol, and the chips before
-    it the bottom half.  So ``B_m`` is the rotated column masked at
-    ``w_k``, copied into ``stack`` with no zero-filled scatter.  Any order
-    of the rows inside a half serves as long as every half shares it, so
-    each keeps the ``(r, N)`` layout.  The blocks give the diagonal blocks
-    ``D_m = B_m^H B_m + sigma^2 I`` and the links
-    ``U_m = B_m[rN:]^H B_{m+1}[:rN]``; neither the ``(2M+2)rN``-row stack
-    nor ``G`` is formed.
+    Column (k, m) of the stack ``H`` is ``amp_k * Phi_k s_k^{(m)}`` placed
+    its whole chips ``w_k`` (``w_k * r`` rows) below symbol m's base row
+    ``m*rN``, so it lies in row blocks m and m+1 of ``rN`` rows each.
+    ``rotated[m, k]``, of shape ``(r, N)``, is that column rotated
+    cyclically by ``w_k`` chips (see :func:`_phase_ramp`): its chips at or
+    past ``w_k`` are the top half ``T_m`` of the symbol's ``2rN x K`` local
+    block ``B_m``, the chips before it the bottom half ``L_m``.  So ``B_m``
+    is the rotated column masked at ``w_k``, with no zero-filled scatter;
+    any row order inside a half serves if every half shares it.
 
-    Only the centre symbol's diagonal of ``G^{-1}`` is needed, and it is
-    the diagonal of the inverse of the centre's Schur complement ``C``.
-    Block elimination toward the centre (Meurant, SIAM J. Matrix Anal.
-    Appl. 13(3), 1992) folds the outer symbols in from both ends at once:
-    ``S_0 = D_0``, ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` from the left
-    and the mirror image from the right, so ``C`` is ``D_M`` less both
-    sides' last corrections.  The links of all ``M`` steps come from one
-    batched product per side before the elimination.  Each step solves
-    both sides' pivots in one stacked ``numpy.linalg.solve``, so a call
-    makes ``2M`` dense solves of ``K x K`` matrices and one ``K x K``
-    inverse in :func:`_gram_sinrs`, which turns ``C`` into the SINRs,
-    instead of factoring the ``(2M+1)K``-side ``G``.  A link has rank at
-    most rN, so an overloaded window (``rN < K``) forms no link: it solves
-    for ``P_j^H`` with ``P_j = B_j[rN:]`` (rN right-hand sides, not K) and
-    forms the correction as ``Q_j^H (P_j S_j^{-1} P_j^H) Q_j`` with
-    ``Q_j = B_{j+1}[:rN]``; at N = 64, r = 2, K = 256 a call took 71-76 ms
-    that way and 104-125 ms solving for the links (one thread).
-
-    It always uses that Gram-side identity, also when the window is
-    overloaded (more columns than rows), where :func:`_mmse_sinrs` would
-    switch to the row side.  ``G`` then has eigenvalues near ``sigma^2``,
-    and the SINRs lose digits as about ``eps / sigma^2``: against the
-    literal leave-one-out on the dense stack (N = 8, r = 2, K = 24 and 40)
-    the relative error measured up to 2e-11 at ``sigma^2 = 1e-4`` and
-    1.5e-6 at ``sigma^2 = 2e-9``.
+    Like :func:`_mmse_sinrs` it works on the side with the smaller blocks,
+    and both sides are block-tridiagonal: while users do not outnumber
+    ``rN``, ``H^H H + sigma^2 I`` has 2M+1 blocks
+    ``B_m^H B_m + sigma^2 I`` linked by ``L_m^H T_{m+1}``; otherwise
+    ``H H^H + sigma^2 I`` has 2M+2 row blocks
+    ``E_i = T_i T_i^H + L_{i-1} L_{i-1}^H + sigma^2 I`` linked by
+    ``V_i = T_i L_i^H``.  Block elimination toward the centre (Meurant,
+    SIAM J. Matrix Anal. Appl. 13(3), 1992),
+    ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` for diagonal blocks ``D``
+    and links ``U``, folds in both ends at once with one stacked
+    ``numpy.linalg.solve`` per step, so a call makes ``2M`` solves of
+    ``min(K, rN)``-square pivots and forms neither ``H`` nor a full Gram
+    matrix.  The centre symbol's Schur complement goes to
+    :func:`_gram_sinrs`, or on the row side the ``2rN x 2rN``
+    ``[[E_M - c_L, V_M], [V_M^H, E_{M+1} - c_R]]`` of its rows to
+    :func:`_row_sinrs`, which keeps an overloaded window accurate at high
+    SINR.
     """
     local = stack.local
     n_symbols, n_users = local.shape[:2]
     np.copyto(local[:, :, 0], rotated, where=~stack.early)
     np.copyto(local[:, :, 1], rotated, where=stack.early)
     np.conjugate(local, out=stack.conj)
-    # Row k of ``blocks[m]`` is user k's column of ``B_m``, so
-    # ``B_m^H B_m = conj(blocks[m]) @ blocks[m]^T``.
+    # Row k of ``blocks[m]`` is user k's column of ``B_m``.
     blocks = local.reshape(n_symbols, n_users, -1)
-    diagonal = stack.diagonal
-    np.matmul(stack.conj.reshape(blocks.shape), blocks.swapaxes(1, 2),
-              out=diagonal)
-    diagonal.reshape(n_symbols, -1)[:, ::n_users + 1] += noise_variance
-    halves = local.reshape(n_symbols, n_users, 2, -1)
-    conj_halves = stack.conj.reshape(halves.shape)
-    # Pivot j of row 0 is symbol j, of row 1 symbol 2M - j.  It shares rN
-    # rows with the next symbol toward the centre: ``facing`` holds its
-    # own and ``onward`` the next symbol's, so their link is
-    # ``facing^H onward``, of rank at most rN.
+    conj_blocks = stack.conj.reshape(blocks.shape)
+    diagonal, links, correction = stack.diagonal, stack.links, stack.correction
     half = n_symbols // 2
-    correction = stack.correction
-    correction[...] = 0.0
-    if halves.shape[-1] < n_users:
-        # Overloaded: solving for the rN shared rows is cheaper than for
-        # the K columns of the link.
-        for j in range(half):
-            facing = ([j, -1 - j], slice(None), [1, 0])
-            onward = ([j + 1, -2 - j], slice(None), [0, 1])
-            pivots = diagonal[[j, -1 - j]] - correction
-            solved = _lapack(np.linalg.solve, pivots, conj_halves[facing])
-            shared = halves[facing].swapaxes(1, 2) @ solved
-            np.matmul(conj_halves[onward] @ shared,
-                      halves[onward].swapaxes(1, 2), out=correction)
+    rn = blocks.shape[-1] // 2
+    if stack.row_side:
+        # ``products[m] = B_m B_m^H`` holds ``T_m T_m^H``, ``V_m`` and
+        # ``L_m L_m^H``; left pivots are row blocks 0 .. M-1, right ones
+        # 2M+1 .. M+2, each linked to the next block toward the centre.
+        products = np.matmul(blocks.swapaxes(1, 2), conj_blocks,
+                             out=stack.products)
+        diagonal[:-1] = products[:, :rn, :rn]
+        diagonal[-1] = 0.0
+        diagonal[1:] += products[:, rn:, rn:]
+        links[0] = products[:half, :rn, rn:]
+        links[1] = products[:half:-1, rn:, :rn]
     else:
-        links, link_conj = stack.links, stack.link_conj
-        # Left pivots are symbols 0 .. M-1, right ones 2M .. M+1.
+        # ``B_m^H B_m = conj(blocks[m]) @ blocks[m]^T``.  Pivot j of row 0
+        # is symbol j, of row 1 symbol 2M - j; its link to the next symbol
+        # toward the centre is the product of the halves they share.
+        np.matmul(conj_blocks, blocks.swapaxes(1, 2), out=diagonal)
+        halves = local.reshape(n_symbols, n_users, 2, -1)
+        conj_halves = stack.conj.reshape(halves.shape)
         np.matmul(conj_halves[:half, :, 1],
                   halves[1:half + 1, :, 0].swapaxes(1, 2), out=links[0])
         np.matmul(conj_halves[:half:-1, :, 0],
                   halves[-2:half - 1:-1, :, 1].swapaxes(1, 2), out=links[1])
-        np.conjugate(links, out=link_conj)
-        for j in range(half):
-            pivots = diagonal[[j, -1 - j]] - correction
-            solved = _lapack(np.linalg.solve, pivots, links[:, j])
-            np.matmul(link_conj[:, j].swapaxes(1, 2), solved,
-                      out=correction)
-    centre = diagonal[half] - correction[0] - correction[1]
-    return _gram_sinrs(centre, noise_variance, np.arange(n_users))
+    size = diagonal.shape[-1]
+    diagonal.reshape(len(diagonal), -1)[:, ::size + 1] += noise_variance
+    np.conjugate(links, out=stack.link_conj)
+    correction[...] = 0.0
+    for j in range(half):
+        pivots = diagonal[[j, -1 - j]] - correction
+        solved = _lapack(np.linalg.solve, pivots, links[:, j])
+        np.matmul(stack.link_conj[:, j].swapaxes(1, 2), solved,
+                  out=correction)
+    if not stack.row_side:
+        return _gram_sinrs(diagonal[half] - correction[0] - correction[1],
+                           noise_variance)
+    centre = products[half]
+    centre[:rn, :rn] = diagonal[half] - correction[0]
+    centre[rn:, rn:] = diagonal[half + 1] - correction[1]
+    return _row_sinrs(centre, blocks[half].T)
 
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
@@ -596,14 +593,16 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     A trial forms all ``(2*window+1) * K`` signatures, already rotated by
     their whole chips, in one batched FFT, and the windowed system goes
     through the centre-symbol block elimination of :func:`_windowed_sinrs`,
-    which solves only ``K x K`` matrices (``2*window + 1`` of them), so
-    an overloaded window costs about ``(2*window+1) * K**3`` rather than
-    ``((2*window+1) * K)**3``.  The reduced system keeps its own FFT of the
-    unrotated centre symbol.  No delay/pulse matrix is built.  At N = 64,
-    beta = 0.5, window 3 and 32 trials per call, a trial took 2.6 ms
-    against 4.2 ms when each one allocated its arrays and scattered the
-    signatures into a zero-filled stack, and it page-faulted 18.5 times
-    instead of 416 (medians of 21 runs, one BLAS thread, 2 vCPUs).
+    whose pivots are ``min(K, rN)`` square, so a window costs about
+    ``(2*window+1) * min(K, rN)**3`` rather than ``((2*window+1) * K)**3``.
+    The reduced system keeps its own FFT of the unrotated centre symbol.
+    No delay/pulse matrix is built.  At N = 64, beta = 0.5, window 3 and
+    32 trials per call, a trial took 2.6 ms against 4.2 ms when each one
+    allocated its arrays and scattered the signatures into a zero-filled
+    stack, and it page-faulted 18.5 times instead of 416 (medians of 21
+    runs, one BLAS thread, 2 vCPUs).  At beta = 4 (K = 256 > rN = 128) an
+    overloaded trial took 46-67 ms on the row side, against 73-111 ms on
+    the Gram side it replaced (6 trials per call, 20 calls).
 
     When users outnumber the ``rN`` rows of one symbol the windowed SINR
     sits above the reduced one by far more than the trial noise, and the

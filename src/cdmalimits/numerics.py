@@ -41,6 +41,8 @@ class FixedPointReport:
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10000
+#: Cap on ITP steps, well above the ``ceil(log2(width / tol)) + 1`` it needs.
+ITP_MAX_STEPS = 200
 
 
 def fixed_point(step, init):
@@ -92,8 +94,7 @@ def fixed_point(step, init):
     return x, report
 
 
-def bisect(fn, lo: float, hi: float, tol: float = 1e-12,
-           max_iter: int = 200) -> float:
+def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bracketed root of a scalar function by the ITP method.
 
     Interpolate, truncate, project (Oliveira & Takahashi, ACM TOMS 47(1),
@@ -128,7 +129,7 @@ def bisect(fn, lo: float, hi: float, tol: float = 1e-12,
     # last bracket past it.
     half_tol = 0.5 * tol - 2.0 * math.ulp(max(abs(lo), abs(hi)))
     steps = max(math.ceil(math.log2((hi - lo) / tol)), 0) + 1
-    for j in range(max_iter):
+    for j in range(ITP_MAX_STEPS):
         width = hi - lo
         if width <= tol:
             break

@@ -193,27 +193,6 @@ class ChipWaveform:
         return (float(np.sum(gain / (1.0 + y))) * weight / self.energy,
                 float(np.sum(np.log1p(y) - y / (1.0 + y))) * weight * LOG2_E)
 
-    def _amplitude_at(self, omega: np.ndarray) -> np.ndarray:
-        """``Phi`` evaluated with out-of-support queries clamped/zeroed.
-
-        Internal helper for alias sums: frequencies that overshoot the
-        support edge by a floating-point hair are clamped onto it; anything
-        genuinely outside evaluates to zero (never an error, even for
-        tabulated pulses).
-        """
-        edge = self._support_limit()
-        tol = _EDGE_RTOL * max(1.0, edge)
-        w = np.clip(omega, -edge, edge)
-        out = np.zeros(w.shape, dtype=complex)
-        inside = np.abs(omega) <= edge + tol
-        if self.kind == "tabulated":
-            lo, hi = self.table_omega[0], self.table_omega[-1]
-            inside &= (w >= lo - tol) & (w <= hi + tol)
-            w = np.clip(w, lo, hi)
-        if np.any(inside):
-            out[inside] = self.spectrum(w[inside])
-        return out
-
 
 def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
     """Midpoint grid over the (symmetric) pulse support in rad per chip."""
@@ -266,7 +245,9 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
         Complex spectrum samples ``Phi(omega)``.
 
     The bandwidth is the largest sampled ``|omega|/(2*pi)`` and the energy
-    is the trapezoidal ``(1/2pi) * integral |Phi|^2`` over the table.
+    is the exact ``(1/2pi) * integral |Phi|^2`` of the interpolated pulse:
+    ``h * (|p|^2 + Re(p * conj(q)) + |q|^2) / 3`` on a segment of width
+    ``h`` from ``p`` to ``q``, which is Simpson's rule on ``|Phi|^2``.
     """
     om = np.asarray(omega, dtype=float)
     val = np.asarray(values, dtype=complex)
@@ -280,7 +261,9 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     val = val.copy()
     om.setflags(write=False)
     val.setflags(write=False)
-    energy = float(np.trapezoid(np.abs(val) ** 2, om) / TWO_PI)
+    p, q = val[:-1], val[1:]
+    segments = np.abs(p) ** 2 + np.real(p * np.conj(q)) + np.abs(q) ** 2
+    energy = float(np.sum(np.diff(om) * segments) / (3.0 * TWO_PI))
     return ChipWaveform(
         kind="tabulated",
         bandwidth=float(np.max(np.abs(om)) / TWO_PI),
@@ -338,13 +321,15 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     nu_hi = math.ceil((limit - float(np.min(om))) / TWO_PI + 1e-9)
     nus = np.arange(nu_lo, nu_hi + 1)
     args = om[:, None] + TWO_PI * nus[None, :]
-    inside = np.abs(args) <= limit + tol
-    on_edge = np.abs(np.abs(args) - limit) <= tol
-    weights = np.where(on_edge, 0.5, 1.0) * inside
+    # Aliases a hair past an end are evaluated on it; a tabulated pulse
+    # is zero where the support reaches beyond its table.
+    lo, hi = -limit, limit
+    if waveform.kind == "tabulated":
+        lo, hi = waveform.table_omega[0], waveform.table_omega[-1]
+    inside = (args >= lo - tol) & (args <= hi + tol)
     amps = np.zeros(args.shape, dtype=complex)
-    if np.any(inside):
-        amps[inside] = np.conj(waveform._amplitude_at(args[inside]))
-    amps *= weights
+    amps[inside] = np.conj(waveform.spectrum(np.clip(args[inside], lo, hi)))
+    amps *= np.where(np.abs(np.abs(args) - limit) <= tol, 0.5, 1.0)
     return args, amps
 
 

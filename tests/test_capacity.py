@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from cdmalimits import (
     BracketError,
     HypothesisViolationError,
+    PowerDelayLaw,
     SystemLaw,
     ZeroBandwidthError,
     capacity_constrained,
@@ -29,7 +30,6 @@ from cdmalimits import (
     decibels_to_linear,
     equal_power_uniform_delays,
     linear_to_decibels,
-    product_law,
     root_raised_cosine_waveform,
     sinc_waveform,
     snr_for_ebn0,
@@ -37,7 +37,13 @@ from cdmalimits import (
     spectral_efficiency,
     synchronous_law,
     tabulated_waveform,
+    uniform_delay_grid,
 )
+
+# Two equally likely power levels, 1 and 4, each on 16 uniform delays.
+TWO_LEVEL_LAW = PowerDelayLaw(np.repeat([1.0, 4.0], 16),
+                              np.tile(uniform_delay_grid(16), 2),
+                              np.full(32, 1.0 / 32.0))
 
 # Frozen values computed once from the closed form and pinned.
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
@@ -188,7 +194,7 @@ _BUILT_IN_PULSES = {
 @pytest.mark.parametrize("pulse", sorted(_BUILT_IN_PULSES))
 def test_closed_form_matches_fine_grid(pulse, two_level):
     waveform = _BUILT_IN_PULSES[pulse]()
-    law = (product_law([1.0, 4.0], [0.5, 0.5], 16) if two_level
+    law = (TWO_LEVEL_LAW if two_level
            else equal_power_uniform_delays(16))
     for load in (0.25, 1.0, 4.0, 8.0):
         for n0 in (1e-3, 1e-2, 0.1, 1.0):
@@ -381,7 +387,7 @@ _WAVEFORMS = {
 ])
 def test_closed_form_matches_immse_oracle(waveform, load, two_level, snr):
     make_waveform, oversampling = _WAVEFORMS[waveform]
-    law = (product_law([1.0, 4.0], [0.5, 0.5], 16) if two_level
+    law = (TWO_LEVEL_LAW if two_level
            else equal_power_uniform_delays(16))
     sys = SystemLaw(load=load, noise_density=1.0 / snr,
                     oversampling=oversampling, waveform=make_waveform(),

@@ -370,6 +370,24 @@ class TestFigureCommands:
         header, _ = _parse(out)
         assert header["peak_relative_gap"] == header["peak_gap_beta"] == ""
 
+    def test_zero_load_rows(self, capsys):
+        # At zero load no user transmits: zero spectral efficiency on both
+        # sides and no gap, as capacity reports for beta = 0.
+        code, out, _ = _run(capsys, ["figure3", "--beta", "0:2:3"])
+        assert code == 0
+        header, rows = _parse(out)
+        assert [float(r["beta"]) for r in rows] == [0.0, 1.0, 2.0]
+        assert (rows[0]["gamma_async"], rows[0]["gamma_sync"],
+                rows[0]["relative_gap"]) == ("0.0", "0.0", "")
+        assert all(float(r["relative_gap"]) > 0.0 for r in rows[1:])
+        assert header["peak_gap_beta"] == "2.0"
+        code, out, _ = _run(capsys, ["figure2", "--beta", "0",
+                                     "--alpha", "0.5:2:2"])
+        assert code == 0
+        _, rows = _parse(out)
+        assert [(r["gamma_async_sinc"], r["gamma_sync"]) for r in rows] == \
+            [("0.0", "0.0")] * 2
+
 
 class TestMonteCarloCommand:
     ARGS = ["montecarlo", "--n", "16", "--trials", "2", "--n-delays", "4",

@@ -23,7 +23,6 @@ from cdmalimits import (
     ZeroPowerError,
     efficiency_of_user,
     equal_power_uniform_delays,
-    product_law,
     root_raised_cosine_waveform,
     sinc_waveform,
     sinr_user,
@@ -63,7 +62,9 @@ class TestPowerDelayLaw:
         assert weights[0] == pytest.approx(1.0)
 
     def test_power_marginal_keeps_distinct_levels(self):
-        law = product_law([1.0, 4.0], [0.25, 0.75], n_delays=8)
+        law = PowerDelayLaw(np.repeat([1.0, 4.0], 8),
+                            np.tile(uniform_delay_grid(8), 2),
+                            np.repeat([0.25, 0.75], 8) / 8)
         powers, weights = law.power_marginal()
         np.testing.assert_allclose(powers, [1.0, 4.0])
         np.testing.assert_allclose(weights, [0.25, 0.75])
@@ -105,14 +106,6 @@ class TestLawFactories:
         np.testing.assert_allclose(law.powers, 3.0)
         np.testing.assert_allclose(law.weights, 1.0 / 8.0)
         assert law.delays.max() < 1.0
-
-    def test_product_law_weights(self):
-        law = product_law([1.0, 2.0], [0.4, 0.6], n_delays=4)
-        assert law.n_atoms == 8
-        assert law.weights.sum() == pytest.approx(1.0)
-        # Each power level spreads its weight evenly over delays.
-        mask = law.powers == 2.0
-        assert law.weights[mask].sum() == pytest.approx(0.6)
 
     def test_synchronous_law_flags(self):
         law = synchronous_law([1.0, 2.0], [0.5, 0.5])
@@ -328,7 +321,10 @@ class TestScalarSpectrumSolver:
         # ceil(2B) - 1 = 2 and an even grid needs more than 2 delays.
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=3,
                         waveform=sinc_waveform(3.0),
-                        law=product_law([1.0, 2.0], [0.5, 0.5], n_delays))
+                        law=PowerDelayLaw(
+                            np.repeat([1.0, 2.0], n_delays),
+                            np.tile(uniform_delay_grid(n_delays), 2),
+                            np.full(2 * n_delays, 0.5 / n_delays)))
         if n_delays <= 2:
             with pytest.raises(HypothesisViolationError):
                 solve_efficiency_scalar(sys)

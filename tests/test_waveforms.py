@@ -137,11 +137,19 @@ class TestTabulatedWaveform:
         np.testing.assert_allclose(wf.spectrum(probe), ref.spectrum(probe),
                                    atol=2e-4)
 
-    def test_energy_matches_trapezoid(self):
+    def test_energy_of_interpolated_pulse(self):
+        # |Phi|^2 of the interpolated pulse is quadratic per segment: t^2
+        # on [-1, 0] integrates to 1/3 and |1 + (j - 1) t/2|^2 on [0, 2]
+        # to 4/3.  The trapezoid (1/2 + 2) overstates the energy by
+        # h |p - q|^2 / 6 per segment.
+        wf = tabulated_waveform([-1.0, 0.0, 2.0], [0.0, 1.0, 1j])
+        assert wf.energy == pytest.approx(5.0 / 3.0 / TWO_PI, rel=1e-15)
         _, grid, vals = self._rrc_table()
         wf = tabulated_waveform(grid, vals)
-        want = np.trapezoid(np.abs(vals) ** 2, grid) / TWO_PI
-        assert wf.energy == pytest.approx(want, rel=1e-12)
+        excess = np.sum(np.diff(grid) * np.abs(np.diff(vals)) ** 2) / 6.0
+        trapezoid = np.trapezoid(np.abs(vals) ** 2, grid)
+        assert wf.energy == pytest.approx((trapezoid - excess) / TWO_PI,
+                                          rel=1e-12)
         assert wf.energy == pytest.approx(1.0, rel=1e-4)
 
     def test_bandwidth_from_table_extent(self):
