@@ -15,21 +15,24 @@ block of its windowed multi-symbol stack as the ramp-rotated FFT
 signatures masked at their whole-chip shifts, assembles the Gram blocks
 of the side with the smaller ones block-tridiagonally and eliminates
 them toward the centre symbol, without forming the stack, its full Gram
-matrix or any delay/pulse matrix; its trials reuse one set of work
-arrays per call.
+matrix or any delay/pulse matrix.  Its trials are dealt round-robin to
+one thread per usable CPU while OpenBLAS is pinned to one thread, and
+each worker reuses one set of work arrays.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
 
 Reproducibility: every random quantity flows from one 64-bit master seed;
 trial ``t`` uses ``master XOR ((t+1) * 0x9E3779B97F4A7C15 mod 2^64)`` as
-its own generator seed.
+its own generator seed, so no result depends on which thread ran a trial.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -461,17 +464,23 @@ class PairedSummaries:
 
 
 class _WindowedStack:
-    """Work arrays of the windowed stack, allocated once and reused by
-    every trial of one :func:`theorem3_harness` call.
+    """Work arrays of the windowed stack, allocated once per worker of a
+    :func:`theorem3_harness` call and reused by each of its trials.
 
-    ``local[m, k]`` holds user ``k``'s column of symbol ``m`` in the two
-    ``rN``-row halves of that symbol's local block, each half laid out as
-    ``(r, N)`` (sub-row, chip).  A user's chips before its whole-chip
-    shift, ``early``, go to the bottom half and the rest to the top half.
-    Each trial writes only those entries, and the pattern is fixed at
-    construction, so the others keep the zeros they start with.  The
-    elimination's blocks are ``K x K`` on the Gram side and ``rN x rN`` on
-    the row side, which ``row_side`` picks when users outnumber ``rN``.
+    A trial writes its rotated signatures into ``top``, laid out
+    ``(2M+1, K, r, N)`` (symbol, user, sub-row, chip); it is contiguous
+    because numpy's FFT into a strided view of all symbols' blocks took
+    nearly three times as long (K = 32, N = 64).  ``blocks`` holds
+    the local blocks of two consecutive symbols, in alternate slots, and
+    ``conj`` their conjugates: user ``k``'s column in the two ``rN``-row
+    halves of a block, each half laid out as ``(r, N)``.  A user's chips
+    before its whole-chip shift, ``early``, go to the bottom half and the
+    ``late`` rest to the top half.  That pattern is the same for every
+    symbol, so the other entries keep the zeros they start with.  The
+    elimination's blocks are ``K x K`` on the Gram side and ``rN x rN``
+    on the row side, which ``row_side`` picks when users outnumber
+    ``rN``; the row side also keeps the last ``L_m L_m^H`` (``lower``)
+    and the centre's ``2rN x 2rN`` complement.
     """
 
     def __init__(self, whole: np.ndarray, n_symbols: int, r: int, n: int):
@@ -479,26 +488,36 @@ class _WindowedStack:
         self.row_side = n_users > r * n
         size = min(n_users, r * n)
         self.early = (np.arange(n) < whole[:, None])[:, None, :]
-        self.local = np.zeros((n_symbols, n_users, 2, r, n), dtype=complex)
-        self.conj = np.empty_like(self.local)
+        self.late = ~self.early
+        self.top = np.empty((n_symbols, n_users, r, n), dtype=complex)
+        self.blocks = np.zeros((2, n_users, 2, r, n), dtype=complex)
+        self.conj = np.empty((2, n_users, 2 * r * n), dtype=complex)
         self.diagonal = np.empty((n_symbols + self.row_side, size, size),
                                  dtype=complex)
         self.links = np.empty((2, n_symbols // 2, size, size), dtype=complex)
         self.link_conj = np.empty_like(self.links)
         self.correction = np.empty((2, size, size), dtype=complex)
         if self.row_side:
-            self.products = np.empty((n_symbols, 2 * r * n, 2 * r * n),
-                                     dtype=complex)
+            self.lower = np.empty((size, size), dtype=complex)
+            self.centre = np.empty((2 * size, 2 * size), dtype=complex)
+
+    def local_block(self, m: int) -> np.ndarray:
+        """Symbol ``m``'s local block, masked into slot ``m % 2`` of
+        ``blocks``; row ``k`` is user ``k``'s column of ``B_m``."""
+        block = self.blocks[m % 2]
+        np.copyto(block[:, 0], self.top[m], where=self.late)
+        np.copyto(block[:, 1], self.top[m], where=self.early)
+        return block.reshape(block.shape[0], -1)
 
 
-def _windowed_sinrs(rotated: np.ndarray, stack: _WindowedStack,
+def _windowed_sinrs(stack: _WindowedStack,
                     noise_variance: float) -> np.ndarray:
     """Center-symbol SINRs in the (2M+1)-symbol stacked system.
 
     Column (k, m) of the stack ``H`` is ``amp_k * Phi_k s_k^{(m)}`` placed
     its whole chips ``w_k`` (``w_k * r`` rows) below symbol m's base row
     ``m*rN``, so it lies in row blocks m and m+1 of ``rN`` rows each.
-    ``rotated[m, k]``, of shape ``(r, N)``, is that column rotated
+    ``stack.top[m, k]``, of shape ``(r, N)``, is that column rotated
     cyclically by ``w_k`` chips (see :func:`_phase_ramp`): its chips at or
     past ``w_k`` are the top half ``T_m`` of the symbol's ``2rN x K`` local
     block ``B_m``, the chips before it the bottom half ``L_m``.  So ``B_m``
@@ -511,51 +530,58 @@ def _windowed_sinrs(rotated: np.ndarray, stack: _WindowedStack,
     ``B_m^H B_m + sigma^2 I`` linked by ``L_m^H T_{m+1}``; otherwise
     ``H H^H + sigma^2 I`` has 2M+2 row blocks
     ``E_i = T_i T_i^H + L_{i-1} L_{i-1}^H + sigma^2 I`` linked by
-    ``V_i = T_i L_i^H``.  Block elimination toward the centre (Meurant,
-    SIAM J. Matrix Anal. Appl. 13(3), 1992),
-    ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` for diagonal blocks ``D``
-    and links ``U``, folds in both ends at once with one stacked
-    ``numpy.linalg.solve`` per step, so a call makes ``2M`` solves of
-    ``min(K, rN)``-square pivots and forms neither ``H`` nor a full Gram
-    matrix.  The centre symbol's Schur complement goes to
+    ``V_i = T_i L_i^H``.  Each symbol's block is masked and conjugated
+    once, for its own products and its link to the previous symbol.
+    Block elimination toward the centre (Meurant, SIAM J. Matrix Anal.
+    Appl. 13(3), 1992), ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` for
+    diagonal blocks ``D`` and links ``U``, folds in both ends at once with
+    one stacked ``numpy.linalg.solve`` per step, so a call makes ``2M``
+    solves of ``min(K, rN)``-square pivots and forms neither ``H`` nor a
+    full Gram matrix.  The centre symbol's Schur complement goes to
     :func:`_gram_sinrs`, or on the row side the ``2rN x 2rN``
     ``[[E_M - c_L, V_M], [V_M^H, E_{M+1} - c_R]]`` of its rows to
     :func:`_row_sinrs`, which keeps an overloaded window accurate at high
     SINR.
     """
-    local = stack.local
-    n_symbols, n_users = local.shape[:2]
-    np.copyto(local[:, :, 0], rotated, where=~stack.early)
-    np.copyto(local[:, :, 1], rotated, where=stack.early)
-    np.conjugate(local, out=stack.conj)
-    # Row k of ``blocks[m]`` is user k's column of ``B_m``.
-    blocks = local.reshape(n_symbols, n_users, -1)
-    conj_blocks = stack.conj.reshape(blocks.shape)
+    n_symbols = len(stack.top)
     diagonal, links, correction = stack.diagonal, stack.links, stack.correction
     half = n_symbols // 2
-    rn = blocks.shape[-1] // 2
+    rn = stack.conj.shape[-1] // 2
+    # Left pivots and links run from symbol (row block) 0 toward the
+    # centre, right ones from the far end: link j of row 1 belongs to
+    # symbol 2M - j.  Symbol m - 1's block and conjugate are in the other
+    # slot.
+    for m in range(n_symbols):
+        block = stack.local_block(m)
+        conj = stack.conj[m % 2]
+        np.conjugate(block, out=conj)
+        top, bottom = block[:, :rn].T, block[:, rn:].T
+        if stack.row_side:
+            # Three quadrants of ``B_m B_m^H``; ``V_m^H`` is not formed
+            # where ``V_m`` is.
+            np.matmul(top, conj[:, :rn], out=diagonal[m])
+            if m:
+                diagonal[m] += stack.lower
+            np.matmul(bottom, conj[:, rn:], out=stack.lower)
+            if m < half:
+                np.matmul(top, conj[:, rn:], out=links[0, m])
+            elif m > half:
+                np.matmul(bottom, conj[:, :rn], out=links[1, 2 * half - m])
+            else:
+                np.matmul(top, conj[:, rn:], out=stack.centre[:rn, rn:])
+        else:
+            # ``B_m^H B_m = conj(B_m^T) @ B_m``; two neighbouring symbols
+            # are linked by the product of the halves they share.
+            np.matmul(conj, block.T, out=diagonal[m])
+            if 0 < m <= half:
+                np.matmul(stack.conj[1 - m % 2, :, rn:], top,
+                          out=links[0, m - 1])
+            elif m > half:
+                previous = stack.blocks[1 - m % 2].reshape(block.shape)
+                np.matmul(conj[:, :rn], previous[:, rn:].T,
+                          out=links[1, 2 * half - m])
     if stack.row_side:
-        # ``products[m] = B_m B_m^H`` holds ``T_m T_m^H``, ``V_m`` and
-        # ``L_m L_m^H``; left pivots are row blocks 0 .. M-1, right ones
-        # 2M+1 .. M+2, each linked to the next block toward the centre.
-        products = np.matmul(blocks.swapaxes(1, 2), conj_blocks,
-                             out=stack.products)
-        diagonal[:-1] = products[:, :rn, :rn]
-        diagonal[-1] = 0.0
-        diagonal[1:] += products[:, rn:, rn:]
-        links[0] = products[:half, :rn, rn:]
-        links[1] = products[:half:-1, rn:, :rn]
-    else:
-        # ``B_m^H B_m = conj(blocks[m]) @ blocks[m]^T``.  Pivot j of row 0
-        # is symbol j, of row 1 symbol 2M - j; its link to the next symbol
-        # toward the centre is the product of the halves they share.
-        np.matmul(conj_blocks, blocks.swapaxes(1, 2), out=diagonal)
-        halves = local.reshape(n_symbols, n_users, 2, -1)
-        conj_halves = stack.conj.reshape(halves.shape)
-        np.matmul(conj_halves[:half, :, 1],
-                  halves[1:half + 1, :, 0].swapaxes(1, 2), out=links[0])
-        np.matmul(conj_halves[:half:-1, :, 0],
-                  halves[-2:half - 1:-1, :, 1].swapaxes(1, 2), out=links[1])
+        diagonal[-1] = stack.lower
     size = diagonal.shape[-1]
     diagonal.reshape(len(diagonal), -1)[:, ::size + 1] += noise_variance
     np.conjugate(links, out=stack.link_conj)
@@ -568,10 +594,76 @@ def _windowed_sinrs(rotated: np.ndarray, stack: _WindowedStack,
     if not stack.row_side:
         return _gram_sinrs(diagonal[half] - correction[0] - correction[1],
                            noise_variance)
-    centre = products[half]
+    centre = stack.centre
     centre[:rn, :rn] = diagonal[half] - correction[0]
     centre[rn:, rn:] = diagonal[half + 1] - correction[1]
-    return _row_sinrs(centre, blocks[half].T)
+    centre[rn:, :rn] = centre[:rn, rn:].conj().T
+    return _row_sinrs(centre, stack.local_block(half).T)
+
+
+def _trial_workers(trials: int) -> int:
+    """Number of threads that share the trials of one harness call.
+
+    One per usable CPU, and never more than ``trials``, but only while
+    OpenBLAS is pinned to one thread: the first of
+    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set (the
+    order in which OpenBLAS reads them) must be ``"1"``.  Otherwise the
+    trials run in the caller's thread alone, since trial threads that each
+    start BLAS threads of their own contend for the same cores: with
+    OpenBLAS unpinned, two of them made a 100-trial call at N = 64, K = 32
+    slower, 0.33 s against 0.25-0.28 s on one (medians of 15 runs, 2
+    vCPUs).
+    """
+    blas_threads = next((os.environ[name] for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                         if name in os.environ), None)
+    if blas_threads != "1":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(trials, cpus)
+
+
+def _run_interleaved(make_trial, trials: int, workers: int) -> None:
+    """Run trials ``0 .. trials-1`` over ``workers`` threads.
+
+    Worker ``i`` calls ``make_trial()`` once, for work arrays of its own,
+    and runs the returned ``trial(t)`` for ``t = i, i + workers, ...``.
+    The caller's thread is worker 0, and every other thread is joined
+    before this returns, on the error path too.  After a trial raises, the
+    other workers start no new trial, and the first exception raised is
+    raised again here, unchanged.
+    """
+    errors: list[BaseException] = []
+
+    def work(first: int) -> None:
+        try:
+            trial = make_trial()
+            for t in range(first, trials, workers):
+                if errors:
+                    return
+                trial(t)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException as exc:
+        # An interrupt, or a thread that could not start: stop the others.
+        errors.append(exc)
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
@@ -587,22 +679,24 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     reduced chip-asynchronous system using only ``delay_k mod 1``; returns
     center-symbol SINR summaries of both.
 
-    The sub-chip delay vectors, their whole-chip phase ramps
-    (:func:`_phase_ramp`) and every work array are made once per call;
-    each trial draws into the same arrays and writes through ``out=``.
-    A trial forms all ``(2*window+1) * K`` signatures, already rotated by
-    their whole chips, in one batched FFT, and the windowed system goes
-    through the centre-symbol block elimination of :func:`_windowed_sinrs`,
-    whose pivots are ``min(K, rN)`` square, so a window costs about
-    ``(2*window+1) * min(K, rN)**3`` rather than ``((2*window+1) * K)**3``.
-    The reduced system keeps its own FFT of the unrotated centre symbol.
-    No delay/pulse matrix is built.  At N = 64, beta = 0.5, window 3 and
-    32 trials per call, a trial took 2.6 ms against 4.2 ms when each one
-    allocated its arrays and scattered the signatures into a zero-filled
-    stack, and it page-faulted 18.5 times instead of 416 (medians of 21
-    runs, one BLAS thread, 2 vCPUs).  At beta = 4 (K = 256 > rN = 128) an
-    overloaded trial took 46-67 ms on the row side, against 73-111 ms on
-    the Gram side it replaced (6 trials per call, 20 calls).
+    The sub-chip delay vectors and their whole-chip phase ramps
+    (:func:`_phase_ramp`) are made once per call.  The trials are dealt
+    round-robin to :func:`_trial_workers` threads, the caller's among
+    them; each worker makes its work arrays once, and each trial draws
+    from its own seed into them and writes through ``out=``, so the
+    summaries, taken after every worker has joined, do not depend on the
+    number of workers.  A trial forms all ``(2*window+1) * K`` signatures,
+    already rotated by their whole chips, in one batched FFT, and the
+    windowed system goes through the centre-symbol block elimination of
+    :func:`_windowed_sinrs`, whose pivots are ``min(K, rN)`` square, so a
+    window costs about ``(2*window+1) * min(K, rN)**3`` rather than
+    ``((2*window+1) * K)**3``.  The reduced system keeps its own FFT of
+    the unrotated centre symbol.  No delay/pulse matrix is built.  At
+    N = 64, beta = 0.5, window 3 and 32 trials per call, a trial took
+    1.15-1.66 ms (minimum over 15 calls; 6 runs) on two workers against
+    1.86-2.76 ms on one, one BLAS thread, 2 vCPUs.  At beta = 4 (K = 256 >
+    rN = 128) an overloaded trial took 57-64 ms on one worker and 31-32 ms
+    on two (medians of 5 calls of 6 trials; 3 runs).
 
     When users outnumber the ``rN`` rows of one symbol the windowed SINR
     sits above the reduced one by far more than the trial noise, and the
@@ -636,28 +730,32 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     component_std = 1.0 / math.sqrt(2.0 * n)
 
     n_symbols = 2 * window + 1
-    draws = np.empty((2, n, n_users, n_symbols))
-    spreading = np.empty((n_symbols, n_users, n), dtype=complex)
-    coeffs = np.empty_like(spreading)
-    rotated = np.empty((n_symbols, n_users, r, n), dtype=complex)
-    centre = np.empty((n_users, r, n), dtype=complex)
-    stack = _WindowedStack(whole, n_symbols, r, n)
     win_sinr = np.empty((trials, n_users))
     red_sinr = np.empty((trials, n_users))
-    for t in range(trials):
-        rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
-        rng.standard_normal(out=draws)
-        np.multiply(draws[0].T, component_std, out=spreading.real)
-        np.multiply(draws[1].T, component_std, out=spreading.imag)
-        np.fft.ifft(spreading, axis=-1, out=coeffs)
-        np.multiply(rotated_deltas, coeffs[:, :, None], out=rotated)
-        np.fft.fft(rotated, axis=-1, out=rotated)
-        win_sinr[t] = _windowed_sinrs(rotated, stack, sigma2)
-        np.multiply(deltas, coeffs[window, :, None], out=centre)
-        np.fft.fft(centre, axis=-1, out=centre)
-        red_sinr[t] = _mmse_sinrs(
-            centre.swapaxes(1, 2).reshape(n_users, r * n).T, sigma2)
 
+    def make_trial():
+        draws = np.empty((2, n, n_users, n_symbols))
+        spreading = np.empty((n_symbols, n_users, n), dtype=complex)
+        centre = np.empty((n_users, r, n), dtype=complex)
+        stack = _WindowedStack(whole, n_symbols, r, n)
+
+        def trial(t: int) -> None:
+            rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
+            rng.standard_normal(out=draws)
+            np.multiply(draws[0].T, component_std, out=spreading.real)
+            np.multiply(draws[1].T, component_std, out=spreading.imag)
+            coeffs = np.fft.ifft(spreading, axis=-1, out=spreading)
+            np.multiply(rotated_deltas, coeffs[:, :, None], out=stack.top)
+            np.fft.fft(stack.top, axis=-1, out=stack.top)
+            win_sinr[t] = _windowed_sinrs(stack, sigma2)
+            np.multiply(deltas, coeffs[window, :, None], out=centre)
+            np.fft.fft(centre, axis=-1, out=centre)
+            red_sinr[t] = _mmse_sinrs(
+                centre.swapaxes(1, 2).reshape(n_users, r * n).T, sigma2)
+
+        return trial
+
+    _run_interleaved(make_trial, trials, _trial_workers(trials))
     scale = noise_density / waveform.energy
     return PairedSummaries(
         windowed=_summarize(win_sinr, win_sinr * scale),

@@ -9,11 +9,14 @@ matrix for the centre-symbol elimination of the windowed kernel,
 per-side Cholesky solves (scipy) for its stacked elimination steps,
 the unshifted signatures rolled per column for the whole-chip phase
 ramp, per-trial rebuilds from fresh arrays for the harness's reused work
-arrays, the interference-free single-user formula, and frozen spectral
-distances computed once from the deterministic constructions.
+arrays, single-worker runs for its trial threads, the interference-free
+single-user formula, and frozen spectral distances computed once from the
+deterministic constructions.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -517,16 +520,17 @@ def _windowed_signatures(n, r, delays, amplitudes, spreading):
 
 
 def _windowed_inputs(n, r, delays, amplitudes, spreading):
-    """``(rotated, stack)`` as :func:`_windowed_sinrs` takes them: the
-    signatures rotated by the phase ramp, laid out ``(2M+1, K, r, N)``, and
-    fresh work arrays."""
+    """Fresh work arrays as :func:`_windowed_sinrs` takes them: the
+    signatures rotated by the phase ramp, laid out ``(2M+1, K, r, N)``,
+    written into ``top`` of a new stack."""
     whole, deltas = _split_delays(RRC, n, r, delays)
     signatures = _circulant_signatures(_phase_ramp(deltas, whole),
                                        spreading) * amplitudes[:, None, None]
     n_users, n_symbols = signatures.shape[:2]
-    rotated = signatures.reshape(n_users, n_symbols, n, r).transpose(1, 0,
-                                                                     3, 2)
-    return rotated, _WindowedStack(whole, n_symbols, r, n)
+    stack = _WindowedStack(whole, n_symbols, r, n)
+    stack.top[...] = signatures.reshape(n_users, n_symbols, n,
+                                        r).transpose(1, 0, 3, 2)
+    return stack
 
 
 def _dense_windowed_sinrs(signatures, row_shifts, noise_variance):
@@ -590,7 +594,7 @@ class TestWindowedSinrs:
         for noise_variance, rtol in cases:
             want = _leave_one_out(stack, noise_variance)[center]
             np.testing.assert_allclose(
-                _windowed_sinrs(*inputs, noise_variance), want, rtol=rtol)
+                _windowed_sinrs(inputs, noise_variance), want, rtol=rtol)
 
     @pytest.mark.parametrize("n_users", [4, 12])
     def test_high_sinr_matches_dense_gram(self, n_users):
@@ -604,7 +608,7 @@ class TestWindowedSinrs:
                                      noise_variance)
         assert np.min(want) > 1e6
         np.testing.assert_allclose(
-            _windowed_sinrs(*_windowed_inputs(n, r, *case), noise_variance),
+            _windowed_sinrs(_windowed_inputs(n, r, *case), noise_variance),
             want, rtol=1e-9)
 
     def test_factors_only_k_by_k_matrices(self, monkeypatch):
@@ -615,7 +619,7 @@ class TestWindowedSinrs:
         # A stack of two matrices counts as two.
         n, r, window, n_users = 8, 2, 3, 40
         calls = _record_linalg(monkeypatch)
-        _windowed_sinrs(*_windowed_inputs(
+        _windowed_sinrs(_windowed_inputs(
             n, r, *_windowed_case(n, window, n_users, seed=5)), 0.2)
         shapes = [shape for _, matrix, *_ in calls
                   for shape in [matrix.shape[-2:]] * _stack_size(matrix)]
@@ -631,7 +635,7 @@ class TestWindowedSinrs:
         # rN x rN = 16 x 16 on the row side (K = 40).
         n, r, window = 8, 2, 3
         calls = _record_linalg(monkeypatch)
-        _windowed_sinrs(*_windowed_inputs(
+        _windowed_sinrs(_windowed_inputs(
             n, r, *_windowed_case(n, window, n_users, seed=3)), 0.2)
         steps = [call for call in calls if call[1].ndim == 3]
         assert len(steps) == window
@@ -811,16 +815,16 @@ class TestTheorem3Harness:
         assert gaps[1] <= 0.75 * gaps[0]
 
     @pytest.mark.parametrize("n_users", [6, 24])
-    def test_trials_reusing_arrays_match_fresh_reference(self, n_users):
-        # The harness writes every trial into arrays made once per call.
+    def test_trials_reusing_arrays_match_fresh_reference(self, monkeypatch,
+                                                         n_users):
+        # Each worker writes its trials into arrays made once per call.
         # Rebuild each trial from fresh arrays instead: the same draws, the
         # unrotated signatures scattered into the dense windowed Gram
         # matrix, and the reduced system's own MMSE solve.  K = 24
-        # overloads each symbol's rN = 16 rows.
+        # overloads each symbol's rN = 16 rows.  With three workers the
+        # five trials split 2, 2 and 1.
         n, r, window, noise_density, seed, trials = 8, 2, 2, 0.1, 11, 5
         delays, _, _ = _windowed_case(n, window, n_users, seed=n_users)
-        paired = theorem3_harness(RRC, n, r, n_users, delays, noise_density,
-                                  window=window, trials=trials, seed=seed)
         sigma2 = r * noise_density
         n_symbols = 2 * window + 1
         win = np.empty((trials, n_users))
@@ -835,11 +839,89 @@ class TestTheorem3Harness:
             red[t] = _mmse_sinrs(signatures[:, window].T, sigma2)
         scale = noise_density / RRC.energy
         windowed = _summarize(win, win * scale)
-        for field in ("mean_sinr", "mean_efficiency", "standard_error",
-                      "mean_sinr_standard_error"):
-            assert getattr(paired.windowed, field) == pytest.approx(
-                getattr(windowed, field), rel=1e-12)
-        assert vars(paired.reduced) == vars(_summarize(red, red * scale))
+        for workers in (1, 3):
+            monkeypatch.setattr(montecarlo, "_trial_workers",
+                                lambda _, w=workers: w)
+            paired = theorem3_harness(RRC, n, r, n_users, delays,
+                                      noise_density, window=window,
+                                      trials=trials, seed=seed)
+            for field in ("mean_sinr", "mean_efficiency", "standard_error",
+                          "mean_sinr_standard_error"):
+                assert getattr(paired.windowed, field) == pytest.approx(
+                    getattr(windowed, field), rel=1e-12)
+            assert vars(paired.reduced) == vars(_summarize(red, red * scale))
+
+    @pytest.mark.parametrize("n_users", [6, 24])
+    def test_summaries_do_not_depend_on_worker_count(self, monkeypatch,
+                                                     n_users):
+        # Trial t draws from its own seed into its worker's arrays, and the
+        # summaries are taken after every worker has joined, so one, two
+        # and three workers give the same bits on the Gram side (K = 6)
+        # and on the overloaded row side (K = 24 > rN = 16).
+        n, r, window, trials = 8, 2, 2, 7
+        delays, _, _ = _windowed_case(n, window, n_users, seed=n_users)
+        summaries = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_trial_workers",
+                                lambda _, w=workers: w)
+            paired = theorem3_harness(RRC, n, r, n_users, delays, 1e-3,
+                                      window=window, trials=trials, seed=4)
+            summaries.append((vars(paired.windowed), vars(paired.reduced)))
+        assert summaries[1] == summaries[0]
+        assert summaries[2] == summaries[0]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_trial_error_reaches_caller_and_joins_threads(self, monkeypatch,
+                                                          failing):
+        # Trial 0 runs in the caller's thread and trial 1 in the second
+        # worker's.  Either one's error must reach the caller as raised,
+        # with no worker thread left running.
+        error = NotPositiveDefiniteError("not positive definite")
+        seeds = montecarlo.trial_seed
+
+        def failing_seed(master, trial):
+            if trial == failing:
+                raise error
+            return seeds(master, trial)
+
+        monkeypatch.setattr(montecarlo, "trial_seed", failing_seed)
+        monkeypatch.setattr(montecarlo, "_trial_workers", lambda _: 2)
+        before = threading.active_count()
+        with pytest.raises(NotPositiveDefiniteError) as caught:
+            theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1, window=2,
+                             trials=6, seed=0)
+        assert caught.value is error
+        assert threading.active_count() == before
+
+    def test_worker_count_needs_one_blas_thread(self, monkeypatch):
+        # Trial threads only run while OpenBLAS is pinned to one thread:
+        # OPENBLAS_NUM_THREADS decides when set, else OMP_NUM_THREADS.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: set(range(8)),
+                            raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert montecarlo._trial_workers(100) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert montecarlo._trial_workers(100) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert montecarlo._trial_workers(100) == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert montecarlo._trial_workers(100) == 8
+
+    def test_pinned_worker_count_is_usable_cpus_up_to_trials(self,
+                                                             monkeypatch):
+        # The CPU counts are faked; no thread is started.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 2, 5},
+                            raising=False)
+        assert [montecarlo._trial_workers(t) for t in (1, 2, 3, 100)] == \
+            [1, 2, 3, 3]
+        # Without affinity masks the CPU count serves.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [montecarlo._trial_workers(t) for t in (3, 100)] == [3, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._trial_workers(100) == 1
 
     def test_summary_shapes(self):
         paired = theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1,
