@@ -6,7 +6,7 @@ the same pulse taps, the inverse DFT of the delay vectors, wrapped at N
 chips for the circulant kind and at 16384 chips for the Toeplitz kind.
 It draws i.i.d. circularly symmetric Gaussian spreading, forms the
 signatures (by FFT for the block-circulant kind, so no circulant matrix
-is built, with the delay vectors computed once per run and each delay's
+is built, with the delay vectors computed once per call and each delay's
 whole chips folded into them as a DFT phase ramp), computes all users'
 linear MMSE SINRs from one dense solve of the smaller Gram matrix, and
 runs the paired windowed / reduced-delay harness showing that only
@@ -15,9 +15,11 @@ block of its windowed multi-symbol stack as the ramp-rotated FFT
 signatures masked at their whole-chip shifts, assembles the Gram blocks
 of the side with the smaller ones block-tridiagonally and eliminates
 them toward the centre symbol, without forming the stack, its full Gram
-matrix or any delay/pulse matrix.  Its trials are dealt round-robin to
-one thread per usable CPU while OpenBLAS is pinned to one thread, and
-each worker reuses one set of work arrays.
+matrix or any delay/pulse matrix.  Both kinds of trial share one
+in-place spreading draw, one in-place FFT product, one input check
+(:class:`FiniteSystem`) and one loop, which deals the trials of a call
+round-robin to one thread per usable CPU while OpenBLAS is pinned to one
+thread; each worker reuses one set of work arrays.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
@@ -95,6 +97,8 @@ class FiniteSystem:
             raise ValueError("system needs at least one chip and one user")
         if self.matrix_kind not in ("block_circulant", "block_toeplitz"):
             raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
+        if not 0 < self.noise_density < math.inf:
+            raise ValueError("noise density must be finite and positive")
         _check_oversampling(self.waveform, self.oversampling)
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
         delays = np.asarray(self.delays, dtype=float)
@@ -232,88 +236,94 @@ def _split_delays(waveform: ChipWaveform, n: int, r: int,
                   delays: np.ndarray):
     """Whole-chip parts of ``delays`` and the DFT delay vectors of the rest.
 
-    Returns ``(whole, deltas)``: ``whole`` counts whole chips and
+    Returns ``(whole, deltas, ramped)``: ``whole`` counts whole chips and
     ``deltas`` (see :func:`_dft_deltas`) belongs to the sub-chip
-    remainders.  Neither depends on the spreading, so trials share them.
+    remainders, laid out ``(K, r, N)`` as :func:`_circulant_signatures`
+    takes it.  ``ramped`` folds the whole chips in: user ``k``'s vectors
+    at DFT bin ``l`` times ``exp(2*pi*j * l * whole[k] / N)``, so that the
+    FFT returns its signatures rotated down by ``whole[k]`` blocks, as the
+    whole-chip part of a delay shifts the blocks of
+    :func:`build_phi_matrix`; the ramp is exactly 1 without whole chips.
+    None depends on the spreading, so trials share them.
     """
-    whole = np.floor(delays)
-    return whole.astype(int), _dft_deltas(waveform, n, r, delays - whole)
+    whole = np.floor(delays).astype(int)
+    deltas = np.ascontiguousarray(
+        _dft_deltas(waveform, n, r, delays - whole).swapaxes(1, 2))
+    ramp = np.exp(1j * TWO_PI / n * (np.outer(whole, np.arange(n)) % n))
+    return whole, deltas, deltas * ramp[:, None, :]
 
 
-def _phase_ramp(deltas: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """Fold whole-chip shifts into the delay vectors of :func:`_dft_deltas`.
-
-    Multiplies user ``k``'s vectors at DFT bin ``l`` by
-    ``exp(2*pi*j * l * whole[k] / N)``, so that the FFT of
-    :func:`_circulant_signatures` returns its signatures rotated down by
-    ``whole[k]`` blocks (``whole[k] * r`` rows), as the whole-chip part of
-    a delay shifts the blocks of :func:`build_phi_matrix`.  The ramp is
-    exactly 1 for a user with no whole chips.
+def _draw_spreading(seed: int, draws: np.ndarray,
+                    spreading: np.ndarray) -> np.ndarray:
+    """Draw i.i.d. circularly symmetric Gaussian spreading of variance
+    ``1/N`` from ``seed``: ``(2, N, K, S)`` normals into ``draws``, scaled
+    into ``spreading[m, k]``, symbol ``m``'s sequence of user ``k``.
+    numpy divides a complex number by a real ``c`` as ``z * (1 / c)``, so
+    scaling the parts apart matches ``(a + 1j*b) / c`` bit for bit.
     """
-    n = deltas.shape[1]
-    bins = np.outer(whole, np.arange(n)) % n
-    return deltas * np.exp(1j * TWO_PI / n * bins)[..., None]
+    np.random.Generator(np.random.PCG64(seed)).standard_normal(out=draws)
+    component_std = 1.0 / math.sqrt(2.0 * draws.shape[1])
+    np.multiply(draws[0].T, component_std, out=spreading.real)
+    np.multiply(draws[1].T, component_std, out=spreading.imag)
+    return spreading
 
 
-def _circulant_signatures(deltas: np.ndarray,
-                          spreading: np.ndarray) -> np.ndarray:
-    """Products ``Phi(tau_k) @ s``, block-circulant kind, by FFT.
+def _circulant_signatures(deltas: np.ndarray, coeffs: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+    """Products ``Phi(tau_k) @ s``, block-circulant kind, by FFT into ``out``.
 
-    ``deltas`` holds user ``k``'s delay vectors (from :func:`_dft_deltas`,
-    or :func:`_phase_ramp` for delays of whole chips) and ``spreading``
-    has shape ``(N, K, ...)``; the result has shape ``(K, ..., rN)`` with
-    ``Phi(tau_k)`` applied to every vector of user ``k``.  Sub-row ``s`` of
-    block ``m`` of ``Phi(tau) @ x`` is the cyclic convolution
-    ``sum_c C[m-c, s] x[c]`` with ``C = fft(delta) / N``, which equals
-    ``fft(delta[:, s] * ifft(x))[m]``.  Costs ``N*r`` numbers per vector
-    instead of one ``rN x N`` matrix per user.
+    ``deltas`` holds user ``k``'s delay vectors (see :func:`_split_delays`)
+    and ``coeffs``, shaped ``(..., K, N)``, the inverse DFT of spreading
+    sequences; ``out[..., k, s, m]`` receives sub-row ``s`` of block ``m``.
+    That is the cyclic convolution ``sum_c C[m-c, s] x[c]`` with
+    ``C = fft(delta) / N``, which equals ``fft(delta[:, s] * ifft(x))[m]``:
+    one multiply and one FFT, in place along the contiguous chip axis,
+    instead of one ``rN x N`` matrix per user.  The ``rN x K`` matrix of
+    ``(K, r, N)`` blocks is ``x.swapaxes(1, 2).reshape(K, rN).T``.
     """
-    n, n_users = spreading.shape[:2]
-    r = deltas.shape[-1]
-    # Every transform runs along the contiguous last axis; the chip and
-    # sub-row axes are swapped back only in the final copy.
-    coeffs = np.fft.ifft(np.moveaxis(spreading, 0, -1), axis=-1)
-    batch = (1,) * (coeffs.ndim - 2)
-    deltas = deltas.swapaxes(-1, -2).reshape((n_users,) + batch + (r, n))
-    blocks = np.fft.fft(deltas * coeffs[..., None, :], axis=-1)
-    return blocks.swapaxes(-1, -2).reshape(blocks.shape[:-2] + (r * n,))
+    np.multiply(deltas, coeffs[..., None, :], out=out)
+    return np.fft.fft(out, axis=-1, out=out)
 
 
 def _signature_builder(system: FiniteSystem):
-    """Map one spreading draw ``(N, K)`` to the ``rN x K`` signatures.
+    """Return ``make()``, which gives a worker its ``draw(seed)``.
 
     Everything that does not depend on the spreading is computed here,
-    once: the delay vectors of the block-circulant kind, and one matrix
-    per distinct delay of the block-Toeplitz kind.
+    once per call: the ramped delay vectors of the block-circulant kind,
+    and one matrix per distinct delay of the block-Toeplitz kind.  Each
+    ``make()`` allocates one worker's arrays; ``draw(seed)`` draws the
+    spreading of ``seed`` into them and returns the signature matrix.
     """
-    n, r = system.spreading_factor, system.oversampling
+    n, r, n_users = system.spreading_factor, system.oversampling, \
+        system.n_users
     amplitudes = system.amplitudes
-    if system.matrix_kind == "block_circulant":
-        whole, deltas = _split_delays(system.waveform, n, r, system.delays)
-        deltas = _phase_ramp(deltas, whole)
-        return lambda spreading: (_circulant_signatures(
-            deltas, spreading).T * amplitudes[None, :])
+    circulant = system.matrix_kind == "block_circulant"
+    if circulant:
+        _, _, deltas = _split_delays(system.waveform, n, r, system.delays)
+    else:
+        phis = {tau: build_phi_matrix(system.waveform, n, r, tau,
+                                      system.matrix_kind)
+                for tau in set(map(float, system.delays))}
 
-    phis = {tau: build_phi_matrix(system.waveform, n, r, tau,
-                                  system.matrix_kind)
-            for tau in set(map(float, system.delays))}
+    def make():
+        draws = np.empty((2, n, n_users, 1))
+        spreading = np.empty((1, n_users, n), dtype=complex)
+        blocks = np.empty((n_users, r, n), dtype=complex)
 
-    def signatures(spreading: np.ndarray) -> np.ndarray:
-        h = np.empty((r * n, system.n_users), dtype=complex)
-        for k, tau in enumerate(system.delays):
-            h[:, k] = amplitudes[k] * (phis[float(tau)] @ spreading[:, k])
-        return h
+        def draw(seed: int) -> np.ndarray:
+            sequences = _draw_spreading(seed, draws, spreading)[0]
+            if not circulant:
+                return np.column_stack([
+                    amplitudes[k] * (phis[float(tau)] @ sequences[k])
+                    for k, tau in enumerate(system.delays)])
+            coeffs = np.fft.ifft(sequences, axis=-1, out=sequences)
+            _circulant_signatures(deltas, coeffs, blocks)
+            np.multiply(blocks, amplitudes[:, None, None], out=blocks)
+            return blocks.swapaxes(1, 2).reshape(n_users, r * n).T
 
-    return signatures
+        return draw
 
-
-def _draw(system: FiniteSystem, seed: int, signatures) -> FiniteSystem:
-    """Draw the spreading from ``seed`` and apply ``signatures`` to it."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = system.spreading_factor
-    draws = rng.standard_normal((2, n, system.n_users))
-    spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
-    return replace(system, seed=seed, signatures=signatures(spreading))
+    return make
 
 
 def materialize(system: FiniteSystem,
@@ -328,7 +338,8 @@ def materialize(system: FiniteSystem,
     each.
     """
     used_seed = system.seed if seed is None else int(seed)
-    return _draw(system, used_seed, _signature_builder(system))
+    signatures = _signature_builder(system)()(used_seed)
+    return replace(system, seed=used_seed, signatures=signatures)
 
 
 def _lapack(routine, *args):
@@ -430,6 +441,71 @@ def _summarize(sinrs: np.ndarray, effs: np.ndarray) -> TrialSummary:
     )
 
 
+def _trial_workers(trials: int) -> int:
+    """Number of threads that share the trials of one trial-loop call.
+
+    One per usable CPU, and never more than ``trials``, but only while
+    OpenBLAS is pinned to one thread: the first of
+    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set (the
+    order in which OpenBLAS reads them) must be ``"1"``.  Otherwise the
+    trials run in the caller's thread alone, since trial threads that each
+    start BLAS threads of their own contend for the same cores: with
+    OpenBLAS unpinned, two of them made a 100-trial call at N = 64, K = 32
+    slower, 0.33 s against 0.25-0.28 s on one (medians of 15 runs, 2
+    vCPUs).
+    """
+    blas_threads = next((os.environ[name] for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                         if name in os.environ), None)
+    if blas_threads != "1":
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(trials, cpus)
+
+
+def _run_interleaved(make_trial, trials: int, workers: int) -> None:
+    """Run trials ``0 .. trials-1`` over ``workers`` threads.
+
+    Worker ``i`` calls ``make_trial()`` once, for work arrays of its own,
+    and runs the returned ``trial(t)`` for ``t = i, i + workers, ...``.
+    The caller's thread is worker 0, and every other thread is joined
+    before this returns, on the error path too.  After a trial raises, the
+    other workers start no new trial, and the first exception raised is
+    raised again here, unchanged.
+    """
+    errors: list[BaseException] = []
+
+    def work(first: int) -> None:
+        try:
+            trial = make_trial()
+            for t in range(first, trials, workers):
+                if errors:
+                    return
+                trial(t)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException as exc:
+        # An interrupt, or a thread that could not start: stop the others.
+        errors.append(exc)
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def run_trials(system: FiniteSystem, trials: int):
     """Independent trials of all per-user MMSE SINRs.
 
@@ -437,15 +513,23 @@ def run_trials(system: FiniteSystem, trials: int):
     ``(trials, K)``: row ``t`` holds the SINRs of the system materialized
     from ``trial_seed(system.seed, t)``.  The delay vectors (block-Toeplitz:
     the matrices) are computed once per call; each trial costs one FFT
-    signature build and one factorization.
+    signature build and one factorization, on :func:`_run_interleaved`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sinrs = np.empty((trials, system.n_users))
-    signatures = _signature_builder(system)
-    for t in range(trials):
-        drawn = _draw(system, trial_seed(system.seed, t), signatures)
-        sinrs[t] = _mmse_sinrs(drawn.signatures, drawn.noise_variance)
+    make_draw = _signature_builder(system)
+
+    def make_trial():
+        draw = make_draw()
+
+        def trial(t: int) -> None:
+            sinrs[t] = _mmse_sinrs(draw(trial_seed(system.seed, t)),
+                                   system.noise_variance)
+
+        return trial
+
+    _run_interleaved(make_trial, trials, _trial_workers(trials))
     powers = np.abs(system.amplitudes) ** 2
     effs = sinrs * system.noise_density / (powers * system.waveform.energy)
     return sinrs, _summarize(sinrs, effs)
@@ -518,7 +602,7 @@ def _windowed_sinrs(stack: _WindowedStack,
     its whole chips ``w_k`` (``w_k * r`` rows) below symbol m's base row
     ``m*rN``, so it lies in row blocks m and m+1 of ``rN`` rows each.
     ``stack.top[m, k]``, of shape ``(r, N)``, is that column rotated
-    cyclically by ``w_k`` chips (see :func:`_phase_ramp`): its chips at or
+    cyclically by ``w_k`` chips (see :func:`_split_delays`): its chips at or
     past ``w_k`` are the top half ``T_m`` of the symbol's ``2rN x K`` local
     block ``B_m``, the chips before it the bottom half ``L_m``.  So ``B_m``
     is the rotated column masked at ``w_k``, with no zero-filled scatter;
@@ -601,71 +685,6 @@ def _windowed_sinrs(stack: _WindowedStack,
     return _row_sinrs(centre, stack.local_block(half).T)
 
 
-def _trial_workers(trials: int) -> int:
-    """Number of threads that share the trials of one harness call.
-
-    One per usable CPU, and never more than ``trials``, but only while
-    OpenBLAS is pinned to one thread: the first of
-    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set (the
-    order in which OpenBLAS reads them) must be ``"1"``.  Otherwise the
-    trials run in the caller's thread alone, since trial threads that each
-    start BLAS threads of their own contend for the same cores: with
-    OpenBLAS unpinned, two of them made a 100-trial call at N = 64, K = 32
-    slower, 0.33 s against 0.25-0.28 s on one (medians of 15 runs, 2
-    vCPUs).
-    """
-    blas_threads = next((os.environ[name] for name in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-                         if name in os.environ), None)
-    if blas_threads != "1":
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(trials, cpus)
-
-
-def _run_interleaved(make_trial, trials: int, workers: int) -> None:
-    """Run trials ``0 .. trials-1`` over ``workers`` threads.
-
-    Worker ``i`` calls ``make_trial()`` once, for work arrays of its own,
-    and runs the returned ``trial(t)`` for ``t = i, i + workers, ...``.
-    The caller's thread is worker 0, and every other thread is joined
-    before this returns, on the error path too.  After a trial raises, the
-    other workers start no new trial, and the first exception raised is
-    raised again here, unchanged.
-    """
-    errors: list[BaseException] = []
-
-    def work(first: int) -> None:
-        try:
-            trial = make_trial()
-            for t in range(first, trials, workers):
-                if errors:
-                    return
-                trial(t)
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,))
-               for i in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    except BaseException as exc:
-        # An interrupt, or a thread that could not start: stop the others.
-        errors.append(exc)
-        raise
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
-
-
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
                      oversampling: int, n_users: int, delays,
                      noise_density: float, window: int = 3, trials: int = 100,
@@ -679,19 +698,16 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     reduced chip-asynchronous system using only ``delay_k mod 1``; returns
     center-symbol SINR summaries of both.
 
-    The sub-chip delay vectors and their whole-chip phase ramps
-    (:func:`_phase_ramp`) are made once per call.  The trials are dealt
-    round-robin to :func:`_trial_workers` threads, the caller's among
-    them; each worker makes its work arrays once, and each trial draws
-    from its own seed into them and writes through ``out=``, so the
-    summaries, taken after every worker has joined, do not depend on the
-    number of workers.  A trial forms all ``(2*window+1) * K`` signatures,
-    already rotated by their whole chips, in one batched FFT, and the
-    windowed system goes through the centre-symbol block elimination of
-    :func:`_windowed_sinrs`, whose pivots are ``min(K, rN)`` square, so a
-    window costs about ``(2*window+1) * min(K, rN)**3`` rather than
-    ``((2*window+1) * K)**3``.  The reduced system keeps its own FFT of
-    the unrotated centre symbol.  No delay/pulse matrix is built.  At
+    The delay vectors, plain and ramped (:func:`_split_delays`), are made
+    once per call, and the trials run on :func:`_run_interleaved`.  A
+    trial forms all ``(2*window+1) * K`` signatures, already rotated by
+    their whole chips, in one batched FFT, and the windowed system goes
+    through the centre-symbol block elimination of :func:`_windowed_sinrs`,
+    whose pivots are ``min(K, rN)`` square, so a window costs about
+    ``(2*window+1) * min(K, rN)**3`` rather than ``((2*window+1) * K)**3``.
+    The reduced system is the unrotated centre symbol, as one
+    :func:`run_trials` trial at the delays modulo one chip forms it.  No
+    delay/pulse matrix is built.  At
     N = 64, beta = 0.5, window 3 and 32 trials per call, a trial took
     1.15-1.66 ms (minimum over 15 calls; 6 runs) on two workers against
     1.86-2.76 ms on one, one BLAS thread, 2 vCPUs.  At beta = 4 (K = 256 >
@@ -707,28 +723,17 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     It is a finite-size effect of the overloaded stack; under-loaded
     systems show no gap beyond their noise.
     """
-    _check_oversampling(waveform, oversampling)
+    system = FiniteSystem(spreading_factor, n_users, oversampling, waveform,
+                          np.ones(n_users), delays, noise_density, seed)
     if window < 2:
         raise ValueError("window must be at least 2 symbols")
     if trials < 1:
         raise ValueError("need at least one trial")
-    delays = np.asarray(delays, dtype=float)
-    if delays.shape != (n_users,):
-        raise ValueError("delays must have length n_users")
-    if not np.all((delays >= 0) & (delays < spreading_factor)):
-        raise ValueError("delays must lie in [0, T_s)")
 
     n, r = spreading_factor, oversampling
-    whole, deltas = _split_delays(waveform, n, r, delays)
-    # Chips last, as in :func:`_circulant_signatures`.
-    rotated_deltas = _phase_ramp(deltas, whole).swapaxes(1, 2)
-    deltas = deltas.swapaxes(1, 2)
-    sigma2 = r * noise_density
-    # Each spreading component has this standard deviation.  numpy divides
-    # a complex number by a real ``c`` as ``z * (1 / c)``, so scaling the
-    # real and imaginary draws apart matches ``(a + 1j*b) / c`` bit for bit.
-    component_std = 1.0 / math.sqrt(2.0 * n)
-
+    whole, deltas, rotated_deltas = _split_delays(waveform, n, r,
+                                                  system.delays)
+    sigma2 = system.noise_variance
     n_symbols = 2 * window + 1
     win_sinr = np.empty((trials, n_users))
     red_sinr = np.empty((trials, n_users))
@@ -740,16 +745,11 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
         stack = _WindowedStack(whole, n_symbols, r, n)
 
         def trial(t: int) -> None:
-            rng = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
-            rng.standard_normal(out=draws)
-            np.multiply(draws[0].T, component_std, out=spreading.real)
-            np.multiply(draws[1].T, component_std, out=spreading.imag)
+            _draw_spreading(trial_seed(seed, t), draws, spreading)
             coeffs = np.fft.ifft(spreading, axis=-1, out=spreading)
-            np.multiply(rotated_deltas, coeffs[:, :, None], out=stack.top)
-            np.fft.fft(stack.top, axis=-1, out=stack.top)
+            _circulant_signatures(rotated_deltas, coeffs, stack.top)
             win_sinr[t] = _windowed_sinrs(stack, sigma2)
-            np.multiply(deltas, coeffs[window, :, None], out=centre)
-            np.fft.fft(centre, axis=-1, out=centre)
+            _circulant_signatures(deltas, coeffs[window], centre)
             red_sinr[t] = _mmse_sinrs(
                 centre.swapaxes(1, 2).reshape(n_users, r * n).T, sigma2)
 

@@ -7,9 +7,10 @@ kernel, dense delay/pulse matrices for the FFT-formed signatures, the
 literal dense multi-symbol stack and the dense block-tridiagonal Gram
 matrix for the centre-symbol elimination of the windowed kernel,
 per-side Cholesky solves (scipy) for its stacked elimination steps,
-the unshifted signatures rolled per column for the whole-chip phase
-ramp, per-trial rebuilds from fresh arrays for the harness's reused work
-arrays, single-worker runs for its trial threads, the interference-free
+dense matrices of the whole delay for the whole-chip phase ramp,
+per-trial rebuilds from fresh arrays for the harness's reused work
+arrays, single-worker runs for the trial threads of ``run_trials`` and
+the harness, the interference-free
 single-user formula, and frozen spectral distances computed once from the
 deterministic constructions.
 """
@@ -43,10 +44,8 @@ from cdmalimits import (
 from cdmalimits import montecarlo
 from cdmalimits.montecarlo import (
     _circulant_signatures,
-    _dft_deltas,
     _gram_sinrs,
     _mmse_sinrs,
-    _phase_ramp,
     _split_delays,
     _summarize,
     _windowed_sinrs,
@@ -128,6 +127,20 @@ class TestFiniteSystemValidation:
             FiniteSystem(spreading_factor=8, n_users=1, oversampling=2,
                          waveform=RRC, amplitudes=np.ones(1),
                          delays=np.array([8.0]), noise_density=0.1, seed=0)
+
+    def test_needs_a_chip_and_a_user(self):
+        with pytest.raises(ValueError, match="one chip and one user"):
+            FiniteSystem(spreading_factor=8, n_users=0, oversampling=2,
+                         waveform=RRC, amplitudes=np.ones(0),
+                         delays=np.zeros(0), noise_density=0.1, seed=0)
+
+    @pytest.mark.parametrize("noise_density", [-0.1, 0.0, np.nan, np.inf])
+    def test_noise_density_must_be_finite_and_positive(self, noise_density):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FiniteSystem(spreading_factor=8, n_users=1, oversampling=2,
+                         waveform=RRC, amplitudes=np.ones(1),
+                         delays=np.zeros(1), noise_density=noise_density,
+                         seed=0)
 
     def test_nan_delay_rejected(self):
         with pytest.raises(ValueError, match="T_s"):
@@ -389,27 +402,37 @@ class TestCirculantSignatures:
                                              (RRC, 2)])
     def test_phase_ramp_rolls_by_whole_chips(self, waveform, r):
         # One user per whole-chip shift 0 .. N-1, each with its own
-        # sub-chip remainder.
+        # sub-chip remainder.  The dense matrix of the whole delay rolls
+        # its blocks by the whole chips.
         n = 16
         whole = np.arange(n)
         delays = whole + np.linspace(0.0, 0.95, n)
-        got_whole, deltas = _split_delays(waveform, n, r, delays)
+        got_whole, _, ramped = _split_delays(waveform, n, r, delays)
         assert got_whole.tolist() == whole.tolist()
         spreading = _gaussian_columns(n, n, seed=4)
-        plain = _circulant_signatures(deltas, spreading)
-        ramped = _circulant_signatures(_phase_ramp(deltas, whole), spreading)
-        want = np.stack([np.roll(plain[k], whole[k] * r) for k in whole])
-        assert np.max(np.abs(ramped - want)) <= 1e-13 * np.max(np.abs(want))
+        got = _fft_signatures(ramped, spreading)
+        want = np.stack([build_phi_matrix(waveform, n, r, delays[k])
+                         @ spreading[:, k] for k in whole], axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_phase_ramp_is_exactly_one_below_a_chip(self):
         n, r = 16, 2
         delays = np.linspace(0.0, 0.999, 8)
-        whole, deltas = _split_delays(RRC, n, r, delays)
-        ramped = _phase_ramp(deltas, whole)
+        _, deltas, ramped = _split_delays(RRC, n, r, delays)
         assert np.array_equal(ramped, deltas)
         spreading = _gaussian_columns(n, 8, seed=5)
-        assert np.array_equal(_circulant_signatures(ramped, spreading),
-                              _circulant_signatures(deltas, spreading))
+        assert np.array_equal(_fft_signatures(ramped, spreading),
+                              _fft_signatures(deltas, spreading))
+
+
+def _fft_signatures(deltas, spreading):
+    """``rN x K`` signatures of the ``(N, K)`` spreading columns by
+    :func:`_circulant_signatures`, from fresh arrays."""
+    n, n_users = spreading.shape
+    r = deltas.shape[1]
+    blocks = np.empty((n_users, r, n), dtype=complex)
+    _circulant_signatures(deltas, np.fft.ifft(spreading.T, axis=-1), blocks)
+    return blocks.transpose(2, 1, 0).reshape(r * n, n_users)
 
 
 def _leave_one_out(h, noise_variance):
@@ -508,26 +531,32 @@ def _windowed_case(n, window, n_users, seed):
     return delays, amplitudes, spreading
 
 
+def _dense_signatures(n, r, delays, amplitudes, spreading):
+    """``(K, 2M+1, rN)`` signatures from dense block-circulant delay/pulse
+    matrices: user ``k``'s columns are ``amp_k * Phi(delay_k) s``."""
+    return np.stack([
+        amplitudes[k] * (build_phi_matrix(RRC, n, r, delay)
+                         @ spreading[:, k]).T
+        for k, delay in enumerate(delays)])
+
+
 def _windowed_signatures(n, r, delays, amplitudes, spreading):
     """``(signatures, row_shifts)`` as :func:`_dense_windowed_sinrs` takes
-    them: the unrotated ``(K, 2M+1, rN)`` signatures and each user's whole
-    chips in rows."""
+    them: the unrotated ``(K, 2M+1, rN)`` signatures, built at the
+    sub-chip delays, and each user's whole chips in rows."""
     whole = np.floor(delays).astype(int)
-    signatures = _circulant_signatures(
-        _dft_deltas(RRC, n, r, delays - whole), spreading) * \
-        amplitudes[:, None, None]
-    return signatures, whole * r
+    return (_dense_signatures(n, r, delays - whole, amplitudes, spreading),
+            whole * r)
 
 
 def _windowed_inputs(n, r, delays, amplitudes, spreading):
     """Fresh work arrays as :func:`_windowed_sinrs` takes them: the
-    signatures rotated by the phase ramp, laid out ``(2M+1, K, r, N)``,
-    written into ``top`` of a new stack."""
-    whole, deltas = _split_delays(RRC, n, r, delays)
-    signatures = _circulant_signatures(_phase_ramp(deltas, whole),
-                                       spreading) * amplitudes[:, None, None]
+    signatures rotated by their whole chips, as the dense matrix of the
+    whole delay rolls them, laid out ``(2M+1, K, r, N)`` and written into
+    ``top`` of a new stack."""
+    signatures = _dense_signatures(n, r, delays, amplitudes, spreading)
     n_users, n_symbols = signatures.shape[:2]
-    stack = _WindowedStack(whole, n_symbols, r, n)
+    stack = _WindowedStack(np.floor(delays).astype(int), n_symbols, r, n)
     stack.top[...] = signatures.reshape(n_users, n_symbols, n,
                                         r).transpose(1, 0, 3, 2)
     return stack
@@ -776,6 +805,40 @@ class TestRunTrials:
                 h, fs.noise_variance).tolist()
 
 
+def _harness_entry(n_users):
+    """``theorem3_harness`` at N = 8, r = 2, window 2, returning both
+    summaries: Gram side at K = 6, the overloaded row side at K = 24 >
+    rN = 16."""
+    delays, _, _ = _windowed_case(8, 2, n_users, seed=n_users)
+
+    def entry(trials, seed):
+        paired = theorem3_harness(RRC, 8, 2, n_users, delays, 1e-3,
+                                  window=2, trials=trials, seed=seed)
+        return vars(paired.windowed), vars(paired.reduced)
+
+    return entry
+
+
+def _run_trials_entry(kind):
+    """``run_trials`` of an N = 8, K = 4 system of matrix kind ``kind``,
+    returning its SINRs and summary."""
+    def entry(trials, seed):
+        sinrs, summary = run_trials(
+            _small_system(n=8, load=0.5, seed=seed, kind=kind), trials)
+        return sinrs.tolist(), vars(summary)
+
+    return entry
+
+
+#: Both entry points that deal trials to worker threads, by test id.
+_TRIAL_ENTRIES = {
+    "6": _harness_entry(6),
+    "24": _harness_entry(24),
+    "block_circulant": _run_trials_entry("block_circulant"),
+    "block_toeplitz": _run_trials_entry("block_toeplitz"),
+}
+
+
 class TestTheorem3Harness:
     def test_whole_chip_delays_reduce_to_synchronous(self):
         # Delays at exact chip multiples leave zero sub-chip residue, so
@@ -819,12 +882,14 @@ class TestTheorem3Harness:
                                                          n_users):
         # Each worker writes its trials into arrays made once per call.
         # Rebuild each trial from fresh arrays instead: the same draws, the
-        # unrotated signatures scattered into the dense windowed Gram
-        # matrix, and the reduced system's own MMSE solve.  K = 24
-        # overloads each symbol's rN = 16 rows.  With three workers the
-        # five trials split 2, 2 and 1.
+        # dense-matrix signatures scattered into the dense windowed Gram
+        # matrix, and the reduced system's MMSE solve of its FFT
+        # signatures, which match the dense ones.  K = 24 overloads each
+        # symbol's rN = 16 rows.  With three workers the five trials split
+        # 2, 2 and 1.
         n, r, window, noise_density, seed, trials = 8, 2, 2, 0.1, 11, 5
         delays, _, _ = _windowed_case(n, window, n_users, seed=n_users)
+        _, sub_deltas, _ = _split_delays(RRC, n, r, delays)
         sigma2 = r * noise_density
         n_symbols = 2 * window + 1
         win = np.empty((trials, n_users))
@@ -836,7 +901,10 @@ class TestTheorem3Harness:
             signatures, row_shifts = _windowed_signatures(
                 n, r, delays, np.ones(n_users), spreading)
             win[t] = _dense_windowed_sinrs(signatures, row_shifts, sigma2)
-            red[t] = _mmse_sinrs(signatures[:, window].T, sigma2)
+            centre = _fft_signatures(sub_deltas, spreading[:, :, window])
+            assert np.max(np.abs(centre - signatures[:, window].T)) <= \
+                1e-12 * np.max(np.abs(centre))
+            red[t] = _mmse_sinrs(centre, sigma2)
         scale = noise_density / RRC.energy
         windowed = _summarize(win, win * scale)
         for workers in (1, 3):
@@ -851,28 +919,29 @@ class TestTheorem3Harness:
                     getattr(windowed, field), rel=1e-12)
             assert vars(paired.reduced) == vars(_summarize(red, red * scale))
 
-    @pytest.mark.parametrize("n_users", [6, 24])
+    @pytest.mark.parametrize("entry", _TRIAL_ENTRIES.values(),
+                             ids=_TRIAL_ENTRIES.keys())
     def test_summaries_do_not_depend_on_worker_count(self, monkeypatch,
-                                                     n_users):
+                                                     entry):
         # Trial t draws from its own seed into its worker's arrays, and the
-        # summaries are taken after every worker has joined, so one, two
-        # and three workers give the same bits on the Gram side (K = 6)
-        # and on the overloaded row side (K = 24 > rN = 16).
-        n, r, window, trials = 8, 2, 2, 7
-        delays, _, _ = _windowed_case(n, window, n_users, seed=n_users)
-        summaries = []
+        # results are taken after every worker has joined, so one, two
+        # and three workers give the same bits.
+        results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_trial_workers",
                                 lambda _, w=workers: w)
-            paired = theorem3_harness(RRC, n, r, n_users, delays, 1e-3,
-                                      window=window, trials=trials, seed=4)
-            summaries.append((vars(paired.windowed), vars(paired.reduced)))
-        assert summaries[1] == summaries[0]
-        assert summaries[2] == summaries[0]
+            results.append(entry(trials=7, seed=4))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
-    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("entry, failing", [
+        pytest.param(_TRIAL_ENTRIES["6"], 0, id="0"),
+        pytest.param(_TRIAL_ENTRIES["6"], 1, id="1"),
+        pytest.param(_TRIAL_ENTRIES["block_circulant"], 0, id="run_trials-0"),
+        pytest.param(_TRIAL_ENTRIES["block_circulant"], 1, id="run_trials-1"),
+    ])
     def test_trial_error_reaches_caller_and_joins_threads(self, monkeypatch,
-                                                          failing):
+                                                          entry, failing):
         # Trial 0 runs in the caller's thread and trial 1 in the second
         # worker's.  Either one's error must reach the caller as raised,
         # with no worker thread left running.
@@ -888,8 +957,7 @@ class TestTheorem3Harness:
         monkeypatch.setattr(montecarlo, "_trial_workers", lambda _: 2)
         before = threading.active_count()
         with pytest.raises(NotPositiveDefiniteError) as caught:
-            theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1, window=2,
-                             trials=6, seed=0)
+            entry(trials=6, seed=0)
         assert caught.value is error
         assert threading.active_count() == before
 
@@ -941,6 +1009,11 @@ class TestTheorem3Harness:
             theorem3_harness(RRC, 8, 2, 2, np.array([0.0, np.nan]), 0.1)
         with pytest.raises(ValueError, match="trial"):
             theorem3_harness(RRC, 8, 2, 2, np.zeros(2), 0.1, trials=0)
+        with pytest.raises(ValueError, match="one chip and one user"):
+            theorem3_harness(RRC, 8, 2, 0, np.zeros(0), 0.1)
+        for noise_density in (-0.1, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                theorem3_harness(RRC, 16, 2, 8, np.zeros(8), noise_density)
 
     def test_undersampled_rejected(self):
         # RRC 0.22 occupies 1.22 cycles per chip, so r = 1 cannot hold it.
