@@ -356,20 +356,12 @@ def resolve_config(command: str, file_values: dict[str, str],
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Format a cell: full-precision floats, empty string for missing."""
-    if value is None or value == "":
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_csv(cfg: ExperimentConfig, columns: list[str], rows: list[tuple],
-               extra_header: list[tuple[str, str]] | None = None) -> str:
-    """CSV text with the resolved-config comment block on top."""
+               extra_header: list[tuple[str, object]] | None = None) -> str:
+    """CSV text with the resolved-config comment block on top.
+
+    Cells and header values print by ``str``, which gives a float's
+    shortest round-trip form (numpy floats too, since numpy 2)."""
     buffer = io.StringIO()
     buffer.write(f"# command = {cfg.command}\n")
     for key, value in cfg.raw.items():
@@ -378,8 +370,7 @@ def render_csv(cfg: ExperimentConfig, columns: list[str], rows: list[tuple],
         buffer.write(f"# {key} = {value}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -487,6 +478,8 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
 
 
 def cmd_capacity(cfg: ExperimentConfig) -> int:
+    if cfg.snr is not None and cfg.ebn0_db is not None:
+        raise ConfigError("capacity takes snr or ebn0_db, not both")
     columns = ["beta", "snr", "ebn0_db", "capacity_per_chip",
                "spectral_efficiency"]
     rows: list[tuple] = []
@@ -553,8 +546,7 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
         rows.append((beta, gamma_async, gamma_sync, gap))
     gaps = [(row[3], row[0]) for row in rows if row[3] != ""]
     peak_gap, peak_beta = max(gaps) if gaps else ("", "")
-    extra = [("peak_relative_gap", _fmt(peak_gap)),
-             ("peak_gap_beta", _fmt(peak_beta))]
+    extra = [("peak_relative_gap", peak_gap), ("peak_gap_beta", peak_beta)]
     write_output(cfg, render_csv(cfg, columns, rows, extra_header=extra))
     return 0
 
@@ -580,12 +572,12 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     # measure it in (one trial).
     gap = summary.mean_efficiency - float(predicted.mean())
     extra = [
-        ("n_users", str(system.n_users)),
-        ("empirical_mean_efficiency", _fmt(summary.mean_efficiency)),
-        ("predicted_mean_efficiency", _fmt(float(predicted.mean()))),
-        ("standard_error", _fmt(summary.standard_error)),
+        ("n_users", system.n_users),
+        ("empirical_mean_efficiency", summary.mean_efficiency),
+        ("predicted_mean_efficiency", float(predicted.mean())),
+        ("standard_error", summary.standard_error),
         ("gap_standard_errors",
-         _fmt(gap / summary.standard_error if summary.trials > 1 else "")),
+         gap / summary.standard_error if summary.trials > 1 else ""),
     ]
     write_output(cfg, render_csv(cfg, columns, rows, extra_header=extra))
     return 0

@@ -13,11 +13,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cdmalimits
 from cdmalimits import solve_efficiency_sync
-from cdmalimits.cli import _DEFAULTS, main
+from cdmalimits.cli import _DEFAULTS, main, render_csv, resolve_config
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
 
@@ -323,6 +324,15 @@ class TestCapacityCommand:
         # The reported point satisfies the energy-per-bit identity.
         assert 1.0 * snr / cap == pytest.approx(10.0, rel=1e-4)
 
+    def test_snr_and_ebn0_together_rejected(self, capsys):
+        # Either one fixes the operating point; a row at the SNR under a
+        # header naming the Eb/N0 would contradict itself.
+        code, out, err = _run(capsys, ["capacity", "--ebn0-db", "10",
+                                       "--snr", "5"])
+        assert code == 2
+        assert out == ""
+        assert "capacity takes snr or ebn0_db, not both" in err
+
     def test_unreachable_ebn0_is_nonconvergence(self, capsys):
         code, _, err = _run(capsys, ["capacity", "--waveform", "sinc:1",
                                      "--r", "1", "--ebn0-db", "-10"])
@@ -531,6 +541,19 @@ class TestCsvConventions:
         lines = [l for l in out.splitlines() if l and not l.startswith("#")]
         width = len(lines[0].split(","))
         assert all(len(l.split(",")) == width for l in lines)
+
+    def test_cells_print_shortest_round_trip(self):
+        row = (np.float64(0.1), np.int64(3), "", None, 1e-05, -0.0, 1e16,
+               5e-324, 2)
+        cfg = resolve_config("verify", {}, {})
+        text = render_csv(cfg, [str(i) for i in range(len(row))], [row])
+        line = text.splitlines()[-1]
+        assert line == "0.1,3,,,1e-05,-0.0,1e+16,5e-324,2"
+        for cell, value in zip(line.split(","), row):
+            if isinstance(value, float):
+                assert float(cell) == value
+                assert math.copysign(1.0, float(cell)) == \
+                    math.copysign(1.0, value)
 
     def test_no_timestamps(self, capsys):
         _, out, _ = _run(capsys, ["capacity", "--beta", "0", "--snr", "1"])

@@ -934,6 +934,30 @@ class TestTheorem3Harness:
         assert results[1] == results[0]
         assert results[2] == results[0]
 
+    @pytest.mark.parametrize("entry", _TRIAL_ENTRIES.values(),
+                             ids=_TRIAL_ENTRIES.keys())
+    def test_each_worker_draws_into_its_own_arrays(self, monkeypatch, entry):
+        # Draw arrays shared by the workers race, but the summaries above
+        # rarely show it: a block-Toeplitz trial copies its draw right
+        # away.  Record the arrays each thread draws into instead.  The
+        # records keep every array alive, so no id is reused.
+        draw = montecarlo._draw_spreading
+        calls = []
+
+        def recording(seed, draws, spreading):
+            calls.append((threading.current_thread(), draws, spreading))
+            return draw(seed, draws, spreading)
+
+        monkeypatch.setattr(montecarlo, "_draw_spreading", recording)
+        monkeypatch.setattr(montecarlo, "_trial_workers", lambda _: 3)
+        entry(trials=7, seed=4)
+        writers: dict[int, set] = {}
+        for thread, *arrays in calls:
+            for array in arrays:
+                writers.setdefault(id(array), set()).add(thread)
+        assert all(len(threads) == 1 for threads in writers.values())
+        assert len({thread for thread, *_ in calls}) == 3
+
     @pytest.mark.parametrize("entry, failing", [
         pytest.param(_TRIAL_ENTRIES["6"], 0, id="0"),
         pytest.param(_TRIAL_ENTRIES["6"], 1, id="1"),
