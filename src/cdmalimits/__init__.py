@@ -3,7 +3,8 @@
 Subpackage map:
 
 - :mod:`cdmalimits.numerics` — shared solver kernels (damped fixed point,
-  ITP bracketed root finder, frequency grids).
+  ITP bracketed root finder, frequency grids) and ``SolverError``, raised
+  when a solver cannot deliver; invalid input raises ``ValueError``.
 - :mod:`cdmalimits.waveforms` — chip waveform spectra, aliased sampling,
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
@@ -17,7 +18,6 @@ Subpackage map:
 """
 
 from .capacity import (
-    ZeroBandwidthError,
     capacity_constrained,
     capacity_penalty_term,
     capacity_sync_closed_form,
@@ -28,11 +28,9 @@ from .capacity import (
 )
 from .large_system import (
     EfficiencySpectrum,
-    HypothesisViolationError,
     PowerDelayLaw,
     SystemLaw,
     UpsilonField,
-    ZeroPowerError,
     efficiency_of_user,
     equal_power_uniform_delays,
     sinr_user,
@@ -46,7 +44,6 @@ from .large_system import (
 from .montecarlo import (
     FiniteSystem,
     PairedSummaries,
-    PulseTooLongError,
     TrialSummary,
     build_phi_matrix,
     finite_system,
@@ -57,17 +54,14 @@ from .montecarlo import (
 )
 from .numerics import (
     BracketError,
-    DivergenceError,
     FixedPointReport,
     FrequencyGrid,
-    NotPositiveDefiniteError,
+    SolverError,
     bisect,
     fixed_point,
 )
 from .waveforms import (
     ChipWaveform,
-    TabulatedRangeError,
-    UndersampledError,
     load_tabulated_waveform,
     phase_twisted_circulant,
     q_eigendecomposition,
@@ -79,23 +73,16 @@ from .waveforms import (
 __all__ = [
     "BracketError",
     "ChipWaveform",
-    "DivergenceError",
     "EfficiencySpectrum",
     "FiniteSystem",
     "FixedPointReport",
     "FrequencyGrid",
-    "HypothesisViolationError",
-    "NotPositiveDefiniteError",
     "PairedSummaries",
     "PowerDelayLaw",
-    "PulseTooLongError",
+    "SolverError",
     "SystemLaw",
-    "TabulatedRangeError",
     "TrialSummary",
-    "UndersampledError",
     "UpsilonField",
-    "ZeroBandwidthError",
-    "ZeroPowerError",
     "bisect",
     "build_phi_matrix",
     "capacity_constrained",

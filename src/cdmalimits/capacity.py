@@ -38,10 +38,6 @@ _MAX_SNR = 1e18
 _EBN0_REL_TOL = 1e-8
 
 
-class ZeroBandwidthError(ValueError):
-    """Raised when spectral efficiency is requested at zero bandwidth."""
-
-
 def capacity_penalty_term(snr: float, load: float) -> float:
     """Square-root correction term of the closed-form capacity.
 
@@ -108,7 +104,7 @@ def spectral_efficiency(capacity_per_chip: float,
     chip; raises "zero bandwidth" when ``B`` vanishes.
     """
     if waveform.bandwidth <= 0:
-        raise ZeroBandwidthError("zero bandwidth")
+        raise ValueError("zero bandwidth")
     return capacity_per_chip / waveform.bandwidth
 
 

@@ -31,9 +31,10 @@ overrides (flags beat the file, the file beats built-in defaults);
 starts with a ``#``-commented header carrying the resolved configuration
 and seed, so a run can be reproduced byte-identically; no timestamps are
 embedded.  Exit codes: 0 success, 1 failed verification property,
-2 invalid configuration or violated model hypothesis, 3 numerical
-non-convergence.  Time is measured in chips: frequencies in output are in
-rad per chip, delays in chips, and bandwidths in cycles per chip.
+2 invalid input or violated model hypothesis (``ValueError``), 3 a solver
+that cannot deliver (``SolverError``).  Time is measured in chips:
+frequencies in output are in rad per chip, delays in chips, and
+bandwidths in cycles per chip.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .capacity import (
     spectral_efficiency,
 )
 from .large_system import (
-    HypothesisViolationError,
     SystemLaw,
     efficiency_of_user,
     equal_power_uniform_delays,
@@ -73,12 +73,7 @@ from .large_system import (
     synchronous_law,
 )
 from .montecarlo import finite_system, run_trials, theorem3_harness
-from .numerics import (
-    BracketError,
-    DivergenceError,
-    FrequencyGrid,
-    NotPositiveDefiniteError,
-)
+from .numerics import BracketError, FrequencyGrid, SolverError
 from .waveforms import (
     ChipWaveform,
     _delay_free_q,
@@ -89,14 +84,6 @@ from .waveforms import (
     root_raised_cosine_waveform,
     sinc_waveform,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid configuration (maps to exit code 2)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver stopped without converging (exit code 3)."""
 
 
 _DEFAULTS: dict[str, dict[str, str]] = {
@@ -183,7 +170,7 @@ def parse_waveform(text: str) -> ChipWaveform:
     """Build a chip waveform from ``sinc:<a>``, ``rrc:<rho>``, ``table:<csv>``."""
     kind, sep, arg = text.partition(":")
     if not sep or not arg:
-        raise ConfigError(f"waveform argument {text!r} needs kind:parameter")
+        raise ValueError(f"waveform argument {text!r} needs kind:parameter")
     try:
         if kind == "sinc":
             return sinc_waveform(float(arg))
@@ -192,14 +179,14 @@ def parse_waveform(text: str) -> ChipWaveform:
         if kind == "table":
             return load_tabulated_waveform(arg)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad waveform argument {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown waveform kind {kind!r}")
+        raise ValueError(f"bad waveform argument {text!r}: {exc}") from exc
+    raise ValueError(f"unknown waveform kind {kind!r}")
 
 
 def parse_value_grid(text: str, name: str) -> tuple[float, ...]:
     """Parse ``<f>`` or ``<lo:hi:count>`` into a tuple of finite floats."""
     parts = text.split(":")
-    malformed = ConfigError(
+    malformed = ValueError(
         f"{name} must be a number or lo:hi:count range (got {text!r})")
     if len(parts) not in (1, 3):
         raise malformed
@@ -209,7 +196,7 @@ def parse_value_grid(text: str, name: str) -> tuple[float, ...]:
     except ValueError:
         raise malformed from None
     if not all(math.isfinite(end) for end in ends):
-        raise ConfigError(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite")
     if len(parts) == 1:
         return ends
     lo, hi = ends
@@ -224,17 +211,16 @@ def _parse_bool(value: str, key: str) -> bool:
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key} must be true or false (got {value!r})")
+    raise ValueError(f"{key} must be true or false (got {value!r})")
 
 
 def _parse_int(value: str, key: str, minimum: int) -> int:
     try:
         out = int(value, 0)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer (got {value!r})") \
-            from exc
+        raise ValueError(f"{key} must be an integer (got {value!r})") from exc
     if out < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}")
+        raise ValueError(f"{key} must be at least {minimum}")
     return out
 
 
@@ -242,11 +228,11 @@ def _parse_float(value: str, key: str, positive: bool = True) -> float:
     try:
         out = float(value)
     except ValueError as exc:
-        raise ConfigError(f"{key} must be a number (got {value!r})") from exc
+        raise ValueError(f"{key} must be a number (got {value!r})") from exc
     if not math.isfinite(out):
-        raise ConfigError(f"{key} must be finite")
+        raise ValueError(f"{key} must be finite")
     if positive and out <= 0:
-        raise ConfigError(f"{key} must be positive")
+        raise ValueError(f"{key} must be positive")
     return out
 
 
@@ -260,7 +246,7 @@ def _checked(parse, ok: Callable[[object], bool], requirement: str):
     def parser(value: str, key: str):
         out = parse(value, key)
         if not ok(out):
-            raise ConfigError(f"{key} must be {requirement}")
+            raise ValueError(f"{key} must be {requirement}")
         return out
     return parser
 
@@ -316,16 +302,15 @@ def load_config_file(path: str, command: str) -> dict[str, str]:
                     continue
                 key, sep, value = stripped.partition("=")
                 if not sep:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key = value")
+                    raise ValueError(f"{path}:{lineno}: expected key = value")
                 key = key.strip()
                 if key not in allowed:
-                    raise ConfigError(
+                    raise ValueError(
                         f"{path}:{lineno}: unknown key {key!r} for "
                         f"{command}")
                 values[key] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
@@ -346,7 +331,7 @@ def resolve_config(command: str, file_values: dict[str, str],
     raw.update(file_values)
     for key, value in overrides.items():
         if key not in raw:
-            raise ConfigError(f"unknown key {key!r} for {command}")
+            raise ValueError(f"unknown key {key!r} for {command}")
         raw[key] = value
     return ExperimentConfig(command=command, raw=raw, **{
         key: _PARSERS[key](value, key) for key, value in raw.items()})
@@ -414,15 +399,14 @@ def _capacity_curve(waveform: ChipWaveform, load: float, oversampling: int,
 
 def _single_beta(cfg: ExperimentConfig) -> float:
     if len(cfg.beta) != 1:
-        raise ConfigError(
-            f"{cfg.command} takes a single beta, not a range")
+        raise ValueError(f"{cfg.command} takes a single beta, not a range")
     return cfg.beta[0]
 
 
 def _solved_field(sys: SystemLaw, grid_size: int):
     field, report = solve_upsilon(sys, FrequencyGrid.midpoints(grid_size))
     if not report.converged:
-        raise ConvergenceError(
+        raise SolverError(
             f"matrix fixed point stopped after {report.iterations} "
             f"iterations at residual {report.final_residual:.3e}")
     return field
@@ -479,7 +463,12 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
 
 def cmd_capacity(cfg: ExperimentConfig) -> int:
     if cfg.snr is not None and cfg.ebn0_db is not None:
-        raise ConfigError("capacity takes snr or ebn0_db, not both")
+        raise ValueError("capacity takes snr or ebn0_db, not both")
+    # Either one fixes the SNR, so an n0 set beside it would be unread.
+    if ((cfg.snr is not None or cfg.ebn0_db is not None)
+            and cfg.n0 != float(_DEFAULTS["capacity"]["n0"])):
+        raise ValueError(
+            "capacity reads n0 only when neither snr nor ebn0_db is set")
     columns = ["beta", "snr", "ebn0_db", "capacity_per_chip",
                "spectral_efficiency"]
     rows: list[tuple] = []
@@ -506,7 +495,7 @@ def cmd_capacity(cfg: ExperimentConfig) -> int:
 def cmd_figure2(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
     if cfg.ebn0_db is None:
-        raise ConfigError("figure2 needs ebn0_db")
+        raise ValueError("figure2 needs ebn0_db")
     ebn0 = decibels_to_linear(cfg.ebn0_db)
     sync_cap = _ebn0_capacity(
         ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
@@ -526,7 +515,7 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
 
 def cmd_figure3(cfg: ExperimentConfig) -> int:
     if cfg.ebn0_db is None:
-        raise ConfigError("figure3 needs ebn0_db")
+        raise ValueError("figure3 needs ebn0_db")
     ebn0 = decibels_to_linear(cfg.ebn0_db)
     waveform = cfg.waveform
     columns = ["beta", "gamma_async", "gamma_sync", "relative_gap"]
@@ -587,7 +576,7 @@ def cmd_theorem3(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
     n_users = int(round(beta * cfg.n))
     if n_users < 1:
-        raise ConfigError("beta too small: no users at this n")
+        raise ValueError("beta too small: no users at this n")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     delays = rng.uniform(0.0, cfg.n, n_users)
     result = theorem3_harness(cfg.waveform, cfg.n, cfg.r, n_users, delays,
@@ -827,7 +816,7 @@ def main(argv=None) -> int:
                      for key in _DEFAULTS[args.command]
                      if getattr(args, key) is not None}
         cfg = resolve_config(args.command, file_values, overrides)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dump_config:
@@ -836,13 +825,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return _COMMANDS[cfg.command](cfg)
-    except HypothesisViolationError as exc:
-        print(f"error: {exc}: each power level needs more than ceil(2B) - 1 "
-              "uniform, evenly spaced delays over one chip, for one-sided "
-              "bandwidth B in cycles per chip", file=sys.stderr)
-        return 2
-    except (DivergenceError, ConvergenceError, BracketError,
-            NotPositiveDefiniteError) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

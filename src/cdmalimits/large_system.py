@@ -42,14 +42,6 @@ from .waveforms import (
 TWO_PI = 2.0 * np.pi
 
 
-class ZeroPowerError(ValueError):
-    """Raised when a multiuser efficiency is requested for zero power."""
-
-
-class HypothesisViolationError(ValueError):
-    """Raised when the scalar solver's validity conditions fail."""
-
-
 @dataclass(frozen=True, eq=False)
 class PowerDelayLaw:
     """Discrete joint law of received power and sub-chip delay.
@@ -264,7 +256,7 @@ def efficiency_of_user(sinr: float | np.ndarray, power: float | np.ndarray,
     sinr, power = np.broadcast_arrays(np.asarray(sinr, dtype=float),
                                       np.asarray(power, dtype=float))
     if np.any(power <= 0):
-        raise ZeroPowerError("zero power")
+        raise ValueError("zero power")
     eta = sinr * sys.noise_density / (power * sys.waveform.energy)
     return float(eta) if eta.ndim == 0 else eta
 
@@ -342,11 +334,14 @@ def _efficiency_root(sys: SystemLaw, noise_density: float,
                      n_points: int) -> tuple[float, float, float]:
     """:func:`_band_root` of the system's power marginal.
 
-    Raises "corollary hypotheses violated" when the law fails the
-    delay-balance gate of :func:`solve_efficiency_scalar`.
+    Raises "corollary hypotheses violated", with the delays the gate of
+    :func:`solve_efficiency_scalar` asks for, when the law fails it.
     """
     if not _delays_balanced(sys.law, sys.waveform.min_oversampling - 1):
-        raise HypothesisViolationError("corollary hypotheses violated")
+        raise ValueError(
+            "corollary hypotheses violated: each power level needs more "
+            "than ceil(2B) - 1 uniform, evenly spaced delays over one chip, "
+            "for one-sided bandwidth B in cycles per chip")
     powers, weights = sys.law.power_marginal()
     return _band_root(sys.waveform, sys.load, powers, weights,
                       noise_density, n_points)
@@ -381,20 +376,27 @@ def solve_efficiency_scalar(sys: SystemLaw,
 
 def _scalar_root(load: float, powers, weights,
                  noise_density: float) -> float:
-    """Positive root of ``1/eta = 1 + beta * sum w*lam/(N0 + lam*eta)``."""
+    """Positive root of ``1/eta = 1 + beta * sum w*lam/(N0 + lam*eta)``.
+
+    The right side's reciprocal ``m(eta)`` increases with ``eta``, so the
+    root lies in ``[m(0), 1]``.  It is found in ``ln eta`` to 1e-13, a
+    relative tolerance on ``eta`` that holds however small the root is;
+    the bracket starts at ``m(0)/2``, where the residual is at most -1 in
+    floating point too.
+    """
     powers = np.asarray(powers, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if load == 0:
-        return 1.0
 
-    def residual(eta: float) -> float:
+    def residual(log_eta: float) -> float:
+        eta = math.exp(log_eta)
         s = float(np.sum(weights * powers /
                          (noise_density + powers * eta)))
         return 1.0 + load * s - 1.0 / eta
 
-    if residual(1.0) == 0.0:
-        return 1.0
-    return bisect(residual, 1e-300, 1.0, tol=1e-13)
+    log_floor = -math.log1p(
+        load * float(np.sum(weights * powers)) / noise_density)
+    return math.exp(bisect(residual, log_floor - math.log(2.0), 0.0,
+                           tol=1e-13))
 
 
 def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .large_system import SystemLaw
-from .numerics import NotPositiveDefiniteError
+from .numerics import SolverError
 from .waveforms import (
     ChipWaveform,
     _check_oversampling,
@@ -58,10 +58,6 @@ _TAP_THRESHOLD = 1e-6
 _ENERGY_TOLERANCE = 1e-4
 #: Period in chips at which the block-Toeplitz kind wraps the pulse taps.
 _TOEPLITZ_PERIOD = 16384
-
-
-class PulseTooLongError(ValueError):
-    """Raised when a time pulse cannot fit the block-Toeplitz window."""
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -187,7 +183,7 @@ def _check_pulse_fits(waveform: ChipWaveform, n: int, r: int) -> None:
     # Raveled, the rows hold times -N, -N + 1/r, ..., N - 1/r; drop -N.
     captured = float(np.sum(np.abs(taps.ravel()[1:]) ** 2)) / r
     if waveform.energy - captured > _ENERGY_TOLERANCE * waveform.energy:
-        raise PulseTooLongError("pulse too long for N")
+        raise ValueError("pulse too long for N")
 
 
 def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
@@ -344,7 +340,7 @@ def materialize(system: FiniteSystem,
 
 def _lapack(routine, *args):
     """Call a ``numpy.linalg`` routine on a supposedly positive-definite
-    matrix, reporting a singular one as :class:`NotPositiveDefiniteError`.
+    matrix, reporting a singular one as a :class:`SolverError`.
 
     numpy's LU-based ``solve`` and ``inv`` do not check definiteness, so
     callers also check that the solved values lie in the range a
@@ -353,7 +349,7 @@ def _lapack(routine, *args):
     try:
         return routine(*args)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("not positive definite") from exc
+        raise SolverError("not positive definite") from exc
 
 
 def _gram_sinrs(regularized: np.ndarray, noise_variance: float) -> np.ndarray:
@@ -364,13 +360,12 @@ def _gram_sinrs(regularized: np.ndarray, noise_variance: float) -> np.ndarray:
     columns.  One inverse gives
     ``sinr_k = 1 / (sigma^2 [(H^H H + sigma^2 I)^{-1}]_kk) - 1``, accurate
     at high SINR unless columns outnumber rows.  A diagonal entry of the
-    inverse that is not finite and positive raises
-    :class:`NotPositiveDefiniteError`.
+    inverse that is not finite and positive raises :class:`SolverError`.
     """
     inverse = _lapack(np.linalg.inv, regularized)
     diagonal = np.real(np.diagonal(inverse))
     if not np.all((diagonal > 0.0) & (diagonal < np.inf)):
-        raise NotPositiveDefiniteError("not positive definite")
+        raise SolverError("not positive definite")
     return 1.0 / (noise_variance * diagonal) - 1.0
 
 
@@ -380,12 +375,12 @@ def _row_sinrs(regularized: np.ndarray, selected: np.ndarray) -> np.ndarray:
     ``regularized`` is ``H H^H + sigma^2 I``, or the Schur complement of
     the rows ``selected`` spans, and ``u = h_k^H regularized^{-1} h_k``
     comes from one solve.  A ``u`` outside the ``[0, 1)`` that a
-    positive-definite matrix keeps raises :class:`NotPositiveDefiniteError`.
+    positive-definite matrix keeps raises :class:`SolverError`.
     """
     solved = _lapack(np.linalg.solve, regularized, selected)
     u = np.real(np.sum(np.conj(selected) * solved, axis=0))
     if not np.all((u >= 0.0) & (u < 1.0)):
-        raise NotPositiveDefiniteError("not positive definite")
+        raise SolverError("not positive definite")
     return u / (1.0 - u)
 
 

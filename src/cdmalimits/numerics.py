@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Raised when a supposedly positive-definite matrix is singular or
-    yields a solution that no positive-definite matrix can."""
+class SolverError(RuntimeError):
+    """A solver that cannot deliver: a fixed point that stops or diverges,
+    a bracket without a sign change, an unreachable Eb/N0, or a matrix
+    that is not positive definite.  Invalid input and violated model
+    hypotheses raise the built-in ``ValueError`` instead."""
 
 
-class DivergenceError(RuntimeError):
-    """Raised when a fixed-point iteration produces non-finite state."""
-
-
-class BracketError(ValueError):
+class BracketError(SolverError):
     """Raised when a root bracket does not contain a sign change."""
 
 
@@ -68,7 +66,7 @@ def fixed_point(step, init):
 
     Raises
     ------
-    DivergenceError
+    SolverError
         If the state stops being finite ("divergence").
     """
     damping = 1.0
@@ -77,7 +75,7 @@ def fixed_point(step, init):
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         fx = np.asarray(step(x))
         if not np.all(np.isfinite(fx)):
-            raise DivergenceError("divergence")
+            raise SolverError("divergence")
         residual = float(np.max(np.abs(fx - x))) if fx.size else 0.0
         if residual > prev_residual and damping > 2.0 ** -20:
             damping *= 0.5

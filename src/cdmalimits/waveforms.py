@@ -51,14 +51,6 @@ LOG2_E = math.log2(math.e)
 _EDGE_RTOL = 1e-9
 
 
-class TabulatedRangeError(ValueError):
-    """Raised when a tabulated spectrum is queried beyond its samples."""
-
-
-class UndersampledError(ValueError):
-    """Raised when the oversampling factor cannot capture the bandwidth."""
-
-
 @dataclass(frozen=True, eq=False)
 class ChipWaveform:
     """Spectrum of the received chip pulse, with time measured in chips.
@@ -100,7 +92,7 @@ class ChipWaveform:
 
         Raises
         ------
-        TabulatedRangeError
+        ValueError
             For tabulated pulses queried beyond the sampled range
             ("out of tabulated range").
         """
@@ -117,7 +109,7 @@ class ChipWaveform:
             lo = self.table_omega[0]
             hi = self.table_omega[-1]
             if np.any(w < lo) or np.any(w > hi):
-                raise TabulatedRangeError("out of tabulated range")
+                raise ValueError("out of tabulated range")
             out = (np.interp(w, self.table_omega, self.table_value.real)
                    + 1j * np.interp(w, self.table_omega,
                                     self.table_value.imag))
@@ -337,7 +329,7 @@ def _check_oversampling(waveform: ChipWaveform, r: int) -> None:
     if r < 1:
         raise ValueError("oversampling factor must be a positive integer")
     if r < waveform.min_oversampling:
-        raise UndersampledError("undersampled configuration")
+        raise ValueError("undersampled configuration")
 
 
 def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,

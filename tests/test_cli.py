@@ -3,7 +3,8 @@
 Each command is run in-process through ``main`` with stdout captured;
 CSV bodies are parsed back and checked against module-level recomputation
 or frozen closed-form values.  Exit codes: 0 success, 1 failed
-verification, 2 configuration problems, 3 non-convergence.
+verification, 2 invalid input or violated hypothesis, 3 a solver that
+cannot deliver.
 """
 
 import csv
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import cdmalimits
-from cdmalimits import solve_efficiency_sync
+from cdmalimits import FixedPointReport, cli, solve_efficiency_sync
 from cdmalimits.cli import _DEFAULTS, main, render_csv, resolve_config
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
@@ -94,6 +95,13 @@ class TestConfigResolution:
         code, _, err = _run(capsys, ["efficiency", "--config",
                                      "/nonexistent/run.cfg"])
         assert code == 2
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"beta = \xff\n")
+        code, out, err = _run(capsys, ["efficiency", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
 
 
 # A valid non-default value for every configuration key; boolean keys
@@ -214,6 +222,64 @@ def test_non_finite_grid_values_rejected(argv, key, capsys):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"{key} must be finite" in err
+
+
+def _unconverged_field(monkeypatch):
+    report = FixedPointReport(iterations=10000, final_residual=3.021e-10,
+                              converged=False, damping_used=1.0)
+    monkeypatch.setattr(cli, "solve_upsilon", lambda *args: (None, report))
+
+
+def _singular_solve(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+
+
+# Invalid input and violated hypotheses exit 2; a solver that cannot
+# deliver exits 3.  Each row gives the full stderr line after "error: ".
+@pytest.mark.parametrize("argv, patch, code, line", [
+    pytest.param(["efficiency", "--beta", "0.5:2:4"], None, 2,
+                 "efficiency takes a single beta, not a range",
+                 id="beta_range"),
+    pytest.param(["efficiency", "--r", "1"], None, 2,
+                 "undersampled configuration", id="undersampled"),
+    pytest.param(["efficiency", "--n-delays", "1"], None, 2,
+                 "corollary hypotheses violated: each power level needs "
+                 "more than ceil(2B) - 1 uniform, evenly spaced delays over "
+                 "one chip, for one-sided bandwidth B in cycles per chip",
+                 id="too_few_delays"),
+    pytest.param(["efficiency", "--waveform", "table:missing.csv"], None, 2,
+                 "bad waveform argument 'table:missing.csv': [Errno 2] No "
+                 "such file or directory: 'missing.csv'",
+                 id="missing_table"),
+    pytest.param(["montecarlo", "--matrix-kind", "block_toeplitz", "--n",
+                  "2", "--trials", "1"], None, 2, "pulse too long for N",
+                 id="pulse_too_long"),
+    pytest.param(["capacity", "--snr", "1", "--ebn0-db", "1"], None, 2,
+                 "capacity takes snr or ebn0_db, not both",
+                 id="snr_and_ebn0"),
+    pytest.param(["capacity", "--snr", "5", "--n0", "0.3"], None, 2,
+                 "capacity reads n0 only when neither snr nor ebn0_db is set",
+                 id="n0_with_snr"),
+    pytest.param(["capacity", "--ebn0-db", "10", "--n0", "0.3"], None, 2,
+                 "capacity reads n0 only when neither snr nor ebn0_db is set",
+                 id="n0_with_ebn0"),
+    pytest.param(["capacity", "--ebn0-db", "-5"], None, 3,
+                 "unreachable Eb/N0", id="unreachable_ebn0"),
+    pytest.param(["efficiency", "--cross-check"], _unconverged_field, 3,
+                 "matrix fixed point stopped after 10000 iterations at "
+                 "residual 3.021e-10", id="unconverged_field"),
+    pytest.param(["theorem3", "--n", "16", "--trials", "1"],
+                 _singular_solve, 3, "not positive definite",
+                 id="not_positive_definite"),
+])
+def test_failure_exit_code_and_stderr_line(argv, patch, code, line,
+                                           monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    if patch is not None:
+        patch(monkeypatch)
+    assert _run(capsys, argv) == (code, "", f"error: {line}\n")
 
 
 class TestEfficiencyCommand:

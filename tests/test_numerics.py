@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from cdmalimits import (
     BracketError,
-    DivergenceError,
     FrequencyGrid,
+    SolverError,
     bisect,
     fixed_point,
 )
@@ -43,7 +43,7 @@ class TestFixedPoint:
 
     def test_divergent_map_raises(self):
         # Cubing from 2.0 overflows to inf within a dozen iterations.
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+        with np.errstate(over="ignore"), pytest.raises(SolverError,
                                                        match="diverge"):
             fixed_point(lambda x: x**3, np.array(2.0))
 
