@@ -19,7 +19,6 @@ Subpackage map:
 
 from .capacity import (
     capacity_constrained,
-    capacity_penalty_term,
     capacity_sync_closed_form,
     decibels_to_linear,
     linear_to_decibels,
@@ -86,7 +85,6 @@ __all__ = [
     "bisect",
     "build_phi_matrix",
     "capacity_constrained",
-    "capacity_penalty_term",
     "capacity_sync_closed_form",
     "decibels_to_linear",
     "efficiency_of_user",

@@ -3,7 +3,7 @@
 Two routes to total capacity per chip for the large-system limit:
 
 * ``capacity_sync_closed_form`` — the closed-form synchronous expression in
-  the load and the per-chip SNR, with its square-root correction term;
+  the load and the per-chip SNR, through the equal-power efficiency;
 * ``capacity_constrained`` — the pulse-constrained asynchronous capacity
   in the free-energy closed form (generalizing Verdu-Shamai, IEEE Trans.
   IT 45(2), 1999), fed by one scalar-route efficiency solve.  For the
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .large_system import SystemLaw, _efficiency_root
+from .large_system import SystemLaw, _efficiency_root, _equal_power_root
 from .numerics import BracketError, bisect
 from .waveforms import LOG2_E, ChipWaveform
 
@@ -38,35 +38,21 @@ _MAX_SNR = 1e18
 _EBN0_REL_TOL = 1e-8
 
 
-def capacity_penalty_term(snr: float, load: float) -> float:
-    """Square-root correction term of the closed-form capacity.
-
-    ``(sqrt(snr*(1+sqrt(load))^2 + 1) - sqrt(snr*(1-sqrt(load))^2 + 1))^2``;
-    vanishes at zero load and at zero SNR.
-    """
-    if snr < 0 or load < 0:
-        raise ValueError("snr and load must be nonnegative")
-    root = math.sqrt(load)
-    hi = math.sqrt(snr * (1.0 + root) ** 2 + 1.0)
-    lo = math.sqrt(snr * (1.0 - root) ** 2 + 1.0)
-    return (hi - lo) ** 2
-
-
 def capacity_sync_closed_form(load: float, snr: float) -> float:
     """Synchronous total capacity per chip (bits/chip).
 
-    ``beta*log2(1+snr-F/4) + log2(1+beta*snr-F/4) - (log2 e)/(4*snr)*F``
-    with ``F = capacity_penalty_term(snr, beta)``; returns 0 at zero SNR
-    or zero load.
+    Verdu-Shamai (IEEE Trans. IT 45(2), 1999) written through the
+    equal-power efficiency ``eta`` at ``N_0 = 1/snr``:
+    ``log2(e) * [beta*ln(1 + snr*eta) - ln(eta) - (1 - eta)]``, which
+    does not cancel at high SNR; returns 0 at zero SNR or zero load.
     """
     if load < 0 or snr < 0:
         raise ValueError("snr and load must be nonnegative")
     if snr == 0.0 or load == 0.0:
         return 0.0
-    penalty = capacity_penalty_term(snr, load)
-    return (load * math.log2(1.0 + snr - penalty / 4.0)
-            + math.log2(1.0 + load * snr - penalty / 4.0)
-            - LOG2_E / (4.0 * snr) * penalty)
+    eta = _equal_power_root(load, 1.0 / snr)
+    return LOG2_E * (load * math.log1p(snr * eta) - math.log(eta)
+                     - (1.0 - eta))
 
 
 def capacity_constrained(sys: SystemLaw, snr: float | None = None,

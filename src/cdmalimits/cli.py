@@ -54,7 +54,6 @@ import numpy as np
 
 from .capacity import (
     capacity_constrained,
-    capacity_penalty_term,
     capacity_sync_closed_form,
     decibels_to_linear,
     linear_to_decibels,
@@ -63,6 +62,7 @@ from .capacity import (
 )
 from .large_system import (
     SystemLaw,
+    _equal_power_root,
     efficiency_of_user,
     equal_power_uniform_delays,
     sinr_user,
@@ -703,11 +703,8 @@ def _alpha_one_equality_residual() -> float:
 
 
 def _equal_power_root_residual() -> float:
-    load, n0 = 1.0, 0.1
-    solved = solve_efficiency_sync(load, [1.0], [1.0], n0)
-    b = n0 + load - 1.0
-    root = (-b + math.sqrt(b * b + 4.0 * n0)) / 2.0
-    return abs(solved - root)
+    return abs(solve_efficiency_sync(1.0, [1.0], [1.0], 0.1)
+               - _equal_power_root(1.0, 0.1))
 
 
 def _db_round_trip_residual() -> float:
@@ -715,11 +712,6 @@ def _db_round_trip_residual() -> float:
     back = np.array([decibels_to_linear(linear_to_decibels(v))
                      for v in values])
     return float(np.max(np.abs(back - values) / values))
-
-
-def _penalty_floor_residual() -> float:
-    # closed-form sanity: the penalty term vanishes with the load
-    return abs(capacity_penalty_term(10.0, 0.0))
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
@@ -736,7 +728,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         ("alpha_one_matches_synchronous", _alpha_one_equality_residual(),
          1e-12),
         ("equal_power_quadratic_root", _equal_power_root_residual(), 1e-10),
-        ("penalty_term_zero_load", _penalty_floor_residual(), 1e-12),
         ("db_round_trip", _db_round_trip_residual(), 1e-12),
     ]
     columns = ["check", "residual", "tolerance", "status"]

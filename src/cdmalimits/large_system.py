@@ -296,38 +296,37 @@ def _efficiency_density(power_gain: np.ndarray, interference: float,
 def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
                weights: np.ndarray, noise_density: float,
                n_points: int = 2048) -> tuple[float, float, float]:
-    """Scalar-route fixed point of a power law at noise level
-    ``noise_density``.
+    """Scalar-route fixed point of a power law at ``noise_density``.
 
     The efficiency is the band mean ``D`` of its own density at the
-    interference level ``x = J/E``, ``J = beta * sum_levels w*lam /
-    (N_0/E + lam*eta)``.  Finds the ITP root (``numerics.bisect``) of
-    ``eta - D(x(eta))`` on ``(0, 1]``, where the map is monotone, and
-    returns ``(x, D, F)`` there from ``ChipWaveform._band_means``, so
-    ``D`` is the efficiency; ``n_points`` matters only for tabulated
+    interference level ``x = J/E``, which solves ``x = h(x) = (beta/E) *
+    sum_levels w*lam / (N_0/E + lam*D(x))``.  As ``0 < D <= 1``, ``h``
+    lies between its values at ``D = 1`` and ``D = 0``, whose logarithms
+    bracket the ITP root (``numerics.bisect``) of ``ln(h(x)/x)`` in ``u =
+    ln x``.  Since ``|d ln D / d ln x| <= 1``, its tolerance 1e-13 is a
+    relative one on ``D``.  Returns ``(x, D, F)`` at the root from
+    ``ChipWaveform._band_means``; ``n_points`` matters only for tabulated
     pulses.
     """
+    coeffs = load * weights * powers / waveform.energy
+    if not np.any(coeffs):
+        return 0.0, 1.0, 0.0
     noise_over_energy = noise_density / waveform.energy
-    load_over_energy = load / waveform.energy
 
-    # Memoized so the eta = 1 shortcut and bisect's upper end share one
-    # evaluation.
-    @functools.cache
-    def means(eta: float) -> tuple[float, float, float]:
-        x = load_over_energy * float(
-            np.sum(weights * powers / (noise_over_energy + powers * eta)))
-        return (x, *waveform._band_means(x, n_points))
+    def log_gain(u: float) -> float:
+        # ln(h(x)/x) from x*D, which stays O(1) however large x grows.
+        x = math.exp(u)
+        x_mean = x * waveform._band_means(x, n_points)[0]
+        return math.log(float(np.sum(
+            coeffs / (x * noise_over_energy + powers * x_mean))))
 
-    def residual(eta: float) -> float:
-        return eta - means(eta)[1]
-
-    if load == 0 or residual(1.0) <= 0.0:
-        # eta = 1 is exact here.
-        x, _, free_energy = means(1.0)
-        return x, 1.0, free_energy
-    # An absolute 1e-13 keeps eta within about 1e-12 relative down to
-    # eta ~ 1e-4 (load 8, N_0 = 1e-3); 1e-12 left up to 4e-10 there.
-    return means(bisect(residual, 1e-15, 1.0, tol=1e-13))
+    lo = math.log(float(np.sum(coeffs / (noise_over_energy + powers))))
+    hi = math.log(float(np.sum(coeffs)) / noise_over_energy)
+    # Widened by the tolerance, since at low SNR the root lies within
+    # rounding of the lower end.
+    tol = 1e-13
+    x = math.exp(bisect(log_gain, lo - tol, hi + tol, tol=tol))
+    return (x, *waveform._band_means(x, n_points))
 
 
 def _efficiency_root(sys: SystemLaw, noise_density: float,
@@ -374,16 +373,43 @@ def solve_efficiency_scalar(sys: SystemLaw,
                               scalar=scalar)
 
 
-def _scalar_root(load: float, powers, weights,
-                 noise_density: float) -> float:
-    """Positive root of ``1/eta = 1 + beta * sum w*lam/(N0 + lam*eta)``.
+def _equal_power_root(load: float, noise_density: float) -> float:
+    """Positive root of ``eta^2 + b*eta - N0 = 0``, ``b = N0 + beta - 1``
+    (the equal-power synchronous efficiency), in the form that does not
+    cancel for either sign of ``b``."""
+    b = noise_density + load - 1.0
+    d = math.sqrt(b * b + 4.0 * noise_density)
+    return 2.0 * noise_density / (b + d) if b > 0 else (d - b) / 2.0
+
+
+def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,
+                          weights, noise_density: float) -> float:
+    """Multiuser efficiency of the flat bandlimited pulse family.
+
+    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` as the
+    scalar route's fixed point (:func:`_band_root`) of the pulse
+    ``sinc_waveform(alpha)``, whose band mean is ``alpha / (alpha + x)``;
+    the bandwidth enters only through the effective load ``beta/alpha``.
+    """
+    if load < 0:
+        raise ValueError("load must be nonnegative")
+    return _band_root(sinc_waveform(relative_bandwidth), load,
+                      np.asarray(powers, dtype=float),
+                      np.asarray(weights, dtype=float), noise_density)[1]
+
+
+def solve_efficiency_sync(load: float, powers, weights,
+                          noise_density: float) -> float:
+    """Synchronous-system multiuser efficiency (unit-bandwidth case): the
+    positive root of ``1/eta = 1 + beta * sum w*lam/(N0 + lam*eta)``.
 
     The right side's reciprocal ``m(eta)`` increases with ``eta``, so the
-    root lies in ``[m(0), 1]``.  It is found in ``ln eta`` to 1e-13, a
-    relative tolerance on ``eta`` that holds however small the root is;
-    the bracket starts at ``m(0)/2``, where the residual is at most -1 in
-    floating point too.
+    root lies in ``[m(0), 1]``.  ITP finds it in ``ln eta`` to 1e-13, a
+    relative tolerance however small the root, from ``m(0)/2``, where the
+    residual is at most -1 in floating point too.
     """
+    if load < 0:
+        raise ValueError("load must be nonnegative")
     powers = np.asarray(powers, dtype=float)
     weights = np.asarray(weights, dtype=float)
 
@@ -397,29 +423,3 @@ def _scalar_root(load: float, powers, weights,
         load * float(np.sum(weights * powers)) / noise_density)
     return math.exp(bisect(residual, log_floor - math.log(2.0), 0.0,
                            tol=1e-13))
-
-
-def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,
-                          weights, noise_density: float) -> float:
-    """Multiuser efficiency of the flat bandlimited pulse family.
-
-    Solves ``1/eta = 1 + (beta/alpha) * sum w*lam/(N0 + lam*eta)`` as the
-    scalar route's fixed point ``eta = D(x(eta))`` of the pulse
-    ``sinc_waveform(alpha)``, whose band mean is ``alpha / (alpha + x)``;
-    the bandwidth enters only through the effective load ``beta/alpha``.
-    """
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    _, eta, _ = _band_root(sinc_waveform(relative_bandwidth), load,
-                           np.asarray(powers, dtype=float),
-                           np.asarray(weights, dtype=float), noise_density)
-    return eta
-
-
-def solve_efficiency_sync(load: float, powers, weights,
-                          noise_density: float) -> float:
-    """Synchronous-system multiuser efficiency (unit-bandwidth case)."""
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    return _scalar_root(load, powers, weights, noise_density)
-

@@ -99,9 +99,10 @@ def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     2020): each step takes the regula-falsi point of the current bracket,
     nudges it toward the midpoint by ``0.2 * width**2 / (hi - lo)`` and
     projects it onto a ball around the midpoint whose radius is the slack
-    left over bisection's step count plus one.  So it never makes more
-    than one evaluation beyond bisection's ``ceil(log2((hi - lo) / tol))``
-    and converges superlinearly on smooth functions.  A non-finite value
+    left over bisection's step count plus one, and at least ``tol/2``
+    from either end.  So it never makes more than one evaluation beyond
+    bisection's ``ceil(log2((hi - lo) / tol))`` and converges
+    superlinearly on smooth functions.  A non-finite value
     at either end of the bracket falls back to a bisection step.  Returns
     the midpoint of a sign-change bracket no wider than ``tol``.
 
@@ -141,6 +142,9 @@ def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
         radius = max(math.ldexp(half_tol, steps - j) - 0.5 * width, 0.0)
         if abs(x - mid) > radius:
             x = mid - sigma * radius
+        # At least half_tol inside the bracket, as Brent's method steps,
+        # so an end within rounding of the root is never evaluated again.
+        x = min(max(x, lo + half_tol), hi - half_tol)
         f_x = fn(x)
         if f_x == 0.0:
             return x

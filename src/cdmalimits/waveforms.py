@@ -163,7 +163,7 @@ class ChipWaveform:
         ``integral_0^pi dt / (a + b cos t) = pi / sqrt(a^2 - b^2)`` and
         ``integral_0^pi ln(a + b cos t) dt = pi ln((a + sqrt(a^2 - b^2))
         / 2)``); tabulated pulses take the ``n_points``-midpoint rule over
-        the support.
+        the support, ``D`` capped at 1, the exact bound the rule can overshoot.
         """
         if self.kind == "sinc":
             alpha = self.relative_bandwidth
@@ -182,7 +182,8 @@ class ChipWaveform:
         gain = gain[gain > 0]
         y = x * gain
         weight = 2.0 * self.bandwidth / n_points  # spacing / 2pi
-        return (float(np.sum(gain / (1.0 + y))) * weight / self.energy,
+        return (min(float(np.sum(gain / (1.0 + y))) * weight / self.energy,
+                    1.0),
                 float(np.sum(np.log1p(y) - y / (1.0 + y))) * weight * LOG2_E)
 
 

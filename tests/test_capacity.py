@@ -23,7 +23,6 @@ from cdmalimits import (
     PowerDelayLaw,
     SystemLaw,
     capacity_constrained,
-    capacity_penalty_term,
     capacity_sync_closed_form,
     decibels_to_linear,
     equal_power_uniform_delays,
@@ -249,30 +248,6 @@ def test_ebn0_approaches_the_shannon_limit_from_above(waveform):
                - 1.0) / snr for snr in snrs]
     assert min(slopes) > 0.0
     assert max(abs(slope / slopes[-1] - 1.0) for slope in slopes) <= 2e-3
-
-
-class TestPenaltyTerm:
-    def test_unit_load_closed_form(self):
-        # hi = sqrt(4*snr + 1), lo = 1 at load one.
-        snr = 10.0
-        want = (math.sqrt(4.0 * snr + 1.0) - 1.0) ** 2
-        assert capacity_penalty_term(snr, 1.0) == pytest.approx(want, rel=1e-15)
-
-    def test_vanishes_at_zero_load_or_snr(self):
-        assert capacity_penalty_term(10.0, 0.0) == 0.0
-        assert capacity_penalty_term(0.0, 1.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            capacity_penalty_term(-1.0, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            capacity_penalty_term(1.0, -1.0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(snr=st.floats(min_value=0.0, max_value=100.0),
-           load=st.floats(min_value=0.0, max_value=16.0))
-    def test_property_nonnegative(self, snr, load):
-        assert capacity_penalty_term(snr, load) >= 0.0
 
 
 class TestSyncClosedForm:

@@ -465,6 +465,57 @@ class TestFigureCommands:
             [("0.0", "0.0")] * 2
 
 
+class TestRangeCorners:
+    """Commands at the corners of the documented ranges: beta up to 16,
+    N0 down to 1e-14, and Eb/N0 targets up to snr = 1e18."""
+
+    def test_heaviest_load_at_lowest_noise(self, capsys):
+        code, out, err = _run(capsys, ["efficiency", "--beta", "16",
+                                       "--n0", "1e-14",
+                                       "--density-points", "64"])
+        assert (code, err) == (0, "")
+        _, rows = _parse(out)
+        scalar = [float(r["value"]) for r in rows if r["record"] == "scalar"]
+        assert len(scalar) == 1 and 0.0 < scalar[0] < 1e-14
+
+    def test_flat_pulse_at_lowest_noise_matches_sync_baseline(self, capsys):
+        code, out, _ = _run(capsys, ["efficiency", "--waveform", "sinc:1",
+                                     "--r", "1", "--beta", "2",
+                                     "--n0", "1e-14", "--density-points",
+                                     "64", "--sync-baseline"])
+        assert code == 0
+        _, rows = _parse(out)
+        value = {r["record"]: float(r["value"]) for r in rows
+                 if r["record"] in ("scalar", "sync_baseline")}
+        assert value["scalar"] == pytest.approx(value["sync_baseline"],
+                                                rel=1e-10, abs=0.0)
+
+    def test_figure3_at_140_db_fills_every_cell(self, capsys):
+        code, out, err = _run(capsys, ["figure3", "--beta", "0.25:8:3",
+                                       "--ebn0-db", "140"])
+        assert (code, err) == (0, "")
+        _, rows = _parse(out)
+        for r in rows:
+            assert float(r["gamma_async"]) >= float(r["gamma_sync"])
+            assert float(r["relative_gap"]) >= 0.0
+
+    def test_figure3_at_160_db_warns_for_each_empty_cell(self, capsys):
+        code, out, err = _run(capsys, ["figure3", "--beta", "0.25:8:3",
+                                       "--ebn0-db", "160"])
+        assert code == 0
+        _, rows = _parse(out)
+        empty = [(r["beta"], column) for r in rows
+                 for column in ("gamma_async", "gamma_sync")
+                 if r[column] == ""]
+        warnings = err.splitlines()
+        assert len(warnings) == len(empty)
+        assert all(w.endswith(": unreachable Eb/N0") for w in warnings)
+        filled = [r for r in rows if r["relative_gap"] != ""]
+        assert filled
+        for r in filled:
+            assert float(r["gamma_async"]) >= float(r["gamma_sync"])
+
+
 class TestMonteCarloCommand:
     ARGS = ["montecarlo", "--n", "16", "--trials", "2", "--n-delays", "4",
             "--grid", "128"]
@@ -576,7 +627,7 @@ class TestVerifyCommand:
         code, out, _ = _run(capsys, ["verify", "--instances", "3"])
         assert code == 0
         _, rows = _parse(out)
-        assert len(rows) == 9
+        assert len(rows) == 8
         assert {r["status"] for r in rows} == {"pass"}
         for r in rows:
             assert float(r["residual"]) <= float(r["tolerance"])

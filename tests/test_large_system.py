@@ -344,30 +344,6 @@ class TestScalarSpectrumSolver:
             assert solve_efficiency_scalar(sys).scalar == \
                 pytest.approx(want, rel=1e-9)
 
-    def test_one_quadrature_pass_at_unit_efficiency(self, monkeypatch):
-        # Every evaluation of the fixed-point map multiplies the power
-        # levels by its trial efficiency.  The eta = 1 shortcut test and
-        # the root finder's upper bracket end must share one there.
-        factors = []
-
-        class Recording(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.multiply:
-                    factors.extend(x for x in inputs if isinstance(x, float))
-                plain = [np.asarray(x) if isinstance(x, Recording) else x
-                         for x in inputs]
-                return getattr(ufunc, method)(*plain, **kwargs)
-
-        marginal = PowerDelayLaw.power_marginal
-        monkeypatch.setattr(
-            PowerDelayLaw, "power_marginal",
-            lambda law: (marginal(law)[0].view(Recording),
-                         marginal(law)[1]))
-        result = solve_efficiency_scalar(self._rrc_system())
-        assert result.scalar < 1.0
-        assert len(factors) > 2
-        assert factors.count(1.0) == 1
-
     def test_narrowband_pulse_allows_any_delay_law(self):
         # Bandwidth at most 1/(2*T_c) lifts the delay requirement.
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=1,

@@ -107,6 +107,21 @@ class TestBisect:
         assert root == pytest.approx(math.pi / 2.0, abs=1e-12)
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize("fn, lo, hi, root", [
+        (math.cos, 0.0, 3.0, math.pi / 2.0),
+        (lambda x: x ** 3 - x - 1.0, 1.0, 2.0, 1.324717957244746),
+    ])
+    def test_interpolation_onto_a_near_root_end_still_shrinks(self, fn, lo,
+                                                              hi, root):
+        # Once one end is within rounding of the root, the interpolation
+        # point rounds onto it.  Re-evaluating it shrinks nothing; without
+        # a minimum step these took 48 and 47 calls.
+        counted, calls = self._counted(fn)
+        got = bisect(counted, lo, hi, tol=1e-13)
+        assert abs(got - root) <= 0.5e-13
+        assert len(calls) <= 12
+        assert len(set(calls)) == len(calls)
+
     @settings(max_examples=50, deadline=None)
     @given(root=st.floats(min_value=0.001, max_value=0.999),
            tol=st.sampled_from([1e-4, 1e-9, 1e-12, 1e-14]))
