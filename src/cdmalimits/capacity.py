@@ -55,8 +55,7 @@ def capacity_sync_closed_form(load: float, snr: float) -> float:
                      - (1.0 - eta))
 
 
-def capacity_constrained(sys: SystemLaw, snr: float | None = None,
-                         density_points: int = 2048) -> float:
+def capacity_constrained(sys: SystemLaw, snr: float | None = None) -> float:
     """Pulse-constrained asynchronous capacity per chip (bits/chip).
 
     Free-energy closed form at the scalar efficiency ``eta`` of the system
@@ -65,9 +64,8 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
     waveform's free-energy band mean ``F = (1/2pi) * integral [log2(1 +
     x*|Phi|^2) - log2(e) * x*|Phi|^2 / (1 + x*|Phi|^2)] dw`` at the
     interference level ``x`` of the efficiency solve.  ``F`` is elementary
-    for the built-in pulses; tabulated pulses integrate it on
-    ``density_points`` midpoints of the support.  ``snr`` defaults to the
-    system's own ``E/N_0``.
+    for the built-in pulses and a midpoint rule over a table's span.
+    ``snr`` defaults to the system's own ``E/N_0``.
     """
     if snr is None:
         snr = sys.snr
@@ -75,8 +73,7 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None,
         raise ValueError("snr must be nonnegative")
     if sys.load == 0.0 or snr == 0.0:
         return 0.0
-    _, eta, free_energy = _efficiency_root(sys, sys.waveform.energy / snr,
-                                           density_points)
+    _, eta, free_energy = _efficiency_root(sys, sys.waveform.energy / snr)
     powers, weights = sys.law.power_marginal()
     user_term = float(np.sum(weights * np.log1p(powers * snr * eta)))
     return sys.load * LOG2_E * user_term + free_energy
@@ -87,10 +84,8 @@ def spectral_efficiency(capacity_per_chip: float,
     """Bits/s/Hz: capacity per chip over the time-bandwidth product.
 
     ``C / B`` with the waveform's one-sided bandwidth ``B`` in cycles per
-    chip; raises "zero bandwidth" when ``B`` vanishes.
+    chip, positive for every constructed waveform.
     """
-    if waveform.bandwidth <= 0:
-        raise ValueError("zero bandwidth")
     return capacity_per_chip / waveform.bandwidth
 
 

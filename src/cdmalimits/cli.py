@@ -108,7 +108,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "ebn0_db": "",
         "snr": "",
         "r": "2",
-        "density_points": "2048",
         "seed": "12345",
         "out": "-",
     },
@@ -124,7 +123,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "beta": "0.25:8:10",
         "ebn0_db": "10",
         "r": "2",
-        "density_points": "2048",
         "seed": "12345",
         "out": "-",
     },
@@ -385,16 +383,14 @@ def _make_system(cfg: ExperimentConfig, load: float) -> SystemLaw:
                      waveform=cfg.waveform, law=law)
 
 
-def _capacity_curve(waveform: ChipWaveform, load: float, oversampling: int,
-                    density_points: int = 2048) -> Callable[[float], float]:
+def _capacity_curve(waveform: ChipWaveform, load: float,
+                    oversampling: int) -> Callable[[float], float]:
     """Capacity per chip against per-chip SNR, for equal powers on 64
-    uniform delays.  The SNR re-noises the system, so its N_0 is moot;
-    ``density_points`` matters only for tabulated pulses."""
+    uniform delays.  The SNR re-noises the system, so its N_0 is moot."""
     sys_law = SystemLaw(load=load, noise_density=1.0,
                         oversampling=oversampling, waveform=waveform,
                         law=equal_power_uniform_delays(64))
-    return lambda snr: capacity_constrained(sys_law, snr=snr,
-                                            density_points=density_points)
+    return lambda snr: capacity_constrained(sys_law, snr=snr)
 
 
 def _single_beta(cfg: ExperimentConfig) -> float:
@@ -476,7 +472,7 @@ def cmd_capacity(cfg: ExperimentConfig) -> int:
         if beta == 0.0:
             rows.append((beta, "", "", 0.0, 0.0))
             continue
-        cap = _capacity_curve(cfg.waveform, beta, cfg.r, cfg.density_points)
+        cap = _capacity_curve(cfg.waveform, beta, cfg.r)
         if cfg.snr is not None:
             snr = cfg.snr
         elif cfg.ebn0_db is not None:
@@ -522,7 +518,7 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
     rows: list[tuple] = []
     for beta in cfg.beta:
         async_cap = _ebn0_capacity(ebn0, beta, _capacity_curve(
-            waveform, beta, cfg.r, cfg.density_points))
+            waveform, beta, cfg.r))
         sync_cap = _ebn0_capacity(
             ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
         gamma_async = (spectral_efficiency(async_cap, waveform)

@@ -294,8 +294,8 @@ def _efficiency_density(power_gain: np.ndarray, interference: float,
 
 
 def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
-               weights: np.ndarray, noise_density: float,
-               n_points: int = 2048) -> tuple[float, float, float]:
+               weights: np.ndarray,
+               noise_density: float) -> tuple[float, float, float]:
     """Scalar-route fixed point of a power law at ``noise_density``.
 
     The efficiency is the band mean ``D`` of its own density at the
@@ -305,8 +305,7 @@ def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
     bracket the ITP root (``numerics.bisect``) of ``ln(h(x)/x)`` in ``u =
     ln x``.  Since ``|d ln D / d ln x| <= 1``, its tolerance 1e-13 is a
     relative one on ``D``.  Returns ``(x, D, F)`` at the root from
-    ``ChipWaveform._band_means``; ``n_points`` matters only for tabulated
-    pulses.
+    ``ChipWaveform._band_means``.
     """
     coeffs = load * weights * powers / waveform.energy
     if not np.any(coeffs):
@@ -316,7 +315,7 @@ def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
     def log_gain(u: float) -> float:
         # ln(h(x)/x) from x*D, which stays O(1) however large x grows.
         x = math.exp(u)
-        x_mean = x * waveform._band_means(x, n_points)[0]
+        x_mean = x * waveform._band_means(x)[0]
         return math.log(float(np.sum(
             coeffs / (x * noise_over_energy + powers * x_mean))))
 
@@ -326,11 +325,11 @@ def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
     # rounding of the lower end.
     tol = 1e-13
     x = math.exp(bisect(log_gain, lo - tol, hi + tol, tol=tol))
-    return (x, *waveform._band_means(x, n_points))
+    return (x, *waveform._band_means(x))
 
 
-def _efficiency_root(sys: SystemLaw, noise_density: float,
-                     n_points: int) -> tuple[float, float, float]:
+def _efficiency_root(sys: SystemLaw,
+                     noise_density: float) -> tuple[float, float, float]:
     """:func:`_band_root` of the system's power marginal.
 
     Raises "corollary hypotheses violated", with the delays the gate of
@@ -343,7 +342,7 @@ def _efficiency_root(sys: SystemLaw, noise_density: float,
             "for one-sided bandwidth B in cycles per chip")
     powers, weights = sys.law.power_marginal()
     return _band_root(sys.waveform, sys.load, powers, weights,
-                      noise_density, n_points)
+                      noise_density)
 
 
 def solve_efficiency_scalar(sys: SystemLaw,
@@ -359,12 +358,10 @@ def solve_efficiency_scalar(sys: SystemLaw,
     ``n > d``.  Otherwise raises "corollary hypotheses violated".
     The density obeys ``1/eta(w) = E/|Phi(w)|^2 + beta * sum_atoms w*lam /
     (N_0/E + lam*eta)`` with ``eta = (1/2pi) * integral eta(w) dw``.  The
-    scalar solves that equation with the band mean of the waveform, in
-    closed form for the built-in pulses and on ``n_points`` midpoints for
-    tabulated ones; the density is sampled on ``n_points`` midpoints of
-    the support.
+    scalar solves that equation with the waveform's band mean; the density
+    is sampled on ``n_points`` midpoints of the support.
     """
-    x, scalar, _ = _efficiency_root(sys, sys.noise_density, n_points)
+    x, scalar, _ = _efficiency_root(sys, sys.noise_density)
     waveform = sys.waveform
     omegas = _support_grid(waveform, n_points)
     density = _efficiency_density(waveform.power_spectrum(omegas),

@@ -9,7 +9,7 @@ A :class:`ChipWaveform` models the spectrum ``Phi(omega)`` of the received
 chip pulse (transmit pulse convolved with the receive filter).  Energy uses
 the convention ``E = (1/2pi) * integral |Phi(omega)|^2 domega`` so that the
 built-in unit-energy pulses integrate to one, and ``bandwidth`` is one-sided
-in cycles per chip: the spectrum vanishes for ``|omega| > 2*pi*bandwidth``.
+in cycles per chip: the spectrum vanishes outside ``ChipWaveform.support``.
 
 From the spectrum the module builds, for an oversampling factor ``r`` and a
 sub-chip delay ``tau``:
@@ -37,6 +37,7 @@ what reproduces the exact discrete-time behaviour.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -49,6 +50,9 @@ LOG2_E = math.log2(math.e)
 #: Relative slack used to decide whether an alias sits exactly on the
 #: support edge (and gets the midpoint 1/2 weight) or just outside.
 _EDGE_RTOL = 1e-9
+
+#: Midpoints of a table's span in its band means.
+_TABLE_POINTS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +151,22 @@ class ChipWaveform:
         r = math.ceil(2.0 * self.bandwidth - 1e-12)
         return max(r, 1)
 
-    def _support_limit(self) -> float:
-        """Support edge ``2*pi*B`` of ``Phi`` in rad per chip."""
-        return TWO_PI * self.bandwidth
+    @property
+    def support(self) -> tuple[float, float]:
+        """Span ``(lo, hi)`` of ``Phi`` in rad per chip: ``+-2*pi*B`` for
+        the built-in pulses, the first and last sample of a table."""
+        if self.kind == "tabulated":
+            return float(self.table_omega[0]), float(self.table_omega[-1])
+        edge = TWO_PI * self.bandwidth
+        return -edge, edge
 
-    def _band_means(self, x: float,
-                    n_points: int = 2048) -> tuple[float, float]:
+    @functools.cached_property
+    def _table_gain(self) -> np.ndarray:
+        """Nonzero ``|Phi|^2`` on the band-mean grid, sampled once."""
+        gain = self.power_spectrum(_support_grid(self, _TABLE_POINTS))
+        return gain[gain > 0]
+
+    def _band_means(self, x: float) -> tuple[float, float]:
         """Band averages ``(D, F)`` at the interference level ``x = J/E``.
 
         With ``g = |Phi|^2``, ``D = (1/2pi) * integral dw / (E/g + J)`` is
@@ -162,8 +176,8 @@ class ChipWaveform:
         unit-energy pulses, with ``s = sqrt(1 + x)`` for RRC (from
         ``integral_0^pi dt / (a + b cos t) = pi / sqrt(a^2 - b^2)`` and
         ``integral_0^pi ln(a + b cos t) dt = pi ln((a + sqrt(a^2 - b^2))
-        / 2)``); tabulated pulses take the ``n_points``-midpoint rule over
-        the support, ``D`` capped at 1, the exact bound the rule can overshoot.
+        / 2)``); a table takes the ``_TABLE_POINTS``-midpoint rule over its
+        span, ``D`` capped at 1, the exact bound the rule can overshoot.
         """
         if self.kind == "sinc":
             alpha = self.relative_bandwidth
@@ -178,20 +192,19 @@ class ChipWaveform:
             edges = 2.0 * math.log1p(x / (2.0 * (1.0 + s))) - x * t
             return ((1.0 - rho) / (1.0 + x) + 2.0 * rho * t,
                     LOG2_E * ((1.0 - rho) * flat + 2.0 * rho * edges))
-        gain = self.power_spectrum(_support_grid(self, n_points))
-        gain = gain[gain > 0]
+        gain = self._table_gain
         y = x * gain
-        weight = 2.0 * self.bandwidth / n_points  # spacing / 2pi
+        lo, hi = self.support
+        weight = (hi - lo) / TWO_PI / _TABLE_POINTS  # spacing / 2pi
         return (min(float(np.sum(gain / (1.0 + y))) * weight / self.energy,
                     1.0),
                 float(np.sum(np.log1p(y) - y / (1.0 + y))) * weight * LOG2_E)
 
 
 def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
-    """Midpoint grid over the (symmetric) pulse support in rad per chip."""
-    edge = waveform._support_limit()
-    spacing = 2.0 * edge / n_points
-    return -edge + (np.arange(n_points) + 0.5) * spacing
+    """Midpoint grid over the pulse support in rad per chip."""
+    lo, hi = waveform.support
+    return lo + (np.arange(n_points) + 0.5) * ((hi - lo) / n_points)
 
 
 def sinc_waveform(relative_bandwidth: float) -> ChipWaveform:
@@ -300,29 +313,26 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     """Alias frequencies and weighted amplitudes for each grid frequency.
 
     For each normalized frequency ``Omega`` in ``omegas`` the contributing
-    aliases are the integers ``nu`` with ``|Omega + 2*pi*nu|`` inside the
-    support ``[-2*pi*B, 2*pi*B]``.  Returns ``(args, amps)`` of
+    aliases are the integers ``nu`` with ``Omega + 2*pi*nu`` inside the
+    support ``(lo, hi)``.  Returns ``(args, amps)`` of
     shape ``(len(omegas), n_alias)`` where ``args`` holds
     ``Omega + 2*pi*nu`` and ``amps`` holds
     ``weight * conj(Phi(arg))`` with the midpoint weight 1/2 applied
-    exactly on the support edge; padding entries are zero.
+    exactly on either end of the support; padding entries are zero.
     """
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
-    limit = waveform._support_limit()
-    tol = _EDGE_RTOL * max(1.0, limit)
-    nu_lo = math.floor((-limit - float(np.max(om))) / TWO_PI - 1e-9)
-    nu_hi = math.ceil((limit - float(np.min(om))) / TWO_PI + 1e-9)
+    lo, hi = waveform.support
+    tol = _EDGE_RTOL * max(1.0, -lo, hi)
+    nu_lo = math.floor((lo - float(np.max(om))) / TWO_PI - 1e-9)
+    nu_hi = math.ceil((hi - float(np.min(om))) / TWO_PI + 1e-9)
     nus = np.arange(nu_lo, nu_hi + 1)
     args = om[:, None] + TWO_PI * nus[None, :]
-    # Aliases a hair past an end are evaluated on it; a tabulated pulse
-    # is zero where the support reaches beyond its table.
-    lo, hi = -limit, limit
-    if waveform.kind == "tabulated":
-        lo, hi = waveform.table_omega[0], waveform.table_omega[-1]
+    # Aliases a hair past an end are evaluated on it.
     inside = (args >= lo - tol) & (args <= hi + tol)
     amps = np.zeros(args.shape, dtype=complex)
     amps[inside] = np.conj(waveform.spectrum(np.clip(args[inside], lo, hi)))
-    amps *= np.where(np.abs(np.abs(args) - limit) <= tol, 0.5, 1.0)
+    amps *= np.where((np.abs(args - lo) <= tol) | (np.abs(args - hi) <= tol),
+                     0.5, 1.0)
     return args, amps
 
 

@@ -45,6 +45,13 @@ def _parse(out):
     return header, rows
 
 
+def _cells_finite(rows):
+    """Whether every nonempty numeric cell is finite."""
+    return all(math.isfinite(float(value)) for row in rows
+               for key, value in row.items()
+               if key != "record" and value != "")
+
+
 class TestArgumentHandling:
     def test_no_command_exits_with_usage_error(self, capsys):
         code, _, err = _run(capsys, [])
@@ -142,15 +149,14 @@ _DEFAULT_CONFIGS = {
         ("cross_check", "false"), ("seed", "12345"), ("out", "-")],
     "capacity": [
         ("waveform", "rrc:0.22"), ("beta", "1"), ("n0", "0.1"),
-        ("ebn0_db", ""), ("snr", ""), ("r", "2"), ("density_points", "2048"),
-        ("seed", "12345"), ("out", "-")],
+        ("ebn0_db", ""), ("snr", ""), ("r", "2"), ("seed", "12345"),
+        ("out", "-")],
     "figure2": [
         ("alpha", "0.25:2:8"), ("beta", "1"), ("ebn0_db", "10"),
         ("seed", "12345"), ("out", "-")],
     "figure3": [
         ("waveform", "rrc:0.22"), ("beta", "0.25:8:10"), ("ebn0_db", "10"),
-        ("r", "2"), ("density_points", "2048"), ("seed", "12345"),
-        ("out", "-")],
+        ("r", "2"), ("seed", "12345"), ("out", "-")],
     "montecarlo": [
         ("waveform", "rrc:0.22"), ("beta", "0.5"), ("n0", "0.1"), ("r", "2"),
         ("n", "128"), ("trials", "200"), ("delays", "uniform"),
@@ -359,8 +365,7 @@ class TestEfficiencyCommand:
 class TestCapacityCommand:
     def test_explicit_snr_matches_closed_form(self, capsys):
         code, out, _ = _run(capsys, ["capacity", "--waveform", "sinc:1",
-                                     "--r", "1", "--snr", "10",
-                                     "--density-points", "512"])
+                                     "--r", "1", "--snr", "10"])
         assert code == 0
         _, rows = _parse(out)
         assert len(rows) == 1
@@ -381,8 +386,7 @@ class TestCapacityCommand:
 
     def test_operating_point_from_ebn0(self, capsys):
         code, out, _ = _run(capsys, ["capacity", "--waveform", "sinc:1",
-                                     "--r", "1", "--ebn0-db", "10",
-                                     "--density-points", "512"])
+                                     "--r", "1", "--ebn0-db", "10"])
         assert code == 0
         _, rows = _parse(out)
         snr = float(rows[0]["snr"])
@@ -420,8 +424,7 @@ class TestFigureCommands:
         assert async_gamma[0] > async_gamma[1] > async_gamma[2]
 
     def test_figure3_gap_nonnegative_and_growing(self, capsys):
-        code, out, _ = _run(capsys, ["figure3", "--beta", "1:4:2",
-                                     "--density-points", "512"])
+        code, out, _ = _run(capsys, ["figure3", "--beta", "1:4:2"])
         assert code == 0
         _, rows = _parse(out)
         gaps = [float(r["relative_gap"]) for r in rows]
@@ -432,8 +435,7 @@ class TestFigureCommands:
             assert float(r["gamma_async"]) >= float(r["gamma_sync"]) - 1e-12
 
     def test_figure3_header_reports_peak_gap(self, capsys):
-        code, out, _ = _run(capsys, ["figure3", "--beta", "1:4:3",
-                                     "--density-points", "512"])
+        code, out, _ = _run(capsys, ["figure3", "--beta", "1:4:3"])
         assert code == 0
         header, rows = _parse(out)
         peak = max(rows, key=lambda r: float(r["relative_gap"]))
@@ -514,6 +516,46 @@ class TestRangeCorners:
         assert filled
         for r in filled:
             assert float(r["gamma_async"]) >= float(r["gamma_sync"])
+
+    @pytest.mark.parametrize("argv", [
+        ["efficiency"], ["capacity", "--snr", "10"], ["figure3"]],
+        ids=["efficiency", "capacity", "figure3"])
+    def test_asymmetric_table(self, argv, tmp_path, capsys):
+        # A table may span any increasing frequencies, with Phi = 0 outside.
+        path = tmp_path / "asymmetric.csv"
+        path.write_text("omega,real\n-2.0,1\n0.0,1\n3.0,0.5\n")
+        code, out, err = _run(capsys, [*argv, "--waveform", f"table:{path}",
+                                       "--r", "1"])
+        assert (code, err) == (0, "")
+        _, rows = _parse(out)
+        assert rows and _cells_finite(rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--beta", "0:16:5", "--ebn0-db", "150"],
+        ["figure2", "--ebn0-db", "150", "--alpha", "0.25:2:3"],
+        ["theorem3", "--n", "16", "--n0", "1e-14", "--trials", "2"],
+        ["theorem3", "--n", "8", "--beta", "16", "--trials", "2"],
+        ["montecarlo", "--n", "16", "--beta", "16", "--trials", "2",
+         "--grid", "32"],
+    ], ids=["capacity", "figure2", "theorem3_n0", "theorem3_beta",
+            "montecarlo_beta"])
+    def test_command_at_a_corner(self, argv, capsys):
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        _, rows = _parse(out)
+        assert rows and _cells_finite(rows)
+
+    def test_widest_rrc_at_160_db_leaves_one_cell_empty(self, capsys):
+        code, out, err = _run(capsys, ["figure3", "--waveform", "rrc:1",
+                                       "--beta", "0:16:3", "--ebn0-db",
+                                       "160"])
+        assert (code, err) == (0, "warning: load 8: unreachable Eb/N0\n")
+        _, rows = _parse(out)
+        empty = [(r["beta"], column) for r in rows
+                 for column in ("gamma_async", "gamma_sync")
+                 if r[column] == ""]
+        assert empty == [("8.0", "gamma_async")]
+        assert _cells_finite(rows)
 
 
 class TestMonteCarloCommand:
@@ -682,7 +724,7 @@ class TestRuntimeImports:
         # scipy is a test-only dependency: a fresh interpreter that runs
         # the trial and solver commands must never import it.
         runs = [
-            ["figure3", "--beta", "1", "--density-points", "64"],
+            ["figure3", "--beta", "1"],
             ["efficiency", "--cross-check", "--n-delays", "4", "--grid",
              "32", "--density-points", "64"],
             ["montecarlo", "--n", "8", "--trials", "1", "--n-delays", "2",

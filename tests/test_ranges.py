@@ -25,7 +25,7 @@ from cdmalimits import (
     solve_efficiency_sinc,
     tabulated_waveform,
 )
-from cdmalimits.waveforms import ChipWaveform
+from cdmalimits.waveforms import ChipWaveform, _alias_table
 
 ALPHAS = (0.5, 1.0, 2.0)
 LOADS = (0.01, 0.1, 0.5, 1.0, 1.2, 2.0, 4.0, 8.0, 16.0)
@@ -63,9 +63,9 @@ def band_mean_calls(monkeypatch):
     calls = []
     band_means = ChipWaveform._band_means
 
-    def counted(self, x, n_points=2048):
+    def counted(self, x):
         calls.append(x)
-        return band_means(self, x, n_points)
+        return band_means(self, x)
 
     monkeypatch.setattr(ChipWaveform, "_band_means", counted)
     return calls
@@ -170,3 +170,57 @@ def test_tabulated_pulse_at_low_snr_and_load():
                         waveform=waveform, law=equal_power_uniform_delays(4))
         assert capacity_constrained(sys) > 0.0
         assert solve_efficiency_scalar(sys).scalar == 1.0
+
+
+# Flat tables on symmetric, asymmetric and one-sided spans [-a, b]: at
+# value 1/sqrt(alpha') with alpha' = (a + b)/2pi each has unit energy and
+# the band means of sinc(alpha'), so the flat-pulse oracles hold at alpha'.
+FLAT_SPANS = ((math.pi / 2, math.pi / 2), (2.0, 3.0), (0.5, 6.0),
+              (0.0, 2.0 * math.pi))
+SPAN_IDS = ("symmetric", "asymmetric", "wide_asymmetric", "one_sided")
+TABLE_LOADS = (0.1, 1.0, 4.0, 16.0)
+
+
+def _flat_table_system(span, load, n0):
+    a, b = span
+    alpha = (a + b) / (2.0 * math.pi)
+    waveform = tabulated_waveform([-a, b], [1.0 / math.sqrt(alpha)] * 2)
+    sys = SystemLaw(load=load, noise_density=n0,
+                    oversampling=waveform.min_oversampling,
+                    waveform=waveform, law=equal_power_uniform_delays(16))
+    return sys, alpha
+
+
+@pytest.mark.parametrize("span", FLAT_SPANS, ids=SPAN_IDS)
+def test_flat_table_efficiency_matches_sinc(span):
+    # To 1e-10 relative down to N0 = 1e-12, where the sinc tests' bound
+    # at the critical effective load beta/alpha' = 1 is still 1e-10.  The
+    # sinc route carries that load's rounding too, so there the table is
+    # checked against the quadratic root instead.
+    for load in TABLE_LOADS:
+        for n0 in NOISE_LEVELS[:-2]:
+            sys, alpha = _flat_table_system(span, load, n0)
+            got = solve_efficiency_scalar(sys, 2).scalar
+            want = (_quadratic_root(1.0, n0) if load == alpha else
+                    solve_efficiency_sinc(load, alpha, [1.0], [1.0], n0))
+            assert abs(got / want - 1.0) <= 1e-10, (load, n0, got, want)
+
+
+@pytest.mark.parametrize("span", FLAT_SPANS, ids=SPAN_IDS)
+def test_flat_table_capacity_is_the_rescaled_sync_capacity(span):
+    for load in TABLE_LOADS:
+        for n0 in NOISE_LEVELS:
+            sys, alpha = _flat_table_system(span, load, n0)
+            got = capacity_constrained(sys)
+            want = alpha * capacity_sync_closed_form(load / alpha, sys.snr)
+            assert abs(got / want - 1.0) <= 1e-14, (load, n0, got, want)
+
+
+def test_asymmetric_table_weights_both_ends_by_half():
+    waveform = tabulated_waveform([-2.0, 0.0, 3.0], [1.0, 1.0, 0.5])
+    args, amps = _alias_table(waveform, np.array([-2.0, 3.0 - 2 * math.pi]))
+    at_lo = np.abs(args + 2.0) <= 1e-12
+    at_hi = np.abs(args - 3.0) <= 1e-12
+    assert at_lo.sum() == at_hi.sum() == 1
+    assert amps[at_lo] == pytest.approx([0.5], abs=1e-15)
+    assert amps[at_hi] == pytest.approx([0.25], abs=1e-15)
