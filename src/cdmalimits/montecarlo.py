@@ -549,44 +549,38 @@ class _WindowedStack:
     A trial writes its rotated signatures into ``top``, laid out
     ``(2M+1, K, r, N)`` (symbol, user, sub-row, chip); it is contiguous
     because numpy's FFT into a strided view of all symbols' blocks took
-    nearly three times as long (K = 32, N = 64).  ``blocks`` holds
-    the local blocks of two consecutive symbols, in alternate slots, and
-    ``conj`` their conjugates: user ``k``'s column in the two ``rN``-row
-    halves of a block, each half laid out as ``(r, N)``.  A user's chips
-    before its whole-chip shift, ``early``, go to the bottom half and the
-    ``late`` rest to the top half.  That pattern is the same for every
-    symbol, so the other entries keep the zeros they start with.  The
-    elimination's blocks are ``K x K`` on the Gram side and ``rN x rN``
-    on the row side, which ``row_side`` picks when users outnumber
-    ``rN``; the row side also keeps the last ``L_m L_m^H`` (``lower``)
-    and the centre's ``2rN x 2rN`` complement.
+    nearly three times as long (K = 32, N = 64).  ``blocks`` holds every
+    symbol's local block, ``(2M+1, K, 2, r, N)``: user ``k``'s column in
+    the two ``rN``-row halves of the block, each half laid out as
+    ``(r, N)``.  ``masks`` sends a user's chips before its whole-chip
+    shift (early) to the bottom half and the late rest to the top half.
+    That pattern is the same for every symbol, so the other entries keep
+    the zeros they start with.  ``conj`` holds the blocks' conjugates, so
+    ``top``, ``blocks`` and ``conj`` take five times the size of ``top``
+    (2.3 MB at N = 64, K = 32, window 3).  The elimination's blocks are
+    ``K x K`` on the Gram side and ``rN x rN`` on the row side, which
+    ``row_side`` picks when users outnumber ``rN``; the row side also
+    keeps every symbol's ``L_m L_m^H`` (``lower``) and the centre's
+    ``2rN x 2rN`` complement.
     """
 
     def __init__(self, whole: np.ndarray, n_symbols: int, r: int, n: int):
         n_users = whole.size
         self.row_side = n_users > r * n
         size = min(n_users, r * n)
-        self.early = (np.arange(n) < whole[:, None])[:, None, :]
-        self.late = ~self.early
+        early = np.arange(n) < whole[:, None]
+        self.masks = np.stack([~early, early], axis=1)[:, :, None, :]
         self.top = np.empty((n_symbols, n_users, r, n), dtype=complex)
-        self.blocks = np.zeros((2, n_users, 2, r, n), dtype=complex)
-        self.conj = np.empty((2, n_users, 2 * r * n), dtype=complex)
+        self.blocks = np.zeros((n_symbols, n_users, 2, r, n), dtype=complex)
+        self.conj = np.empty((n_symbols, n_users, 2 * r * n), dtype=complex)
         self.diagonal = np.empty((n_symbols + self.row_side, size, size),
                                  dtype=complex)
         self.links = np.empty((2, n_symbols // 2, size, size), dtype=complex)
         self.link_conj = np.empty_like(self.links)
         self.correction = np.empty((2, size, size), dtype=complex)
         if self.row_side:
-            self.lower = np.empty((size, size), dtype=complex)
+            self.lower = np.empty((n_symbols, size, size), dtype=complex)
             self.centre = np.empty((2 * size, 2 * size), dtype=complex)
-
-    def local_block(self, m: int) -> np.ndarray:
-        """Symbol ``m``'s local block, masked into slot ``m % 2`` of
-        ``blocks``; row ``k`` is user ``k``'s column of ``B_m``."""
-        block = self.blocks[m % 2]
-        np.copyto(block[:, 0], self.top[m], where=self.late)
-        np.copyto(block[:, 1], self.top[m], where=self.early)
-        return block.reshape(block.shape[0], -1)
 
 
 def _windowed_sinrs(stack: _WindowedStack,
@@ -599,9 +593,10 @@ def _windowed_sinrs(stack: _WindowedStack,
     ``stack.top[m, k]``, of shape ``(r, N)``, is that column rotated
     cyclically by ``w_k`` chips (see :func:`_split_delays`): its chips at or
     past ``w_k`` are the top half ``T_m`` of the symbol's ``2rN x K`` local
-    block ``B_m``, the chips before it the bottom half ``L_m``.  So ``B_m``
-    is the rotated column masked at ``w_k``, with no zero-filled scatter;
-    any row order inside a half serves if every half shares it.
+    block ``B_m``, the chips before it the bottom half ``L_m``.  So one
+    masked copy of ``top`` forms every ``B_m``, with no scatter, and one
+    conjugate every ``B_m^H``; any row order inside a half serves if
+    every half shares it.
 
     Like :func:`_mmse_sinrs` it works on the side with the smaller blocks,
     and both sides are block-tridiagonal: while users do not outnumber
@@ -609,58 +604,48 @@ def _windowed_sinrs(stack: _WindowedStack,
     ``B_m^H B_m + sigma^2 I`` linked by ``L_m^H T_{m+1}``; otherwise
     ``H H^H + sigma^2 I`` has 2M+2 row blocks
     ``E_i = T_i T_i^H + L_{i-1} L_{i-1}^H + sigma^2 I`` linked by
-    ``V_i = T_i L_i^H``.  Each symbol's block is masked and conjugated
-    once, for its own products and its link to the previous symbol.
-    Block elimination toward the centre (Meurant, SIAM J. Matrix Anal.
-    Appl. 13(3), 1992), ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` for
-    diagonal blocks ``D`` and links ``U``, folds in both ends at once with
-    one stacked ``numpy.linalg.solve`` per step, so a call makes ``2M``
-    solves of ``min(K, rN)``-square pivots and forms neither ``H`` nor a
-    full Gram matrix.  The centre symbol's Schur complement goes to
+    ``V_i = T_i L_i^H``.  Each kind of block and link, for every symbol at
+    once, is one batched ``numpy.matmul``.  Block elimination toward the
+    centre (Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992),
+    ``S_{j+1} = D_{j+1} - U_j^H S_j^{-1} U_j`` for diagonal blocks ``D``
+    and links ``U``, folds in both ends at once with one stacked
+    ``numpy.linalg.solve`` per step, so a call makes ``2M`` solves of
+    ``min(K, rN)``-square pivots and forms neither ``H`` nor a full Gram
+    matrix.  The centre symbol's Schur complement goes to
     :func:`_gram_sinrs`, or on the row side the ``2rN x 2rN``
     ``[[E_M - c_L, V_M], [V_M^H, E_{M+1} - c_R]]`` of its rows to
     :func:`_row_sinrs`, which keeps an overloaded window accurate at high
     SINR.
     """
-    n_symbols = len(stack.top)
+    n_symbols, n_users = stack.top.shape[:2]
     diagonal, links, correction = stack.diagonal, stack.links, stack.correction
     half = n_symbols // 2
-    rn = stack.conj.shape[-1] // 2
-    # Left pivots and links run from symbol (row block) 0 toward the
-    # centre, right ones from the far end: link j of row 1 belongs to
-    # symbol 2M - j.  Symbol m - 1's block and conjugate are in the other
-    # slot.
-    for m in range(n_symbols):
-        block = stack.local_block(m)
-        conj = stack.conj[m % 2]
-        np.conjugate(block, out=conj)
-        top, bottom = block[:, :rn].T, block[:, rn:].T
-        if stack.row_side:
-            # Three quadrants of ``B_m B_m^H``; ``V_m^H`` is not formed
-            # where ``V_m`` is.
-            np.matmul(top, conj[:, :rn], out=diagonal[m])
-            if m:
-                diagonal[m] += stack.lower
-            np.matmul(bottom, conj[:, rn:], out=stack.lower)
-            if m < half:
-                np.matmul(top, conj[:, rn:], out=links[0, m])
-            elif m > half:
-                np.matmul(bottom, conj[:, :rn], out=links[1, 2 * half - m])
-            else:
-                np.matmul(top, conj[:, rn:], out=stack.centre[:rn, rn:])
-        else:
-            # ``B_m^H B_m = conj(B_m^T) @ B_m``; two neighbouring symbols
-            # are linked by the product of the halves they share.
-            np.matmul(conj, block.T, out=diagonal[m])
-            if 0 < m <= half:
-                np.matmul(stack.conj[1 - m % 2, :, rn:], top,
-                          out=links[0, m - 1])
-            elif m > half:
-                previous = stack.blocks[1 - m % 2].reshape(block.shape)
-                np.matmul(conj[:, :rn], previous[:, rn:].T,
-                          out=links[1, 2 * half - m])
+    np.copyto(stack.blocks, stack.top[:, :, None], where=stack.masks)
+    blocks = stack.blocks.reshape(n_symbols, n_users, -1)
+    conj = np.conjugate(blocks, out=stack.conj)
+    rn = conj.shape[-1] // 2
+    # ``T_m`` and ``L_m`` of every symbol, and their conjugate transposes.
+    # Left links run from symbol (row block) 0 toward the centre, right
+    # ones from the far end: link j of row 1 belongs to symbol 2M - j.
+    top = blocks[..., :rn].swapaxes(1, 2)
+    bottom = blocks[..., rn:].swapaxes(1, 2)
+    top_h, bottom_h = conj[..., :rn], conj[..., rn:]
     if stack.row_side:
-        diagonal[-1] = stack.lower
+        # ``E_i = T_i T_i^H + L_{i-1} L_{i-1}^H``; ``V_m^H`` is not formed
+        # where ``V_m`` is.
+        np.matmul(top, top_h, out=diagonal[:-1])
+        np.matmul(bottom, bottom_h, out=stack.lower)
+        diagonal[1:-1] += stack.lower[:-1]
+        diagonal[-1] = stack.lower[-1]
+        np.matmul(top[:half], bottom_h[:half], out=links[0])
+        np.matmul(bottom[half + 1:], top_h[half + 1:], out=links[1, ::-1])
+        np.matmul(top[half], bottom_h[half], out=stack.centre[:rn, rn:])
+    else:
+        # ``B_m^H B_m = conj(B_m^T) @ B_m``; two neighbouring symbols are
+        # linked by the product of the halves they share.
+        np.matmul(conj, blocks.swapaxes(1, 2), out=diagonal)
+        np.matmul(bottom_h[:half], top[1:half + 1], out=links[0])
+        np.matmul(top_h[half + 1:], bottom[half:-1], out=links[1, ::-1])
     size = diagonal.shape[-1]
     diagonal.reshape(len(diagonal), -1)[:, ::size + 1] += noise_variance
     np.conjugate(links, out=stack.link_conj)
@@ -677,7 +662,7 @@ def _windowed_sinrs(stack: _WindowedStack,
     centre[:rn, :rn] = diagonal[half] - correction[0]
     centre[rn:, rn:] = diagonal[half + 1] - correction[1]
     centre[rn:, :rn] = centre[:rn, rn:].conj().T
-    return _row_sinrs(centre, stack.local_block(half).T)
+    return _row_sinrs(centre, blocks[half].T)
 
 
 def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
@@ -704,10 +689,10 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
     :func:`run_trials` trial at the delays modulo one chip forms it.  No
     delay/pulse matrix is built.  At
     N = 64, beta = 0.5, window 3 and 32 trials per call, a trial took
-    1.15-1.66 ms (minimum over 15 calls; 6 runs) on two workers against
-    1.86-2.76 ms on one, one BLAS thread, 2 vCPUs.  At beta = 4 (K = 256 >
-    rN = 128) an overloaded trial took 57-64 ms on one worker and 31-32 ms
-    on two (medians of 5 calls of 6 trials; 3 runs).
+    0.76-0.78 ms (minimum over 15 calls; 3 runs) on two workers against
+    1.30 ms on one, one BLAS thread, 2 vCPUs.  At beta = 4 (K = 256 >
+    rN = 128) an overloaded trial took 26.3-26.8 ms on one worker and
+    14.9-16.1 ms on two (medians of 5 calls of 6 trials; 3 runs).
 
     When users outnumber the ``rN`` rows of one symbol the windowed SINR
     sits above the reduced one by far more than the trial noise, and the

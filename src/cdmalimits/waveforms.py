@@ -250,10 +250,12 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     values : array_like
         Complex spectrum samples ``Phi(omega)``.
 
-    The bandwidth is the largest sampled ``|omega|/(2*pi)`` and the energy
-    is the exact ``(1/2pi) * integral |Phi|^2`` of the interpolated pulse:
-    ``h * (|p|^2 + Re(p * conj(q)) + |q|^2) / 3`` on a segment of width
-    ``h`` from ``p`` to ``q``, which is Simpson's rule on ``|Phi|^2``.
+    The bandwidth is half the table's span in cycles per chip,
+    ``(omega[-1] - omega[0]) / (4*pi)``, as for a flat pulse over the same
+    span, and the energy is the exact ``(1/2pi) * integral |Phi|^2`` of
+    the interpolated pulse: ``h * (|p|^2 + Re(p * conj(q)) + |q|^2) / 3``
+    on a segment of width ``h`` from ``p`` to ``q``, which is Simpson's
+    rule on ``|Phi|^2``.
     """
     om = np.asarray(omega, dtype=float)
     val = np.asarray(values, dtype=complex)
@@ -272,7 +274,7 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     energy = float(np.sum(np.diff(om) * segments) / (3.0 * TWO_PI))
     return ChipWaveform(
         kind="tabulated",
-        bandwidth=float(np.max(np.abs(om)) / TWO_PI),
+        bandwidth=float((om[-1] - om[0]) / (2.0 * TWO_PI)),
         energy=energy,
         table_omega=om,
         table_value=val,

@@ -589,13 +589,14 @@ def _dense_windowed_sinrs(signatures, row_shifts, noise_variance):
 
 class TestWindowedSinrs:
     @pytest.mark.parametrize("window", [2, 3])
-    @pytest.mark.parametrize("n_users", [4, 24, 40])
+    @pytest.mark.parametrize("n_users", [4, 16, 24, 40])
     def test_match_literal_stack(self, window, n_users):
-        # K = 24 overloads the stack (120 or 168 columns against 96 or 128
-        # rows).  K = 40 also exceeds the 2rN = 32 rows of each symbol's
-        # local block, so every diagonal Gram block is singular without
-        # the noise term.  Both outnumber the rN = 16 rows of one symbol,
-        # so they take the row side, which must keep its accuracy down to
+        # K = 16 = rN is the largest load on the Gram side.  K = 24
+        # overloads the stack (120 or 168 columns against 96 or 128 rows).
+        # K = 40 also exceeds the 2rN = 32 rows of each symbol's local
+        # block, so every diagonal Gram block is singular without the
+        # noise term.  Both outnumber the rN = 16 rows of one symbol, so
+        # they take the row side, which must keep its accuracy down to
         # sigma^2 = 2e-9.
         n, r = 8, 2
         delays, amplitudes, spreading = _windowed_case(
@@ -622,6 +623,26 @@ class TestWindowedSinrs:
             want = _leave_one_out(stack, noise_variance)[center]
             np.testing.assert_allclose(
                 _windowed_sinrs(inputs, noise_variance), want, rtol=rtol)
+
+    @pytest.mark.parametrize("n_users", [12, 40])
+    def test_no_whole_chip_delay_decouples(self, n_users):
+        # With every delay inside one chip no column reaches the next
+        # symbol's rows, so the links vanish and the centre SINRs are
+        # those of the centre symbol alone, the reduced system: on the
+        # Gram side (K = 12) and on the row side (K = 40 > rN = 16).  At
+        # sigma^2 = 1e-4 the K = 12 Gram matrix has condition number
+        # 1.4e5, and both routes lie 4-5e-12 from a 40-digit evaluation.
+        n, r, window = 8, 2, 3
+        delays, amplitudes, spreading = _windowed_case(n, window, n_users,
+                                                       seed=n_users + 1)
+        delays %= 1.0
+        inputs = _windowed_inputs(n, r, delays, amplitudes, spreading)
+        centre = _dense_signatures(n, r, delays, amplitudes,
+                                   spreading)[:, window].T
+        for noise_variance, rtol in ((0.1, 1e-12), (1e-4, 1e-10)):
+            np.testing.assert_allclose(
+                _windowed_sinrs(inputs, noise_variance),
+                _mmse_sinrs(centre, noise_variance), rtol=rtol)
 
     @pytest.mark.parametrize("n_users", [4, 12])
     def test_high_sinr_matches_dense_gram(self, n_users):

@@ -9,6 +9,7 @@ evaluated here to 80 digits with ``decimal``.
 """
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -23,6 +24,7 @@ from cdmalimits import (
     sinc_waveform,
     solve_efficiency_scalar,
     solve_efficiency_sinc,
+    spectral_efficiency,
     tabulated_waveform,
 )
 from cdmalimits.waveforms import ChipWaveform, _alias_table
@@ -213,6 +215,27 @@ def test_flat_table_capacity_is_the_rescaled_sync_capacity(span):
             sys, alpha = _flat_table_system(span, load, n0)
             got = capacity_constrained(sys)
             want = alpha * capacity_sync_closed_form(load / alpha, sys.snr)
+            assert abs(got / want - 1.0) <= 1e-14, (load, n0, got, want)
+
+
+@pytest.mark.parametrize("span", FLAT_SPANS, ids=SPAN_IDS)
+def test_flat_table_bandwidth_is_sincs(span):
+    # A table's bandwidth is half its span, wherever the span sits, so a
+    # flat table over [-a, b] has the bandwidth, smallest oversampling
+    # and spectral efficiency of sinc(alpha').  A symmetric table keeps
+    # its largest sampled |omega| / 2pi bit for bit.
+    sinc = sinc_waveform((span[0] + span[1]) / (2.0 * math.pi))
+    table = _flat_table_system(span, 1.0, 1.0)[0].waveform
+    assert table.bandwidth == sinc.bandwidth
+    assert table.min_oversampling == sinc.min_oversampling
+    if span[0] == span[1]:
+        assert table.bandwidth == span[1] / (2.0 * math.pi)
+    for load in TABLE_LOADS:
+        for n0 in NOISE_LEVELS:
+            sys, _ = _flat_table_system(span, load, n0)
+            got = spectral_efficiency(capacity_constrained(sys), table)
+            want = spectral_efficiency(capacity_constrained(
+                replace(sys, waveform=sinc)), sinc)
             assert abs(got / want - 1.0) <= 1e-14, (load, n0, got, want)
 
 
