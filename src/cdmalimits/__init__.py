@@ -2,13 +2,14 @@
 
 Subpackage map:
 
-- :mod:`cdmalimits.numerics` — shared solver kernels (damped fixed point,
-  ITP bracketed root finder, frequency grids) and ``SolverError``, raised
-  when a solver cannot deliver; invalid input raises ``ValueError``.
+- :mod:`cdmalimits.numerics` — what the layers share: the ITP bracketed
+  root finder, frequency grids and ``SolverError``, raised when a solver
+  cannot deliver; invalid input raises ``ValueError``.
 - :mod:`cdmalimits.waveforms` — chip waveform spectra, aliased sampling,
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
-  matrix-valued fixed point, scalar frequency-domain solver, and the
+  matrix-valued fixed point with its damped iteration and
+  ``FixedPointReport``, scalar frequency-domain solver, and the
   closed-form ideal-bandlimited/synchronous special cases.
 - :mod:`cdmalimits.capacity` — pulse-constrained capacity in free-energy
   closed form, spectral efficiency, and the synchronous closed form it is
@@ -27,6 +28,7 @@ from .capacity import (
 )
 from .large_system import (
     EfficiencySpectrum,
+    FixedPointReport,
     PowerDelayLaw,
     SystemLaw,
     UpsilonField,
@@ -53,11 +55,9 @@ from .montecarlo import (
 )
 from .numerics import (
     BracketError,
-    FixedPointReport,
     FrequencyGrid,
     SolverError,
     bisect,
-    fixed_point,
 )
 from .waveforms import (
     ChipWaveform,
@@ -90,7 +90,6 @@ __all__ = [
     "efficiency_of_user",
     "equal_power_uniform_delays",
     "finite_system",
-    "fixed_point",
     "linear_to_decibels",
     "load_tabulated_waveform",
     "materialize",

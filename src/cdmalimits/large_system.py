@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FrequencyGrid, bisect, fixed_point
+from .numerics import FrequencyGrid, SolverError, bisect
 from .waveforms import (
     ChipWaveform,
     _check_oversampling,
@@ -40,6 +40,8 @@ from .waveforms import (
 )
 
 TWO_PI = 2.0 * np.pi
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 10000
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +180,16 @@ class UpsilonField:
     matrices: np.ndarray  # (grid.count, r, r)
 
 
+@dataclass(frozen=True)
+class FixedPointReport:
+    """Outcome of the matrix route's damped iteration."""
+
+    iterations: int
+    final_residual: float
+    converged: bool
+    damping_used: float
+
+
 def _quadratic_forms(deltas: np.ndarray, field: np.ndarray) -> np.ndarray:
     """``delta^H Upsilon delta`` for each (atom, frequency): shape (A, M)."""
     return np.real(np.einsum("ams,msk,amk->am", np.conj(deltas), field,
@@ -190,8 +202,15 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
     The field satisfies, at every grid frequency,
     ``inv(Upsilon) = sigma^2 I + beta * sum_atoms w * lam * delta delta^H
     / (1 + SINR_atom)`` where ``SINR_atom = (lam/2pi) * integral
-    delta^H Upsilon delta`` and ``sigma^2 = r N_0``.  The iteration
-    stops at a sup-norm step of 1e-10 or after 10000 steps.
+    delta^H Upsilon delta`` and ``sigma^2 = r N_0``.
+
+    From ``I / sigma^2`` each step maps the field to the right side's
+    inverse and moves it to ``(1 - d) * field + d * stepped``.  The
+    damping ``d`` starts at 1 and halves, down to ``2**-20``, whenever the
+    residual (the sup norm of ``stepped - field``) rises.  The iteration
+    stops at a residual of ``FIXED_POINT_TOL`` or after
+    ``FIXED_POINT_MAX_ITER`` steps, and raises "divergence"
+    (``SolverError``) on a step that is not finite.
 
     Returns ``(UpsilonField, FixedPointReport)``; a non-converged run is
     reported, never silent.
@@ -203,21 +222,30 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
     sigma2 = sys.noise_variance
     deltas = _delta_components(sys.waveform, r, grid.points, law.delays)
     eye = np.eye(r, dtype=complex)
-    init = np.broadcast_to(eye / sigma2,
-                           (grid.count, r, r)).copy()
-
+    field = np.broadcast_to(eye / sigma2, (grid.count, r, r)).copy()
     quad_scale = grid.spacing / TWO_PI
-
-    def step(field: np.ndarray) -> np.ndarray:
+    damping = 1.0
+    prev_residual = np.inf
+    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         forms = _quadratic_forms(deltas, field)  # (A, M)
         sinr = law.powers * quad_scale * forms.sum(axis=1)  # (A,)
         coeff = sys.load * law.weights * law.powers / (1.0 + sinr)
         interference = np.einsum("a,ams,amk->msk", coeff, deltas,
                                  np.conj(deltas), optimize=True)
-        return np.linalg.inv(sigma2 * eye[None, :, :] + interference)
-
-    state, report = fixed_point(step, init)
-    return UpsilonField(grid=grid, matrices=state), report
+        stepped = np.linalg.inv(sigma2 * eye[None, :, :] + interference)
+        if not np.all(np.isfinite(stepped)):
+            raise SolverError("divergence")
+        residual = float(np.max(np.abs(stepped - field)))
+        if residual > prev_residual and damping > 2.0 ** -20:
+            damping *= 0.5
+        prev_residual = residual
+        field = (1.0 - damping) * field + damping * stepped
+        if residual <= FIXED_POINT_TOL:
+            break
+    report = FixedPointReport(iterations=iterations, final_residual=residual,
+                              converged=residual <= FIXED_POINT_TOL,
+                              damping_used=damping)
+    return UpsilonField(grid=grid, matrices=field), report
 
 
 def sinr_user(field: UpsilonField, sys: SystemLaw,

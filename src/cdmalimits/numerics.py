@@ -1,4 +1,4 @@
-"""Shared numeric kernel: quadrature, fixed points, ITP roots.
+"""What the layers share: the ITP root, the midpoint grid, solver errors.
 
 Matrices and vectors are plain ``numpy`` arrays throughout the package,
 whose only runtime dependency is ``numpy``; the dense solves of the Monte
@@ -27,69 +27,8 @@ class BracketError(SolverError):
     """Raised when a root bracket does not contain a sign change."""
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
-    """Outcome of a damped fixed-point iteration."""
-
-    iterations: int
-    final_residual: float
-    converged: bool
-    damping_used: float
-
-
-FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 10000
 #: Cap on ITP steps, well above the ``ceil(log2(width / tol)) + 1`` it needs.
 ITP_MAX_STEPS = 200
-
-
-def fixed_point(step, init):
-    """Damped fixed-point iteration ``x <- (1-d)*x + d*step(x)``.
-
-    The damping ``d`` starts at 1.  The residual is the sup norm of
-    ``step(x) - x`` (the undamped equation residual, independent of the
-    damping factor).  When the residual increases from one iteration to
-    the next the damping is halved, which only matters for maps that are
-    not contractive out of the box.  The iteration stops once the residual
-    is at most ``FIXED_POINT_TOL`` or after ``FIXED_POINT_MAX_ITER`` steps.
-
-    Parameters
-    ----------
-    step : callable
-        Self-map on the state (scalar or ndarray).
-    init : array_like or scalar
-        Starting state.
-
-    Returns
-    -------
-    (state, FixedPointReport)
-
-    Raises
-    ------
-    SolverError
-        If the state stops being finite ("divergence").
-    """
-    damping = 1.0
-    x = np.asarray(init, dtype=np.result_type(np.asarray(init), np.float64))
-    prev_residual = np.inf
-    for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        fx = np.asarray(step(x))
-        if not np.all(np.isfinite(fx)):
-            raise SolverError("divergence")
-        residual = float(np.max(np.abs(fx - x))) if fx.size else 0.0
-        if residual > prev_residual and damping > 2.0 ** -20:
-            damping *= 0.5
-        prev_residual = residual
-        x = (1.0 - damping) * x + damping * fx
-        if residual <= FIXED_POINT_TOL:
-            break
-    report = FixedPointReport(iterations=iterations,
-                              final_residual=residual,
-                              converged=residual <= FIXED_POINT_TOL,
-                              damping_used=damping)
-    if x.ndim == 0:
-        return x[()], report
-    return x, report
 
 
 def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:

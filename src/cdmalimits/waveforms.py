@@ -213,8 +213,8 @@ def sinc_waveform(relative_bandwidth: float) -> ChipWaveform:
     ``|Phi|^2 = 1/alpha`` on the support, giving unit energy for every
     ``alpha``; the one-sided bandwidth is ``alpha/2`` cycles per chip.
     """
-    if relative_bandwidth <= 0:
-        raise ValueError("relative bandwidth must be positive")
+    if not 0 < relative_bandwidth < math.inf:
+        raise ValueError("relative bandwidth must be finite and positive")
     return ChipWaveform(
         kind="sinc",
         bandwidth=relative_bandwidth / 2.0,
@@ -246,9 +246,9 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     Parameters
     ----------
     omega : array_like
-        Strictly increasing sample frequencies in rad per chip.
+        Strictly increasing, finite sample frequencies in rad per chip.
     values : array_like
-        Complex spectrum samples ``Phi(omega)``.
+        Finite complex spectrum samples ``Phi(omega)``, not all zero.
 
     The bandwidth is half the table's span in cycles per chip,
     ``(omega[-1] - omega[0]) / (4*pi)``, as for a flat pulse over the same
@@ -263,6 +263,10 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
         raise ValueError("tabulated waveform needs at least two samples")
     if val.shape != om.shape:
         raise ValueError("frequency and value tables must match in length")
+    if not np.all(np.isfinite(om)):
+        raise ValueError("tabulated frequencies must be finite")
+    if not np.all(np.isfinite(val)):
+        raise ValueError("tabulated values must be finite")
     if np.any(np.diff(om) <= 0):
         raise ValueError("tabulated frequencies must be strictly increasing")
     om = om.copy()
@@ -272,6 +276,8 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     p, q = val[:-1], val[1:]
     segments = np.abs(p) ** 2 + np.real(p * np.conj(q)) + np.abs(q) ** 2
     energy = float(np.sum(np.diff(om) * segments) / (3.0 * TWO_PI))
+    if energy == 0.0:
+        raise ValueError("tabulated waveform has zero energy")
     return ChipWaveform(
         kind="tabulated",
         bandwidth=float((om[-1] - om[0]) / (2.0 * TWO_PI)),

@@ -242,6 +242,20 @@ def _singular_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
 
 
+def _nan_inverse(monkeypatch):
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: np.full_like(a, np.nan))
+
+
+def _table(text):
+    """Patch that writes ``t.csv`` (header, then ``text``) to the run
+    directory."""
+    def write(monkeypatch):
+        with open("t.csv", "w") as handle:
+            handle.write("omega,re\n" + text)
+    return write
+
+
 # Invalid input and violated hypotheses exit 2; a solver that cannot
 # deliver exits 3.  Each row gives the full stderr line after "error: ".
 @pytest.mark.parametrize("argv, patch, code, line", [
@@ -259,6 +273,28 @@ def _singular_solve(monkeypatch):
                  "bad waveform argument 'table:missing.csv': [Errno 2] No "
                  "such file or directory: 'missing.csv'",
                  id="missing_table"),
+    pytest.param(["efficiency", "--waveform", "sinc:inf"], None, 2,
+                 "bad waveform argument 'sinc:inf': relative bandwidth "
+                 "must be finite and positive", id="infinite_sinc"),
+    pytest.param(["efficiency", "--waveform", "sinc:nan"], None, 2,
+                 "bad waveform argument 'sinc:nan': relative bandwidth "
+                 "must be finite and positive", id="nan_sinc"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv", "--r", "1"],
+                 _table("-1,0\n1,0\n"), 2,
+                 "bad waveform argument 'table:t.csv': tabulated waveform "
+                 "has zero energy", id="zero_table"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv"],
+                 _table("-inf,1\n1,1\n"), 2,
+                 "bad waveform argument 'table:t.csv': tabulated "
+                 "frequencies must be finite", id="infinite_table_omega"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv", "--r", "1"],
+                 _table("-1,nan\n1,1\n"), 2,
+                 "bad waveform argument 'table:t.csv': tabulated values "
+                 "must be finite", id="nan_table_value"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv", "--r", "1"],
+                 _table("-1,inf\n1,1\n"), 2,
+                 "bad waveform argument 'table:t.csv': tabulated values "
+                 "must be finite", id="infinite_table_value"),
     pytest.param(["montecarlo", "--matrix-kind", "block_toeplitz", "--n",
                   "2", "--trials", "1"], None, 2, "pulse too long for N",
                  id="pulse_too_long"),
@@ -276,6 +312,8 @@ def _singular_solve(monkeypatch):
     pytest.param(["efficiency", "--cross-check"], _unconverged_field, 3,
                  "matrix fixed point stopped after 10000 iterations at "
                  "residual 3.021e-10", id="unconverged_field"),
+    pytest.param(["efficiency", "--cross-check"], _nan_inverse, 3,
+                 "divergence", id="diverging_field"),
     pytest.param(["theorem3", "--n", "16", "--trials", "1"],
                  _singular_solve, 3, "not positive definite",
                  id="not_positive_definite"),

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from cdmalimits import (
     FrequencyGrid,
     PowerDelayLaw,
+    SolverError,
     SystemLaw,
     efficiency_of_user,
     equal_power_uniform_delays,
@@ -30,6 +31,7 @@ from cdmalimits import (
     synchronous_law,
     uniform_delay_grid,
 )
+from cdmalimits import large_system
 from cdmalimits.large_system import _delays_balanced
 
 # Closed-form equal-power multiuser efficiency at load 1, unit power,
@@ -448,6 +450,50 @@ class TestMatrixRoute:
                                    atol=1e-12)
         eigs = np.linalg.eigvalsh(mats)
         assert eigs.min() > 0.0
+
+
+class TestMatrixIteration:
+    """The damped iteration of ``solve_upsilon`` and its report."""
+
+    @staticmethod
+    def _rrc_system(load, noise_density):
+        return SystemLaw(load=load, noise_density=noise_density,
+                         oversampling=2,
+                         waveform=root_raised_cosine_waveform(0.22),
+                         law=equal_power_uniform_delays(64))
+
+    def test_undamped_steps_to_tolerance(self):
+        _, report = solve_upsilon(self._rrc_system(0.5, 0.1),
+                                  FrequencyGrid.midpoints(512))
+        assert report.converged
+        assert report.iterations == 22
+        assert report.damping_used == 1.0
+        assert report.final_residual <= large_system.FIXED_POINT_TOL
+
+    def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 3)
+        _, report = solve_upsilon(self._rrc_system(0.5, 0.1),
+                                  FrequencyGrid.midpoints(64))
+        assert not report.converged
+        assert report.iterations == 3
+        assert report.final_residual > large_system.FIXED_POINT_TOL
+
+    def test_rising_residual_halves_damping_to_its_floor(self, monkeypatch):
+        # At beta = 4, N0 = 1e-3 the residual stalls near 3e-10 and keeps
+        # rising, so within 100 steps the damping halves down to 2^-20
+        # and no further.
+        monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
+        _, report = solve_upsilon(self._rrc_system(4.0, 1e-3),
+                                  FrequencyGrid.midpoints(64))
+        assert not report.converged
+        assert report.damping_used == 2.0 ** -20
+
+    def test_non_finite_step_is_divergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: np.full_like(a, np.nan))
+        with pytest.raises(SolverError, match="^divergence$"):
+            solve_upsilon(self._rrc_system(0.5, 0.1),
+                          FrequencyGrid.midpoints(64))
 
 
 class TestUserMetrics:

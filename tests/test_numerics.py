@@ -1,7 +1,7 @@
 """Tests for the shared numerical kernels.
 
 Oracles are computed in-test with independent methods (closed-form
-integrals, analytically known roots and fixed points).
+integrals, analytically known roots).
 """
 
 import math
@@ -14,56 +14,8 @@ from hypothesis import strategies as st
 from cdmalimits import (
     BracketError,
     FrequencyGrid,
-    SolverError,
     bisect,
-    fixed_point,
 )
-
-
-class TestFixedPoint:
-    def test_linear_contraction(self):
-        # x -> 0.5 x + 1 has the unique fixed point x = 2.
-        value, report = fixed_point(lambda x: 0.5 * x + 1.0, np.array(0.0))
-        assert value == pytest.approx(2.0, abs=1e-9)
-        assert report.converged
-        assert report.final_residual <= 1e-10
-
-    def test_vector_iteration(self):
-        # Componentwise contraction toward [2, -4].
-        target = np.array([2.0, -4.0])
-        value, report = fixed_point(lambda x: 0.25 * x + 0.75 * target, np.zeros(2))
-        np.testing.assert_allclose(value, target, atol=1e-9)
-        assert report.converged
-
-    def test_immediate_convergence(self):
-        value, report = fixed_point(lambda x: x, np.array(3.0))
-        assert value == pytest.approx(3.0)
-        assert report.converged
-        assert report.iterations <= 1
-
-    def test_divergent_map_raises(self):
-        # Cubing from 2.0 overflows to inf within a dozen iterations.
-        with np.errstate(over="ignore"), pytest.raises(SolverError,
-                                                       match="diverge"):
-            fixed_point(lambda x: x**3, np.array(2.0))
-
-    def test_iteration_budget_reports_nonconvergence(self):
-        # A contraction too slow for the budget returns a truthful report
-        # instead of raising: after 10000 steps of 0.999999 * x the step
-        # is still about 1e-6, far above the 1e-10 tolerance.
-        _, report = fixed_point(lambda x: 0.999999 * x, np.array(1.0))
-        assert not report.converged
-        assert report.iterations == 10000
-        assert report.final_residual > 1e-10
-        assert report.damping_used == 1.0
-
-    def test_report_counts_iterations(self):
-        # 0.5 * x from 1 moves by 2^-k in step k, and 2^-34 is the first
-        # move below 1e-10.
-        _, report = fixed_point(lambda x: 0.5 * x, np.array(1.0))
-        assert report.converged
-        assert report.iterations == 34
-        assert report.damping_used == 1.0
 
 
 class TestBisect:

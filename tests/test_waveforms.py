@@ -70,8 +70,10 @@ class TestSincWaveform:
         assert sinc_waveform(2.5).min_oversampling == 3
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            sinc_waveform(0.0)
+        for alpha in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="relative bandwidth must "
+                                                 "be finite and positive"):
+                sinc_waveform(alpha)
 
 
 class TestRootRaisedCosine:
@@ -168,6 +170,18 @@ class TestTabulatedWaveform:
             tabulated_waveform([0.0], [1.0])
         with pytest.raises(ValueError, match="match in length"):
             tabulated_waveform([0.0, 1.0], [1.0, 1.0, 1.0])
+        for omega in ([-math.inf, 1.0], [-1.0, math.nan]):
+            with pytest.raises(ValueError,
+                               match="tabulated frequencies must be finite"):
+                tabulated_waveform(omega, [1.0, 1.0])
+        for values in ([math.nan, 1.0], [math.inf, 1.0],
+                       [1.0, complex(0.0, -math.inf)]):
+            with pytest.raises(ValueError,
+                               match="tabulated values must be finite"):
+                tabulated_waveform([-1.0, 1.0], values)
+        with pytest.raises(ValueError,
+                           match="tabulated waveform has zero energy"):
+            tabulated_waveform([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
     def test_csv_round_trip(self, tmp_path):
         _, grid, vals = self._rrc_table(n=101)
