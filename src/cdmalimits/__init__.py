@@ -54,7 +54,6 @@ from .montecarlo import (
     trial_seed,
 )
 from .numerics import (
-    BracketError,
     FrequencyGrid,
     SolverError,
     bisect,
@@ -70,7 +69,6 @@ from .waveforms import (
 )
 
 __all__ = [
-    "BracketError",
     "ChipWaveform",
     "EfficiencySpectrum",
     "FiniteSystem",

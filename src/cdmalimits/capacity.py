@@ -6,13 +6,12 @@ Two routes to total capacity per chip for the large-system limit:
   the load and the per-chip SNR, through the equal-power efficiency;
 * ``capacity_constrained`` — the pulse-constrained asynchronous capacity
   in the free-energy closed form (generalizing Verdu-Shamai, IEEE Trans.
-  IT 45(2), 1999), fed by one scalar-route efficiency solve.  For the
-  flat and RRC pulses both spectral integrals of that form are
-  elementary, so nothing is integrated numerically; tabulated pulses use
-  a midpoint rule.  Two heavier routes are kept in the tests as oracles:
-  the I-MMSE route (Guo-Shamai-Verdu, IEEE Trans. IT 51(4), 2005), which
-  integrates the per-class MMSE over the SNR axis, and the same free
-  energy on a fine midpoint grid.
+  IT 45(2), 1999) of a pulse, a load and power levels (``_capacity``) at
+  one scalar-route efficiency root: elementary for the flat and RRC
+  pulses, a midpoint rule for tabulated ones.  Two heavier routes are
+  kept in the tests as oracles: the I-MMSE route (Guo-Shamai-Verdu, IEEE
+  Trans. IT 51(4), 2005), which integrates the per-class MMSE over the
+  SNR axis, and the same free energy on a fine midpoint grid.
 
 Time is measured in chips, so the time-bandwidth product is the one-sided
 bandwidth ``B`` (cycles per chip) stored on the waveform.  Spectral
@@ -28,8 +27,13 @@ import math
 
 import numpy as np
 
-from .large_system import SystemLaw, _efficiency_root, _equal_power_root
-from .numerics import BracketError, bisect
+from .large_system import (
+    SystemLaw,
+    _balanced_marginal,
+    _band_root,
+    _equal_power_root,
+)
+from .numerics import SolverError, bisect
 from .waveforms import LOG2_E, ChipWaveform
 
 #: SNR range searched for an Eb/N0 target, and its root's relative tolerance.
@@ -56,27 +60,32 @@ def capacity_sync_closed_form(load: float, snr: float) -> float:
 
 
 def capacity_constrained(sys: SystemLaw, snr: float | None = None) -> float:
-    """Pulse-constrained asynchronous capacity per chip (bits/chip).
-
-    Free-energy closed form at the scalar efficiency ``eta`` of the system
-    re-noised to per-chip SNR ``snr``:
-    ``C = beta * sum_levels w*log2(1 + lam*snr*eta) + F`` with the
-    waveform's free-energy band mean ``F = (1/2pi) * integral [log2(1 +
-    x*|Phi|^2) - log2(e) * x*|Phi|^2 / (1 + x*|Phi|^2)] dw`` at the
-    interference level ``x`` of the efficiency solve.  ``F`` is elementary
-    for the built-in pulses and a midpoint rule over a table's span.
-    ``snr`` defaults to the system's own ``E/N_0``.
-    """
+    """Pulse-constrained asynchronous capacity per chip (bits/chip) of the
+    system's power marginal at per-chip SNR ``snr`` (default ``E/N_0``),
+    for a law that passes the gate of ``solve_efficiency_scalar``."""
     if snr is None:
         snr = sys.snr
     if snr < 0:
         raise ValueError("snr must be nonnegative")
     if sys.load == 0.0 or snr == 0.0:
         return 0.0
-    _, eta, free_energy = _efficiency_root(sys, sys.waveform.energy / snr)
-    powers, weights = sys.law.power_marginal()
+    return _capacity(sys.waveform, sys.load, *_balanced_marginal(sys), snr)
+
+
+def _capacity(waveform: ChipWaveform, load: float, powers: np.ndarray,
+              weights: np.ndarray, snr: float) -> float:
+    """Capacity per chip of power levels at a positive per-chip SNR.
+
+    Free-energy closed form at the scalar efficiency ``eta`` of the band
+    root at ``N_0 = E/snr``: ``C = beta * sum_levels w*log2(1 +
+    lam*snr*eta) + F`` with the waveform's free-energy band mean ``F =
+    (1/2pi) * integral [log2(1 + x*|Phi|^2) - log2(e) * x*|Phi|^2 / (1 +
+    x*|Phi|^2)] dw`` at the root's interference level ``x``.
+    """
+    _, eta, free_energy = _band_root(waveform, load, powers, weights,
+                                     waveform.energy / snr)
     user_term = float(np.sum(weights * np.log1p(powers * snr * eta)))
-    return sys.load * LOG2_E * user_term + free_energy
+    return load * LOG2_E * user_term + free_energy
 
 
 def spectral_efficiency(capacity_per_chip: float,
@@ -120,12 +129,12 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn) -> float:
     lo = hi = 1.0
     while excess(math.log(lo)) > 0.0:
         if lo <= _MIN_SNR:
-            raise BracketError("unreachable Eb/N0")
+            raise SolverError("unreachable Eb/N0")
         hi, lo = lo, max(lo / 8.0, _MIN_SNR)
     while excess(math.log(hi)) < 0.0:
         lo, hi = hi, hi * 8.0
         if hi > _MAX_SNR:
-            raise BracketError("unreachable Eb/N0")
+            raise SolverError("unreachable Eb/N0")
     if lo == hi:
         return hi
     return math.exp(bisect(excess, math.log(lo), math.log(hi),

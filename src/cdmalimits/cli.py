@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .capacity import (
-    capacity_constrained,
+    _capacity,
     capacity_sync_closed_form,
     decibels_to_linear,
     linear_to_decibels,
@@ -73,9 +73,10 @@ from .large_system import (
     synchronous_law,
 )
 from .montecarlo import finite_system, run_trials, theorem3_harness
-from .numerics import BracketError, FrequencyGrid, SolverError
+from .numerics import FrequencyGrid, SolverError
 from .waveforms import (
     ChipWaveform,
+    _check_oversampling,
     _delay_free_q,
     _delta_components,
     load_tabulated_waveform,
@@ -385,12 +386,11 @@ def _make_system(cfg: ExperimentConfig, load: float) -> SystemLaw:
 
 def _capacity_curve(waveform: ChipWaveform, load: float,
                     oversampling: int) -> Callable[[float], float]:
-    """Capacity per chip against per-chip SNR, for equal powers on 64
-    uniform delays.  The SNR re-noises the system, so its N_0 is moot."""
-    sys_law = SystemLaw(load=load, noise_density=1.0,
-                        oversampling=oversampling, waveform=waveform,
-                        law=equal_power_uniform_delays(64))
-    return lambda snr: capacity_constrained(sys_law, snr=snr)
+    """Capacity per chip against per-chip SNR at equal powers on uniform
+    delays, where ``delta delta^H``'s delay terms average out at any B."""
+    _check_oversampling(waveform, oversampling)
+    unit = np.ones(1)
+    return lambda snr: _capacity(waveform, load, unit, unit, snr)
 
 
 def _single_beta(cfg: ExperimentConfig) -> float:
@@ -411,12 +411,12 @@ def _solved_field(sys: SystemLaw, grid_size: int):
 def _ebn0_capacity(ebn0: float, load: float,
                    capacity_fn: Callable[[float], float]) -> float | None:
     """Capacity meeting an Eb/N0 target, 0.0 at zero load (where no user
-    transmits), or None on bracket failure."""
+    transmits), or None, with a warning, when the inversion fails."""
     if load == 0.0:
         return 0.0
     try:
         snr = snr_for_ebn0(ebn0, load, capacity_fn)
-    except BracketError as exc:
+    except SolverError as exc:
         _warn(f"load {load:g}: {exc}")
         return None
     return capacity_fn(snr)
@@ -662,10 +662,7 @@ def _delay_independence_residual() -> float:
 
 
 def _scaling_identity_residual() -> float:
-    waveform = sinc_waveform(2.0)
-    sys_law = SystemLaw(load=1.0, noise_density=1.0, oversampling=2,
-                        waveform=waveform, law=equal_power_uniform_delays(64))
-    async_value = capacity_constrained(sys_law, snr=10.0)
+    async_value = _capacity_curve(sinc_waveform(2.0), 1.0, 2)(10.0)
     reference = 2.0 * capacity_sync_closed_form(0.5, 10.0)
     return abs(async_value - reference) / reference
 

@@ -24,7 +24,6 @@ degenerates to.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -298,12 +297,10 @@ class EfficiencySpectrum:
     scalar: float           # eta = (1/2pi) * integral density
 
 
-@functools.lru_cache(maxsize=64)
 def _delays_balanced(law: PowerDelayLaw, degree: int) -> bool:
     """Whether each nonzero power level's delay moments of orders
     ``1..degree`` vanish (below 1e-12 of the level's weight); a zero-power
-    level adds no interference on either route.  Cached per law object,
-    since the capacity inversions re-noise one system many times."""
+    level adds no interference on either route."""
     levels = np.unique(law.powers[law.powers > 0])[:, None]
     level_weights = (law.powers == levels) * law.weights  # (levels, atoms)
     moments = level_weights @ np.exp(TWO_PI * 1j * np.outer(
@@ -356,21 +353,16 @@ def _band_root(waveform: ChipWaveform, load: float, powers: np.ndarray,
     return (x, *waveform._band_means(x))
 
 
-def _efficiency_root(sys: SystemLaw,
-                     noise_density: float) -> tuple[float, float, float]:
-    """:func:`_band_root` of the system's power marginal.
-
-    Raises "corollary hypotheses violated", with the delays the gate of
-    :func:`solve_efficiency_scalar` asks for, when the law fails it.
-    """
+def _balanced_marginal(sys: SystemLaw) -> tuple[np.ndarray, np.ndarray]:
+    """The law's power marginal; raises "corollary hypotheses violated",
+    naming the delays it needs, when the law fails the delay gate of
+    :func:`solve_efficiency_scalar`."""
     if not _delays_balanced(sys.law, sys.waveform.min_oversampling - 1):
         raise ValueError(
             "corollary hypotheses violated: each power level needs more "
             "than ceil(2B) - 1 uniform, evenly spaced delays over one chip, "
             "for one-sided bandwidth B in cycles per chip")
-    powers, weights = sys.law.power_marginal()
-    return _band_root(sys.waveform, sys.load, powers, weights,
-                      noise_density)
+    return sys.law.power_marginal()
 
 
 def solve_efficiency_scalar(sys: SystemLaw,
@@ -389,8 +381,9 @@ def solve_efficiency_scalar(sys: SystemLaw,
     scalar solves that equation with the waveform's band mean; the density
     is sampled on ``n_points`` midpoints of the support.
     """
-    x, scalar, _ = _efficiency_root(sys, sys.noise_density)
     waveform = sys.waveform
+    x, scalar, _ = _band_root(waveform, sys.load, *_balanced_marginal(sys),
+                              sys.noise_density)
     omegas = _support_grid(waveform, n_points)
     density = _efficiency_density(waveform.power_spectrum(omegas),
                                   x * waveform.energy, waveform.energy)

@@ -17,14 +17,10 @@ import numpy as np
 
 
 class SolverError(RuntimeError):
-    """A solver that cannot deliver: a fixed point that stops or diverges,
-    a bracket without a sign change, an unreachable Eb/N0, or a matrix
-    that is not positive definite.  Invalid input and violated model
-    hypotheses raise the built-in ``ValueError`` instead."""
-
-
-class BracketError(SolverError):
-    """Raised when a root bracket does not contain a sign change."""
+    """The one error of a solver that cannot deliver, its message naming
+    why: a fixed point that stops or diverges, a bracket without a sign
+    change, an unreachable Eb/N0, or a matrix that is not positive definite.
+    Invalid input and violated hypotheses raise ``ValueError`` instead."""
 
 
 #: Cap on ITP steps, well above the ``ceil(log2(width / tol)) + 1`` it needs.
@@ -59,7 +55,7 @@ def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
     if f_hi == 0.0:
         return hi
     if np.sign(f_lo) == np.sign(f_hi):
-        raise BracketError("bracket")
+        raise SolverError("bracket")
     truncation = 0.2 / (hi - lo)
     # Steps keep the bracket on bisection's schedule plus one step, aimed
     # a few ulps inside ``tol`` so that the rounding of each step (whose

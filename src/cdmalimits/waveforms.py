@@ -248,7 +248,8 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     omega : array_like
         Strictly increasing, finite sample frequencies in rad per chip.
     values : array_like
-        Finite complex spectrum samples ``Phi(omega)``, not all zero.
+        Finite complex spectrum samples ``Phi(omega)``, not all zero, of
+        largest magnitude in ``[sqrt(float min), sqrt(float max)]``.
 
     The bandwidth is half the table's span in cycles per chip,
     ``(omega[-1] - omega[0]) / (4*pi)``, as for a flat pulse over the same
@@ -269,6 +270,11 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
         raise ValueError("tabulated values must be finite")
     if np.any(np.diff(om) <= 0):
         raise ValueError("tabulated frequencies must be strictly increasing")
+    limits = np.sqrt([np.finfo(float).tiny, np.finfo(float).max])
+    peak = np.max(np.abs(val))
+    if peak and not limits[0] <= peak <= limits[1]:
+        raise ValueError("largest tabulated |value| must lie in "
+                         "[{:.2g}, {:.2g}]".format(*limits))
     om = om.copy()
     val = val.copy()
     om.setflags(write=False)

@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
-    BracketError,
     PowerDelayLaw,
+    SolverError,
     SystemLaw,
     capacity_constrained,
     capacity_sync_closed_form,
@@ -439,7 +439,7 @@ class TestEbN0Inversion:
     def test_unreachable_target(self):
         fn = lambda snr: capacity_sync_closed_form(1.0, snr)
         # Below the minimum energy per bit of the channel.
-        with pytest.raises(BracketError, match="unreachable Eb/N0"):
+        with pytest.raises(SolverError, match="unreachable Eb/N0"):
             snr_for_ebn0(1e-3, 1.0, fn)
 
     def test_invalid_arguments(self):

@@ -283,6 +283,16 @@ def _table(text):
                  _table("-1,0\n1,0\n"), 2,
                  "bad waveform argument 'table:t.csv': tabulated waveform "
                  "has zero energy", id="zero_table"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv", "--r", "1"],
+                 _table("-3.14159,1e200\n3.14159,1e200\n"), 2,
+                 "bad waveform argument 'table:t.csv': largest tabulated "
+                 "|value| must lie in [1.5e-154, 1.3e+154]",
+                 id="overflowing_table"),
+    pytest.param(["efficiency", "--waveform", "table:t.csv", "--r", "1"],
+                 _table("-3.14159,1e-200\n3.14159,1e-200\n"), 2,
+                 "bad waveform argument 'table:t.csv': largest tabulated "
+                 "|value| must lie in [1.5e-154, 1.3e+154]",
+                 id="underflowing_table"),
     pytest.param(["efficiency", "--waveform", "table:t.csv"],
                  _table("-inf,1\n1,1\n"), 2,
                  "bad waveform argument 'table:t.csv': tabulated "
@@ -575,13 +585,31 @@ class TestRangeCorners:
         ["theorem3", "--n", "8", "--beta", "16", "--trials", "2"],
         ["montecarlo", "--n", "16", "--beta", "16", "--trials", "2",
          "--grid", "32"],
+        # Equal powers over uniform delays need no delay grid, however
+        # wide the pulse.
+        ["capacity", "--waveform", "sinc:70", "--r", "70", "--snr", "10"],
+        ["figure2", "--alpha", "100", "--ebn0-db", "10"],
+        ["figure3", "--waveform", "sinc:65", "--r", "65", "--beta", "1",
+         "--ebn0-db", "10"],
     ], ids=["capacity", "figure2", "theorem3_n0", "theorem3_beta",
-            "montecarlo_beta"])
+            "montecarlo_beta", "capacity_wide", "figure2_wide",
+            "figure3_wide"])
     def test_command_at_a_corner(self, argv, capsys):
         code, out, err = _run(capsys, argv)
         assert (code, err) == (0, "")
         _, rows = _parse(out)
         assert rows and _cells_finite(rows)
+
+    def test_wide_flat_pulse_capacity_is_scaled_synchronous(self, capsys):
+        # A flat pulse of relative bandwidth alpha carries alpha times the
+        # synchronous capacity at load beta/alpha.
+        code, out, _ = _run(capsys, ["capacity", "--waveform", "sinc:70",
+                                     "--r", "70", "--snr", "10"])
+        assert code == 0
+        _, rows = _parse(out)
+        want = 70.0 * cdmalimits.capacity_sync_closed_form(1.0 / 70.0, 10.0)
+        assert float(rows[0]["capacity_per_chip"]) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
 
     def test_widest_rrc_at_160_db_leaves_one_cell_empty(self, capsys):
         code, out, err = _run(capsys, ["figure3", "--waveform", "rrc:1",
@@ -594,6 +622,23 @@ class TestRangeCorners:
                  if r[column] == ""]
         assert empty == [("8.0", "gamma_async")]
         assert _cells_finite(rows)
+
+
+@pytest.mark.parametrize("waveform", [
+    cdmalimits.root_raised_cosine_waveform(0.22),
+    cdmalimits.sinc_waveform(1.9),
+    cdmalimits.tabulated_waveform([-2.0, 0.0, 3.0], [1.0, 1.0, 0.5]),
+], ids=["rrc", "sinc", "asymmetric_table"])
+def test_capacity_curve_is_the_uniform_delay_capacity(waveform):
+    # Equal powers on 64 uniform delays have one unit power level, so the
+    # curve's unit levels give their capacity to the last bit.
+    r = waveform.min_oversampling
+    curve = cli._capacity_curve(waveform, 1.5, r)
+    sys_law = cdmalimits.SystemLaw(
+        load=1.5, noise_density=1.0, oversampling=r, waveform=waveform,
+        law=cdmalimits.equal_power_uniform_delays(64))
+    for snr in (1e-9, 1e-3, 1.0, 10.0, 1e6, 1e18):
+        assert curve(snr) == cdmalimits.capacity_constrained(sys_law, snr)
 
 
 class TestMonteCarloCommand:

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
-    BracketError,
     FrequencyGrid,
+    SolverError,
     bisect,
 )
 
@@ -32,7 +32,7 @@ class TestBisect:
         assert root == pytest.approx(1.0, abs=1e-10)
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(BracketError, match="bracket"):
+        with pytest.raises(SolverError, match="bracket"):
             bisect(lambda x: x + 10.0, 0.0, 1.0)
 
     @settings(max_examples=50, deadline=None)

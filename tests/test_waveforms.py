@@ -182,6 +182,18 @@ class TestTabulatedWaveform:
         with pytest.raises(ValueError,
                            match="tabulated waveform has zero energy"):
             tabulated_waveform([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        # |Phi|^2 at the peak must neither overflow nor underflow.
+        limit = (r"largest tabulated \|value\| must lie in "
+                 r"\[1\.5e-154, 1\.3e\+154\]")
+        tiny = math.sqrt(np.finfo(float).tiny)
+        huge = math.sqrt(np.finfo(float).max)
+        for peak in (1e200, complex(0.0, -1e200), 1e-200,
+                     np.nextafter(tiny, 0.0), np.nextafter(huge, math.inf)):
+            with pytest.raises(ValueError, match=limit):
+                tabulated_waveform([-np.pi, np.pi], [peak, peak])
+        # Only the largest value is bounded: smaller samples may underflow.
+        wf = tabulated_waveform([-np.pi, 0.0, np.pi], [1.0, 1e-200, tiny])
+        assert wf.energy == pytest.approx(1.0 / 6.0)
 
     def test_csv_round_trip(self, tmp_path):
         _, grid, vals = self._rrc_table(n=101)
