@@ -14,7 +14,8 @@ Subpackage map:
 - :mod:`cdmalimits.capacity` — pulse-constrained capacity in free-energy
   closed form, spectral efficiency, and the synchronous closed form it is
   compared against.
-- :mod:`cdmalimits.montecarlo` — exact finite-size validation.
+- :mod:`cdmalimits.montecarlo` — exact finite-size validation on
+  block-circulant delay/pulse matrices, applied by FFT.
 - :mod:`cdmalimits.cli` — command line front end.
 """
 
@@ -46,7 +47,6 @@ from .montecarlo import (
     FiniteSystem,
     PairedSummaries,
     TrialSummary,
-    build_phi_matrix,
     finite_system,
     materialize,
     run_trials,
@@ -81,7 +81,6 @@ __all__ = [
     "TrialSummary",
     "UpsilonField",
     "bisect",
-    "build_phi_matrix",
     "capacity_constrained",
     "capacity_sync_closed_form",
     "decibels_to_linear",

@@ -136,7 +136,6 @@ _DEFAULTS: dict[str, dict[str, str]] = {
         "trials": "200",
         "delays": "uniform",
         "n_delays": "64",
-        "matrix_kind": "block_circulant",
         "grid": "512",
         "seed": "12345",
         "out": "-",
@@ -277,9 +276,6 @@ _PARSERS: dict[str, Callable[[str, str], object]] = {
     "delays": _checked(_text, lambda kind: kind in ("uniform", "zero"),
                        "'uniform' or 'zero'"),
     "window": _at_least(2),
-    "matrix_kind": _checked(
-        _text, lambda kind: kind in ("block_circulant", "block_toeplitz"),
-        "block_circulant or block_toeplitz"),
     "instances": _at_least(1),
     "sync_baseline": _parse_bool,
     "cross_check": _parse_bool,
@@ -539,7 +535,7 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
 def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     beta = _single_beta(cfg)
     sys_law = _make_system(cfg, beta)
-    system = finite_system(sys_law, cfg.n, cfg.seed, cfg.matrix_kind)
+    system = finite_system(sys_law, cfg.n, cfg.seed)
     realized = replace(sys_law, load=system.n_users / cfg.n)
     field = _solved_field(realized, cfg.grid)
     powers = np.abs(system.amplitudes) ** 2

@@ -1,25 +1,30 @@
 """Exact finite-size Monte Carlo validation of the asymptotic formulas.
 
-Builds the ``rN x N`` delay/pulse matrices, block-circulant by default
-and block-Toeplitz to demonstrate their spectral equivalence: both hold
-the same pulse taps, the inverse DFT of the delay vectors, wrapped at N
-chips for the circulant kind and at 16384 chips for the Toeplitz kind.
-It draws i.i.d. circularly symmetric Gaussian spreading, forms the
-signatures (by FFT for the block-circulant kind, so no circulant matrix
-is built, with the delay vectors computed once per call and each delay's
-whole chips folded into them as a DFT phase ramp), computes all users'
-linear MMSE SINRs from one dense solve of the smaller Gram matrix, and
-runs the paired windowed / reduced-delay harness showing that only
+A user's ``rN x N`` delay/pulse matrix is block-circulant: block row
+``m``, sub-row ``s`` and column ``c`` hold the pulse tap
+``conj(phi_t(s/r - tau + m - c - floor(delay)))`` wrapped at N chips,
+with ``tau`` the sub-chip remainder of the delay, so the matrix equals
+``(F kron I_r) @ blockdiag(delta(Omega_l, tau)) @ F^H`` with the unitary
+DFT ``F`` and ``Omega_l = 2*pi*l/N``.  It has the limiting spectrum of the
+block-Toeplitz matrix of the asynchronous system (R. M. Gray, "Toeplitz
+and Circulant Matrices: A Review", Found. Trends Commun. Inf. Theory
+2(3), 2006); the tests keep dense matrices of both kinds as the oracle.
+No delay/pulse matrix is built here.  The
+module draws i.i.d. circularly symmetric Gaussian spreading, forms the
+signatures by FFT, with the delay vectors computed once per call and each
+delay's whole chips folded into them as a DFT phase ramp, computes all
+users' linear MMSE SINRs from one dense solve of the smaller Gram matrix,
+and runs the paired windowed / reduced-delay harness showing that only
 delays modulo one chip matter.  The harness takes each symbol's local
 block of its windowed multi-symbol stack as the ramp-rotated FFT
 signatures masked at their whole-chip shifts, assembles the Gram blocks
 of the side with the smaller ones block-tridiagonally and eliminates
-them toward the centre symbol, without forming the stack, its full Gram
-matrix or any delay/pulse matrix.  Both kinds of trial share one
-in-place spreading draw, one in-place FFT product, one input check
-(:class:`FiniteSystem`) and one loop, which deals the trials of a call
-round-robin to one thread per usable CPU while OpenBLAS is pinned to one
-thread; each worker reuses one set of work arrays.
+them toward the centre symbol, without forming the stack or its full Gram
+matrix.  Both trial loops share one in-place spreading draw, one
+in-place FFT product, one input check (:class:`FiniteSystem`) and one
+loop, which deals the trials of a call round-robin to one thread per
+usable CPU while OpenBLAS is pinned to one thread; each worker reuses one
+set of work arrays.
 
 Time is measured in chips: a delay of ``d`` is ``floor(d)`` whole chips
 plus a sub-chip remainder, and a symbol lasts ``N`` chips.
@@ -31,7 +36,6 @@ its own generator seed, so no result depends on which thread ran a trial.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -51,14 +55,6 @@ TWO_PI = 2.0 * np.pi
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-#: Amplitude threshold (relative to the peak) below which time-pulse taps
-#: are zeroed in the block-Toeplitz construction.
-_TAP_THRESHOLD = 1e-6
-#: Largest tolerated fraction of pulse energy outside the N-chip reach.
-_ENERGY_TOLERANCE = 1e-4
-#: Period in chips at which the block-Toeplitz kind wraps the pulse taps.
-_TOEPLITZ_PERIOD = 16384
-
 
 def trial_seed(master_seed: int, trial: int) -> int:
     """Derive the per-trial generator seed from the master seed."""
@@ -72,8 +68,9 @@ class FiniteSystem:
 
     ``delays`` are in chips and lie in one symbol, ``[0, N)``.
     ``signatures`` is the materialized ``rN x K`` matrix whose column ``k``
-    is ``amplitude_k * Phi_k @ s_k`` (delay/pulse matrix times the user's
-    spreading sequence); it is ``None`` until :func:`materialize` draws the
+    is ``amplitude_k * Phi_k @ s_k``, the user's block-circulant
+    delay/pulse matrix (see the module docstring) times its spreading
+    sequence; it is ``None`` until :func:`materialize` draws the
     spreading.
     """
 
@@ -85,14 +82,11 @@ class FiniteSystem:
     delays: np.ndarray
     noise_density: float
     seed: int
-    matrix_kind: str = "block_circulant"
     signatures: np.ndarray | None = None
 
     def __post_init__(self):
         if self.spreading_factor < 1 or self.n_users < 1:
             raise ValueError("system needs at least one chip and one user")
-        if self.matrix_kind not in ("block_circulant", "block_toeplitz"):
-            raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
         if not 0 < self.noise_density < math.inf:
             raise ValueError("noise density must be finite and positive")
         _check_oversampling(self.waveform, self.oversampling)
@@ -113,8 +107,8 @@ class FiniteSystem:
         return self.oversampling * self.noise_density
 
 
-def finite_system(sys: SystemLaw, spreading_factor: int, seed: int,
-                  matrix_kind: str = "block_circulant") -> FiniteSystem:
+def finite_system(sys: SystemLaw, spreading_factor: int,
+                  seed: int) -> FiniteSystem:
     """Sample a finite instance of an asymptotic system description.
 
     ``K = round(load * N)`` users take their (power, delay) pairs from the
@@ -138,12 +132,11 @@ def finite_system(sys: SystemLaw, spreading_factor: int, seed: int,
         delays=delays[order],
         noise_density=sys.noise_density,
         seed=int(seed),
-        matrix_kind=matrix_kind,
     )
 
 
 # ---------------------------------------------------------------------------
-# Delay/pulse matrices
+# Delay vectors and signatures
 # ---------------------------------------------------------------------------
 
 def _dft_deltas(waveform: ChipWaveform, n: int, r: int,
@@ -157,77 +150,6 @@ def _dft_deltas(waveform: ChipWaveform, n: int, r: int,
     return _delta_components(waveform, r, wrapped, taus)
 
 
-def _pulse_taps(waveform: ChipWaveform, period: int, r: int,
-                tau: float) -> np.ndarray:
-    """Pulse taps ``conj(phi_t(k + s/r - tau))`` wrapped at ``period`` chips.
-
-    Shape ``(period, r)``; row ``k`` (chips, modulo ``period``) and column
-    ``s`` (sub-row).  The inverse DFT of the delay vectors on the
-    ``period``-point grid sums ``conj(Phi(w)) exp(-j w t)`` over every alias
-    at spacing ``2*pi/period``, which by Poisson summation is the time pulse
-    folded onto ``period`` chips.
-    """
-    deltas = _dft_deltas(waveform, period, r, np.array([tau]))[0]
-    return np.fft.fft(deltas, axis=0) / period
-
-
-@functools.lru_cache(maxsize=16)
-def _check_pulse_fits(waveform: ChipWaveform, n: int, r: int) -> None:
-    """Raise "pulse too long for N" when more than ``1e-4`` of the pulse
-    energy, sampled at ``tau = 0`` on the ``1/r`` grid of ``(-N, N)``, lies
-    outside the N-chip reach.
-
-    Cached per (waveform, N, r), so the matrices of all delays share it.
-    """
-    taps = _pulse_taps(waveform, _TOEPLITZ_PERIOD, r, 0.0)[np.arange(-n, n)]
-    # Raveled, the rows hold times -N, -N + 1/r, ..., N - 1/r; drop -N.
-    captured = float(np.sum(np.abs(taps.ravel()[1:]) ** 2)) / r
-    if waveform.energy - captured > _ENERGY_TOLERANCE * waveform.energy:
-        raise ValueError("pulse too long for N")
-
-
-def build_phi_matrix(waveform: ChipWaveform, spreading_factor: int,
-                     oversampling: int, delay: float,
-                     kind: str = "block_circulant") -> np.ndarray:
-    """Build the ``rN x N`` delay/pulse matrix of one user.
-
-    Both kinds hold the same pulse taps (:func:`_pulse_taps`) at two
-    periods: entry (block row m, sub-row s, column c) is
-    ``conj(phi_t(s/r - tau + (m - c - floor(delay))))``, with ``tau`` the
-    sub-chip remainder of ``delay``.  The block-circulant kind wraps the
-    pulse at N chips, so a whole-chip delay shifts the blocks cyclically;
-    it equals ``(F kron I_r) @ blockdiag(delta(Omega_l, tau)) @ F^H`` with
-    the unitary DFT ``F`` and ``Omega_l = 2*pi*l/N``.  The block-Toeplitz
-    kind wraps it at 16384 chips, far beyond the window, zeroes taps
-    below ``1e-6 * max`` of the reach and zero-fills the first
-    ``floor(delay)`` block rows; a pulse that the N-chip window cannot
-    represent raises (see :func:`_check_pulse_fits`).
-    """
-    _check_oversampling(waveform, oversampling)
-    if delay < 0 or not np.isfinite(delay):
-        raise ValueError("delay must be finite and nonnegative")
-    whole = math.floor(delay)
-    tau = float(delay - whole)
-    n, r = spreading_factor, oversampling
-    lags = np.subtract.outer(np.arange(n) - whole, np.arange(n))  # m - c
-    if kind == "block_circulant":
-        blocks = _pulse_taps(waveform, n, r, tau)[lags % n]
-    elif kind == "block_toeplitz":
-        _check_pulse_fits(waveform, n, r)
-        taps = _pulse_taps(waveform, _TOEPLITZ_PERIOD, r, tau)
-        peak = np.max(np.abs(taps[np.arange(1 - n, n)]))
-        taps[np.abs(taps) < _TAP_THRESHOLD * peak] = 0.0
-        blocks = taps[lags % _TOEPLITZ_PERIOD]
-        blocks[:whole] = 0.0
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return blocks.swapaxes(1, 2).reshape(r * n, n)
-
-
-# ---------------------------------------------------------------------------
-# MMSE SINR
-# ---------------------------------------------------------------------------
-
 def _split_delays(waveform: ChipWaveform, n: int, r: int,
                   delays: np.ndarray):
     """Whole-chip parts of ``delays`` and the DFT delay vectors of the rest.
@@ -238,8 +160,8 @@ def _split_delays(waveform: ChipWaveform, n: int, r: int,
     takes it.  ``ramped`` folds the whole chips in: user ``k``'s vectors
     at DFT bin ``l`` times ``exp(2*pi*j * l * whole[k] / N)``, so that the
     FFT returns its signatures rotated down by ``whole[k]`` blocks, as the
-    whole-chip part of a delay shifts the blocks of
-    :func:`build_phi_matrix`; the ramp is exactly 1 without whole chips.
+    whole-chip part of a delay shifts the blocks of its delay/pulse matrix
+    cyclically; the ramp is exactly 1 without whole chips.
     None depends on the spreading, so trials share them.
     """
     whole = np.floor(delays).astype(int)
@@ -266,7 +188,7 @@ def _draw_spreading(seed: int, draws: np.ndarray,
 
 def _circulant_signatures(deltas: np.ndarray, coeffs: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
-    """Products ``Phi(tau_k) @ s``, block-circulant kind, by FFT into ``out``.
+    """Block-circulant products ``Phi(tau_k) @ s`` by FFT into ``out``.
 
     ``deltas`` holds user ``k``'s delay vectors (see :func:`_split_delays`)
     and ``coeffs``, shaped ``(..., K, N)``, the inverse DFT of spreading
@@ -281,45 +203,31 @@ def _circulant_signatures(deltas: np.ndarray, coeffs: np.ndarray,
     return np.fft.fft(out, axis=-1, out=out)
 
 
-def _signature_builder(system: FiniteSystem):
-    """Return ``make()``, which gives a worker its ``draw(seed)``.
-
-    Everything that does not depend on the spreading is computed here,
-    once per call: the ramped delay vectors of the block-circulant kind,
-    and one matrix per distinct delay of the block-Toeplitz kind.  Each
-    ``make()`` allocates one worker's arrays; ``draw(seed)`` draws the
-    spreading of ``seed`` into them and returns the signature matrix.
-    """
+def _signature_arrays(system: FiniteSystem):
+    """One worker's arrays for :func:`_signatures`: the ``(2, N, K, 1)``
+    normals, the ``(1, K, N)`` spreading and the ``(K, r, N)`` blocks."""
     n, r, n_users = system.spreading_factor, system.oversampling, \
         system.n_users
-    amplitudes = system.amplitudes
-    circulant = system.matrix_kind == "block_circulant"
-    if circulant:
-        _, _, deltas = _split_delays(system.waveform, n, r, system.delays)
-    else:
-        phis = {tau: build_phi_matrix(system.waveform, n, r, tau,
-                                      system.matrix_kind)
-                for tau in set(map(float, system.delays))}
+    return (np.empty((2, n, n_users, 1)),
+            np.empty((1, n_users, n), dtype=complex),
+            np.empty((n_users, r, n), dtype=complex))
 
-    def make():
-        draws = np.empty((2, n, n_users, 1))
-        spreading = np.empty((1, n_users, n), dtype=complex)
-        blocks = np.empty((n_users, r, n), dtype=complex)
 
-        def draw(seed: int) -> np.ndarray:
-            sequences = _draw_spreading(seed, draws, spreading)[0]
-            if not circulant:
-                return np.column_stack([
-                    amplitudes[k] * (phis[float(tau)] @ sequences[k])
-                    for k, tau in enumerate(system.delays)])
-            coeffs = np.fft.ifft(sequences, axis=-1, out=sequences)
-            _circulant_signatures(deltas, coeffs, blocks)
-            np.multiply(blocks, amplitudes[:, None, None], out=blocks)
-            return blocks.swapaxes(1, 2).reshape(n_users, r * n).T
+def _signatures(system: FiniteSystem, deltas: np.ndarray, seed: int,
+                arrays) -> np.ndarray:
+    """``rN x K`` signature matrix of ``system`` for the spreading drawn
+    from ``seed``, a view of the blocks in ``arrays``.
 
-        return draw
-
-    return make
+    ``deltas`` are the system's ramped delay vectors (see
+    :func:`_split_delays`), made once per call, and ``arrays`` one
+    worker's (:func:`_signature_arrays`).
+    """
+    draws, spreading, blocks = arrays
+    sequences = _draw_spreading(seed, draws, spreading)[0]
+    coeffs = np.fft.ifft(sequences, axis=-1, out=sequences)
+    _circulant_signatures(deltas, coeffs, blocks)
+    np.multiply(blocks, system.amplitudes[:, None, None], out=blocks)
+    return blocks.swapaxes(1, 2).reshape(system.n_users, -1).T
 
 
 def materialize(system: FiniteSystem,
@@ -327,16 +235,20 @@ def materialize(system: FiniteSystem,
     """Draw the spreading and assemble the signature matrix.
 
     Spreading entries are i.i.d. circularly symmetric complex Gaussian
-    with variance ``1/N``.  The block-circulant kind forms every
-    ``Phi_k @ s_k`` by FFT from one batch of delay vectors, without
-    building any ``Phi_k``; the block-Toeplitz kind builds its matrices
-    once per distinct delay, so laws with repeated atoms cost one build
-    each.
+    with variance ``1/N``.  Every ``Phi_k @ s_k`` is formed by FFT from one
+    batch of delay vectors, without building any ``Phi_k``.
     """
     used_seed = system.seed if seed is None else int(seed)
-    signatures = _signature_builder(system)()(used_seed)
+    _, _, deltas = _split_delays(system.waveform, system.spreading_factor,
+                                 system.oversampling, system.delays)
+    signatures = _signatures(system, deltas, used_seed,
+                             _signature_arrays(system))
     return replace(system, seed=used_seed, signatures=signatures)
 
+
+# ---------------------------------------------------------------------------
+# MMSE SINR
+# ---------------------------------------------------------------------------
 
 def _lapack(routine, *args):
     """Call a ``numpy.linalg`` routine on a supposedly positive-definite
@@ -506,21 +418,23 @@ def run_trials(system: FiniteSystem, trials: int):
 
     Returns ``(sinrs, TrialSummary)`` where ``sinrs`` has shape
     ``(trials, K)``: row ``t`` holds the SINRs of the system materialized
-    from ``trial_seed(system.seed, t)``.  The delay vectors (block-Toeplitz:
-    the matrices) are computed once per call; each trial costs one FFT
-    signature build and one factorization, on :func:`_run_interleaved`.
+    from ``trial_seed(system.seed, t)``.  The delay vectors are computed
+    once per call; each trial costs one FFT signature build and one
+    factorization, on :func:`_run_interleaved`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sinrs = np.empty((trials, system.n_users))
-    make_draw = _signature_builder(system)
+    _, _, deltas = _split_delays(system.waveform, system.spreading_factor,
+                                 system.oversampling, system.delays)
 
     def make_trial():
-        draw = make_draw()
+        arrays = _signature_arrays(system)
 
         def trial(t: int) -> None:
-            sinrs[t] = _mmse_sinrs(draw(trial_seed(system.seed, t)),
-                                   system.noise_variance)
+            sinrs[t] = _mmse_sinrs(
+                _signatures(system, deltas, trial_seed(system.seed, t),
+                            arrays), system.noise_variance)
 
         return trial
 

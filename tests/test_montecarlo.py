@@ -3,7 +3,9 @@ measurements, trial aggregation, and the delay-reduction harness.
 
 Oracles: hand-built matrices for trivial pulses, a direct dense-inverse
 SINR computation, the literal leave-one-out SINR for the one-factorization
-kernel, dense delay/pulse matrices for the FFT-formed signatures, the
+kernel, dense delay/pulse matrices built here (block-circulant, and
+block-Toeplitz for the spectral equivalence) for the FFT-formed
+signatures, the
 literal dense multi-symbol stack and the dense block-tridiagonal Gram
 matrix for the centre-symbol elimination of the windowed kernel,
 per-side Cholesky solves (scipy) for its stacked elimination steps,
@@ -28,7 +30,6 @@ from cdmalimits import (
     PowerDelayLaw,
     SolverError,
     SystemLaw,
-    build_phi_matrix,
     equal_power_uniform_delays,
     finite_system,
     materialize,
@@ -52,11 +53,51 @@ from cdmalimits.montecarlo import (
 
 RRC = root_raised_cosine_waveform(0.22)
 
+#: Period in chips at which the block-Toeplitz oracle wraps the pulse taps,
+#: far beyond every window here.
+TOEPLITZ_PERIOD = 16384
+#: Taps of the block-Toeplitz oracle below this fraction of the window's
+#: peak are zeroed.
+TAP_THRESHOLD = 1e-6
+
 # Toeplitz-vs-circulant singular-value distances for the 0.22 roll-off
 # pulse at tau = 0.3 chips, frozen from the deterministic construction.
 SPECTRAL_DISTANCE_N8 = 0.01913413013173865
 SPECTRAL_DISTANCE_N16 = 0.013505574556918268
 SPECTRAL_DISTANCE_N64 = 0.006751432728000252
+
+
+def _dense_phi(waveform, n, r, delay, toeplitz=False):
+    """Dense ``rN x N`` delay/pulse matrix of one user.
+
+    Entry (block row m, sub-row s, column c) is the pulse tap
+    ``conj(phi_t(s/r - tau + (m - c - floor(delay))))``, with ``tau`` the
+    sub-chip remainder of ``delay``, wrapped at a period of chips.  The
+    taps are the inverse DFT of the delay vectors on the period-point
+    grid, which sums ``conj(Phi(w)) exp(-j w t)`` over every alias at
+    spacing ``2*pi/period``: by Poisson summation, the time pulse folded
+    onto the period.  The block-circulant kind, which the package applies
+    by FFT, wraps at N chips, so a whole-chip delay shifts the blocks
+    cyclically.  The block-Toeplitz kind of the asynchronous system wraps
+    at ``TOEPLITZ_PERIOD`` chips, zeroes taps below ``TAP_THRESHOLD``
+    times the peak of the reach and zero-fills the first ``floor(delay)``
+    block rows.
+    """
+    if delay < 0 or not np.isfinite(delay):
+        raise ValueError("delay must be finite and nonnegative")
+    whole = math.floor(delay)
+    tau = float(delay - whole)
+    period = TOEPLITZ_PERIOD if toeplitz else n
+    deltas = montecarlo._dft_deltas(waveform, period, r, np.array([tau]))[0]
+    taps = np.fft.fft(deltas, axis=0) / period  # (period, r)
+    lags = np.subtract.outer(np.arange(n) - whole, np.arange(n))  # m - c
+    if toeplitz:
+        peak = np.max(np.abs(taps[np.arange(1 - n, n)]))
+        taps[np.abs(taps) < TAP_THRESHOLD * peak] = 0.0
+    blocks = taps[lags % period]
+    if toeplitz:
+        blocks[:whole] = 0.0
+    return blocks.swapaxes(1, 2).reshape(r * n, n)
 
 
 def _spectral_distance(a, b) -> float:
@@ -81,12 +122,11 @@ def _spectral_distance(a, b) -> float:
     return float(np.sqrt(np.mean(diff ** 2)) / scale)
 
 
-def _small_system(n=16, load=0.5, seed=7, waveform=RRC, r=2,
-                  kind="block_circulant"):
+def _small_system(n=16, load=0.5, seed=7, waveform=RRC, r=2):
     sys_law = SystemLaw(load=load, noise_density=0.1, oversampling=r,
                         waveform=waveform,
                         law=equal_power_uniform_delays(8))
-    return finite_system(sys_law, n, seed=seed, matrix_kind=kind)
+    return finite_system(sys_law, n, seed=seed)
 
 
 class TestTrialSeed:
@@ -109,10 +149,6 @@ class TestFiniteSystemValidation:
     def test_properties(self):
         fs = _small_system(n=16, load=0.5)
         assert fs.noise_variance == pytest.approx(2 * 0.1)
-
-    def test_unknown_matrix_kind(self):
-        with pytest.raises(ValueError, match="matrix kind"):
-            _small_system(kind="dense")
 
     def test_array_length_mismatch(self):
         with pytest.raises(ValueError, match="n_users"):
@@ -177,85 +213,51 @@ class TestFiniteSystemFactory:
 
 class TestCirculantPhi:
     def test_shape(self):
-        phi = build_phi_matrix(RRC, 8, 2, 0.4)
+        phi = _dense_phi(RRC, 8, 2, 0.4)
         assert phi.shape == (16, 8)
 
     def test_flat_pulse_zero_delay_is_identity(self):
-        phi = build_phi_matrix(sinc_waveform(1.0), 8, 1, 0.0)
+        phi = _dense_phi(sinc_waveform(1.0), 8, 1, 0.0)
         np.testing.assert_allclose(phi, np.eye(8), atol=1e-12)
 
     def test_root_nyquist_singular_values_are_flat(self):
         # Folding a root-Nyquist pulse at the chip rate is constant, so
         # every singular value equals sqrt(r) exactly.
         for tau in (0.0, 0.3, 0.77):
-            phi = build_phi_matrix(RRC, 8, 2, tau)
+            phi = _dense_phi(RRC, 8, 2, tau)
             sv = np.linalg.svd(phi, compute_uv=False)
             np.testing.assert_allclose(sv, math.sqrt(2.0), atol=1e-10)
 
     def test_one_chip_delay_is_one_block_cyclic_shift(self):
         for tau in (0.0, 0.45):
-            base = build_phi_matrix(RRC, 8, 2, tau)
-            shifted = build_phi_matrix(RRC, 8, 2, tau + 1.0)
+            base = _dense_phi(RRC, 8, 2, tau)
+            shifted = _dense_phi(RRC, 8, 2, tau + 1.0)
             np.testing.assert_allclose(shifted, np.roll(base, 2, axis=0),
                                        atol=1e-12)
 
     def test_columns_are_block_rotations(self):
-        phi = build_phi_matrix(RRC, 8, 2, 0.3)
+        phi = _dense_phi(RRC, 8, 2, 0.3)
         for col in range(1, 8):
             np.testing.assert_allclose(phi[:, col],
                                        np.roll(phi[:, 0], col * 2),
                                        atol=1e-12)
 
     def test_full_symbol_delay_wraps_around(self):
-        base = build_phi_matrix(RRC, 8, 2, 0.2)
-        wrapped = build_phi_matrix(RRC, 8, 2, 0.2 + 8.0)
+        base = _dense_phi(RRC, 8, 2, 0.2)
+        wrapped = _dense_phi(RRC, 8, 2, 0.2 + 8.0)
         np.testing.assert_allclose(wrapped, base, atol=1e-12)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="delay"):
-            build_phi_matrix(RRC, 8, 2, -0.1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="matrix kind"):
-            build_phi_matrix(RRC, 8, 2, 0.0, "dense")
+            _dense_phi(RRC, 8, 2, -0.1)
 
 
 class TestToeplitzPhi:
-    def test_infinite_tail_pulse_rejected(self):
-        # At two samples per chip the flat pulse has 1/t tails on the
-        # half-integer grid, so no finite window captures its energy.
-        with pytest.raises(ValueError, match="pulse too long for N"):
-            build_phi_matrix(sinc_waveform(1.0), 32, 2, 0.0,
-                             "block_toeplitz")
-
     def test_flat_pulse_integer_samples_are_exact(self):
         # At zero delay the flat pulse samples to the identity: shifted
-        # copies are exactly orthonormal, so the window check passes.
-        phi = build_phi_matrix(sinc_waveform(1.0), 16, 1, 0.0,
-                               "block_toeplitz")
+        # copies are exactly orthonormal.
+        phi = _dense_phi(sinc_waveform(1.0), 16, 1, 0.0, toeplitz=True)
         np.testing.assert_allclose(phi, np.eye(16), atol=1e-9)
-
-    def test_short_window_rejected_long_window_accepted(self):
-        with pytest.raises(ValueError, match="pulse too long for N"):
-            build_phi_matrix(RRC, 4, 2, 0.3, "block_toeplitz")
-        phi = build_phi_matrix(RRC, 8, 2, 0.3, "block_toeplitz")
-        assert phi.shape == (16, 8)
-
-    def test_window_checked_once_per_waveform_and_size(self, monkeypatch):
-        # The energy check depends on the waveform, N and r only: after
-        # the first matrix, each delay transforms just its own taps, and a
-        # pulse too long for its window is rejected on every call.
-        waveform = root_raised_cosine_waveform(0.3)
-        taus = []
-        pulse_taps = montecarlo._pulse_taps
-        monkeypatch.setattr(montecarlo, "_pulse_taps", lambda wf, p, r, tau: (
-            taus.append(tau), pulse_taps(wf, p, r, tau))[1])
-        for tau in (0.1, 0.2, 0.3):
-            build_phi_matrix(waveform, 8, 2, tau, "block_toeplitz")
-        assert taus == [0.0, 0.1, 0.2, 0.3]
-        for _ in range(2):
-            with pytest.raises(ValueError, match="pulse too long for N"):
-                build_phi_matrix(waveform, 4, 2, 0.3, "block_toeplitz")
 
     def test_taps_match_closed_form_rrc_pulse(self):
         # Entry (m, s, c) is the pulse at s/r - tau + (m - c) chips; tau = 0
@@ -265,7 +267,7 @@ class TestToeplitzPhi:
         for rho in (0.22, 0.5, 1.0):
             waveform = root_raised_cosine_waveform(rho)
             for n, tau in ((16, 0.3), (64, 0.77), (16, 0.0)):
-                phi = build_phi_matrix(waveform, n, r, tau, "block_toeplitz")
+                phi = _dense_phi(waveform, n, r, tau, toeplitz=True)
                 blocks = np.arange(n)
                 times = (np.arange(r)[None, :, None] / r - tau
                          + np.subtract.outer(blocks, blocks)[:, None, :])
@@ -275,15 +277,15 @@ class TestToeplitzPhi:
                 assert err <= 5e-9 * np.max(np.abs(want))
 
     def test_whole_chip_shift_zero_fills(self):
-        base = build_phi_matrix(RRC, 8, 2, 0.25, "block_toeplitz")
-        shifted = build_phi_matrix(RRC, 8, 2, 2.25, "block_toeplitz")
+        base = _dense_phi(RRC, 8, 2, 0.25, toeplitz=True)
+        shifted = _dense_phi(RRC, 8, 2, 2.25, toeplitz=True)
         np.testing.assert_allclose(shifted[:4, :], 0.0, atol=0.0)
         np.testing.assert_allclose(shifted[4:, :], base[:-4, :], atol=1e-12)
 
     def test_finite_section_spectrum_near_circulant(self):
-        t = np.linalg.svd(build_phi_matrix(RRC, 8, 2, 0.3, "block_toeplitz"),
+        t = np.linalg.svd(_dense_phi(RRC, 8, 2, 0.3, toeplitz=True),
                           compute_uv=False)
-        c = np.linalg.svd(build_phi_matrix(RRC, 8, 2, 0.3),
+        c = np.linalg.svd(_dense_phi(RRC, 8, 2, 0.3),
                           compute_uv=False)
         dist = _spectral_distance(t, c)
         assert dist <= 0.05
@@ -292,10 +294,9 @@ class TestToeplitzPhi:
     def test_spectral_distance_halves_with_size(self):
         dists = {}
         for n in (16, 64):
-            t = np.linalg.svd(build_phi_matrix(RRC, n, 2, 0.3,
-                                               "block_toeplitz"),
+            t = np.linalg.svd(_dense_phi(RRC, n, 2, 0.3, toeplitz=True),
                               compute_uv=False)
-            c = np.linalg.svd(build_phi_matrix(RRC, n, 2, 0.3),
+            c = np.linalg.svd(_dense_phi(RRC, n, 2, 0.3),
                               compute_uv=False)
             dists[n] = _spectral_distance(t, c)
         assert dists[16] == pytest.approx(SPECTRAL_DISTANCE_N16, abs=1e-12)
@@ -391,7 +392,7 @@ class TestCirculantSignatures:
         draws = rng.standard_normal((2, n, 8))
         spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
         want = np.stack([
-            amplitudes[k] * (build_phi_matrix(waveform, n, r, delays[k])
+            amplitudes[k] * (_dense_phi(waveform, n, r, delays[k])
                              @ spreading[:, k]) for k in range(8)], axis=1)
         assert got.shape == (r * n, 8)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -409,7 +410,7 @@ class TestCirculantSignatures:
         assert got_whole.tolist() == whole.tolist()
         spreading = _gaussian_columns(n, n, seed=4)
         got = _fft_signatures(ramped, spreading)
-        want = np.stack([build_phi_matrix(waveform, n, r, delays[k])
+        want = np.stack([_dense_phi(waveform, n, r, delays[k])
                          @ spreading[:, k] for k in whole], axis=1)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -533,7 +534,7 @@ def _dense_signatures(n, r, delays, amplitudes, spreading):
     """``(K, 2M+1, rN)`` signatures from dense block-circulant delay/pulse
     matrices: user ``k``'s columns are ``amp_k * Phi(delay_k) s``."""
     return np.stack([
-        amplitudes[k] * (build_phi_matrix(RRC, n, r, delay)
+        amplitudes[k] * (_dense_phi(RRC, n, r, delay)
                          @ spreading[:, k]).T
         for k, delay in enumerate(delays)])
 
@@ -610,7 +611,7 @@ class TestWindowedSinrs:
                          dtype=complex)
         for m in range(n_symbols):
             for k in range(n_users):
-                phi = build_phi_matrix(RRC, n, r, sub_delays[k])
+                phi = _dense_phi(RRC, n, r, sub_delays[k])
                 top = m * rn + whole[k] * r
                 stack[top:top + rn, m * n_users + k] = \
                     amplitudes[k] * (phi @ spreading[:, k, m])
@@ -803,26 +804,6 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="at least one trial"):
             run_trials(_small_system(), 0)
 
-    def test_block_toeplitz_rows_match_dense_signatures(self):
-        # The block-Toeplitz kind builds one matrix per distinct delay and
-        # forms each user's signature from it; row t must equal the SINRs
-        # of the signatures built column by column from build_phi_matrix
-        # and the spreading of trial t.
-        fs = _small_system(n=16, load=0.5, seed=5, kind="block_toeplitz")
-        sinrs, _ = run_trials(fs, 2)
-        n, r = fs.spreading_factor, fs.oversampling
-        for t in range(2):
-            rng = np.random.Generator(np.random.PCG64(trial_seed(5, t)))
-            draws = rng.standard_normal((2, n, fs.n_users))
-            spreading = (draws[0] + 1j * draws[1]) / math.sqrt(2.0 * n)
-            h = np.column_stack([
-                fs.amplitudes[k] * (build_phi_matrix(
-                    RRC, n, r, fs.delays[k], "block_toeplitz")
-                    @ spreading[:, k])
-                for k in range(fs.n_users)])
-            assert sinrs[t].tolist() == _mmse_sinrs(
-                h, fs.noise_variance).tolist()
-
 
 def _harness_entry(n_users):
     """``theorem3_harness`` at N = 8, r = 2, window 2, returning both
@@ -838,12 +819,12 @@ def _harness_entry(n_users):
     return entry
 
 
-def _run_trials_entry(kind):
-    """``run_trials`` of an N = 8, K = 4 system of matrix kind ``kind``,
-    returning its SINRs and summary."""
+def _run_trials_entry():
+    """``run_trials`` of an N = 8, K = 4 system, returning its SINRs and
+    summary."""
     def entry(trials, seed):
         sinrs, summary = run_trials(
-            _small_system(n=8, load=0.5, seed=seed, kind=kind), trials)
+            _small_system(n=8, load=0.5, seed=seed), trials)
         return sinrs.tolist(), vars(summary)
 
     return entry
@@ -853,8 +834,7 @@ def _run_trials_entry(kind):
 _TRIAL_ENTRIES = {
     "6": _harness_entry(6),
     "24": _harness_entry(24),
-    "block_circulant": _run_trials_entry("block_circulant"),
-    "block_toeplitz": _run_trials_entry("block_toeplitz"),
+    "block_circulant": _run_trials_entry(),
 }
 
 
@@ -957,9 +937,9 @@ class TestTheorem3Harness:
                              ids=_TRIAL_ENTRIES.keys())
     def test_each_worker_draws_into_its_own_arrays(self, monkeypatch, entry):
         # Draw arrays shared by the workers race, but the summaries above
-        # rarely show it: a block-Toeplitz trial copies its draw right
-        # away.  Record the arrays each thread draws into instead.  The
-        # records keep every array alive, so no id is reused.
+        # need the race to land inside a trial to show it.  Record the
+        # arrays each thread draws into instead.  The records keep every
+        # array alive, so no id is reused.
         draw = montecarlo._draw_spreading
         calls = []
 

@@ -182,17 +182,21 @@ class TestTabulatedWaveform:
         with pytest.raises(ValueError,
                            match="tabulated waveform has zero energy"):
             tabulated_waveform([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-        # |Phi|^2 at the peak must neither overflow nor underflow.
+        # The peak must lie in [1e-100, 1e100], ends included, and tables
+        # that used to overflow (1.3e154) or underflow (2e-154) downstream
+        # are rejected by name.
         limit = (r"largest tabulated \|value\| must lie in "
-                 r"\[1\.5e-154, 1\.3e\+154\]")
-        tiny = math.sqrt(np.finfo(float).tiny)
-        huge = math.sqrt(np.finfo(float).max)
-        for peak in (1e200, complex(0.0, -1e200), 1e-200,
-                     np.nextafter(tiny, 0.0), np.nextafter(huge, math.inf)):
+                 r"\[1e-100, 1e\+100\]")
+        for peak in (1e200, complex(0.0, -1e200), 1e-200, 1.3e154, 2e-154,
+                     np.nextafter(1e-100, 0.0), np.nextafter(1e100, math.inf)):
             with pytest.raises(ValueError, match=limit):
                 tabulated_waveform([-np.pi, np.pi], [peak, peak])
+        for peak in (1e-100, 1e100):
+            wf = tabulated_waveform([-np.pi, np.pi], [peak, 1j * peak])
+            assert wf.energy == pytest.approx(2.0 * peak ** 2 / 3.0,
+                                              rel=1e-15)
         # Only the largest value is bounded: smaller samples may underflow.
-        wf = tabulated_waveform([-np.pi, 0.0, np.pi], [1.0, 1e-200, tiny])
+        wf = tabulated_waveform([-np.pi, 0.0, np.pi], [1.0, 1e-200, 1e-160])
         assert wf.energy == pytest.approx(1.0 / 6.0)
 
     def test_csv_round_trip(self, tmp_path):
