@@ -3,14 +3,14 @@
 Subpackage map:
 
 - :mod:`cdmalimits.numerics` — what the layers share: the ITP bracketed
-  root finder, frequency grids and ``SolverError``, raised when a solver
-  cannot deliver; invalid input raises ``ValueError``.
+  root finder and ``SolverError``, raised when a solver cannot deliver;
+  invalid input raises ``ValueError``.
 - :mod:`cdmalimits.waveforms` — chip waveform spectra, aliased sampling,
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
-  matrix-valued fixed point with its damped iteration and
-  ``FixedPointReport``, scalar frequency-domain solver, and the
-  closed-form ideal-bandlimited/synchronous special cases.
+  matrix-valued fixed point on a midpoint grid of the band, with its
+  damped iteration and ``FixedPointReport``, scalar frequency-domain
+  solver, and the closed-form ideal-bandlimited/synchronous special cases.
 - :mod:`cdmalimits.capacity` — pulse-constrained capacity in free-energy
   closed form, spectral efficiency, and the synchronous closed form it is
   compared against.
@@ -54,7 +54,6 @@ from .montecarlo import (
     trial_seed,
 )
 from .numerics import (
-    FrequencyGrid,
     SolverError,
     bisect,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "EfficiencySpectrum",
     "FiniteSystem",
     "FixedPointReport",
-    "FrequencyGrid",
     "PairedSummaries",
     "PowerDelayLaw",
     "SolverError",

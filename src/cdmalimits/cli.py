@@ -73,7 +73,7 @@ from .large_system import (
     synchronous_law,
 )
 from .montecarlo import finite_system, run_trials, theorem3_harness
-from .numerics import FrequencyGrid, SolverError
+from .numerics import SolverError
 from .waveforms import (
     ChipWaveform,
     _check_oversampling,
@@ -396,7 +396,7 @@ def _single_beta(cfg: ExperimentConfig) -> float:
 
 
 def _solved_field(sys: SystemLaw, grid_size: int):
-    field, report = solve_upsilon(sys, FrequencyGrid.midpoints(grid_size))
+    field, report = solve_upsilon(sys, grid_size)
     if not report.converged:
         raise SolverError(
             f"matrix fixed point stopped after {report.iterations} "
@@ -499,7 +499,8 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
             waveform, beta, waveform.min_oversampling))
         gamma_async = (spectral_efficiency(async_cap, waveform)
                        if async_cap is not None else "")
-        gamma_sync = sync_cap / (alpha / 2.0) if sync_cap is not None else ""
+        gamma_sync = (spectral_efficiency(sync_cap, waveform)
+                      if sync_cap is not None else "")
         rows.append((alpha, gamma_async, gamma_sync))
     write_output(cfg, render_csv(cfg, columns, rows))
     return 0
@@ -646,12 +647,11 @@ def _structure_residuals(rng: np.random.Generator, instances: int,
 
 def _delay_independence_residual() -> float:
     waveform = sinc_waveform(1.0)
-    grid = FrequencyGrid.midpoints(64)
     etas = []
     for law in (synchronous_law(), equal_power_uniform_delays(16)):
         sys_law = SystemLaw(load=1.0, noise_density=0.1, oversampling=1,
                             waveform=waveform, law=law)
-        field = _solved_field(sys_law, grid.count)
+        field = _solved_field(sys_law, 64)
         sinr = sinr_user(field, sys_law, 1.0, 0.0)
         etas.append(efficiency_of_user(sinr, 1.0, sys_law))
     return abs(etas[0] - etas[1]) / etas[0]

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import FrequencyGrid, SolverError, bisect
+from .numerics import SolverError, bisect
 from .waveforms import (
     ChipWaveform,
     _check_oversampling,
     _delta_components,
-    _support_grid,
+    _midpoints,
     sinc_waveform,
 )
 
@@ -173,10 +173,10 @@ class SystemLaw:
 
 @dataclass(frozen=True, eq=False)
 class UpsilonField:
-    """The positive-definite matrix field of the matrix solver on a grid."""
+    """The matrix solver's positive-definite field at its band midpoints."""
 
-    grid: FrequencyGrid
-    matrices: np.ndarray  # (grid.count, r, r)
+    omegas: np.ndarray    # (M,) rad per chip
+    matrices: np.ndarray  # (M, r, r)
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,11 @@ def _quadratic_forms(deltas: np.ndarray, field: np.ndarray) -> np.ndarray:
                              deltas, optimize=True))
 
 
-def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
+def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     """Solve the matrix fixed point for the field ``Upsilon(Omega)``.
 
-    The field satisfies, at every grid frequency,
+    On the midpoints of ``grid_size`` equal cells of ``(-pi, pi]`` (even
+    and at least 2, else ``ValueError``) the field satisfies
     ``inv(Upsilon) = sigma^2 I + beta * sum_atoms w * lam * delta delta^H
     / (1 + SINR_atom)`` where ``SINR_atom = (lam/2pi) * integral
     delta^H Upsilon delta`` and ``sigma^2 = r N_0``.
@@ -214,15 +215,16 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
     Returns ``(UpsilonField, FixedPointReport)``; a non-converged run is
     reported, never silent.
     """
-    if grid is None:
-        grid = FrequencyGrid.midpoints(512)
+    if grid_size < 2 or grid_size % 2 != 0:
+        raise ValueError("grid size must be a positive even integer")
+    omegas = _midpoints(-np.pi, np.pi, grid_size)
     r = sys.oversampling
     law = sys.law
     sigma2 = sys.noise_variance
-    deltas = _delta_components(sys.waveform, r, grid.points, law.delays)
+    deltas = _delta_components(sys.waveform, r, omegas, law.delays)
     eye = np.eye(r, dtype=complex)
-    field = np.broadcast_to(eye / sigma2, (grid.count, r, r)).copy()
-    quad_scale = grid.spacing / TWO_PI
+    field = np.broadcast_to(eye / sigma2, (grid_size, r, r)).copy()
+    quad_scale = 2.0 * np.pi / grid_size / TWO_PI
     damping = 1.0
     prev_residual = np.inf
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -244,7 +246,7 @@ def solve_upsilon(sys: SystemLaw, grid: FrequencyGrid | None = None):
     report = FixedPointReport(iterations=iterations, final_residual=residual,
                               converged=residual <= FIXED_POINT_TOL,
                               damping_used=damping)
-    return UpsilonField(grid=grid, matrices=field), report
+    return UpsilonField(omegas=omegas, matrices=field), report
 
 
 def sinr_user(field: UpsilonField, sys: SystemLaw,
@@ -253,9 +255,10 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
     """Limiting MMSE SINR of a user class with the given power and delay.
 
     ``SINR = (power/2pi) * integral delta^H(Omega, delay) Upsilon(Omega)
-    delta(Omega, delay) dOmega`` over the solved grid.  Delays (in chips)
-    outside ``[0, 1)`` are reduced modulo the chip (a whole-chip shift only
-    rotates the phase of the delay vector and cancels in the form).
+    delta(Omega, delay) dOmega`` by the midpoint rule on the field's
+    samples.  Delays (in chips) outside ``[0, 1)`` are reduced modulo the
+    chip (a whole-chip shift only rotates the phase of the delay vector
+    and cancels in the form).
 
     ``power`` and ``delay`` may be arrays, which broadcast against each
     other: all classes then share one pass over the delay vectors and the
@@ -265,9 +268,9 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
                                        np.asarray(delay, dtype=float))
     taus = np.mod(delay, 1.0)
     deltas = _delta_components(sys.waveform, sys.oversampling,
-                               field.grid.points, taus.ravel())
+                               field.omegas, taus.ravel())
     forms = _quadratic_forms(deltas, field.matrices)
-    sinrs = power * field.grid.spacing / TWO_PI * \
+    sinrs = power * (2.0 * np.pi / len(field.omegas)) / TWO_PI * \
         forms.sum(axis=1).reshape(taus.shape)
     return float(sinrs) if sinrs.ndim == 0 else sinrs
 
@@ -384,7 +387,7 @@ def solve_efficiency_scalar(sys: SystemLaw,
     waveform = sys.waveform
     x, scalar, _ = _band_root(waveform, sys.load, *_balanced_marginal(sys),
                               sys.noise_density)
-    omegas = _support_grid(waveform, n_points)
+    omegas = _midpoints(*waveform.support, n_points)
     density = _efficiency_density(waveform.power_spectrum(omegas),
                                   x * waveform.energy, waveform.energy)
     return EfficiencySpectrum(frequencies=omegas, density=density,

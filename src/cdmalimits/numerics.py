@@ -1,17 +1,13 @@
-"""What the layers share: the ITP root, the midpoint grid, solver errors.
+"""What the layers share: the ITP root and the solver error.
 
 Matrices and vectors are plain ``numpy`` arrays throughout the package,
 whose only runtime dependency is ``numpy``; the dense solves of the Monte
-Carlo kernels call its stacked LAPACK routines directly.  Frequency grids
-over the normalized band ``(-pi, pi]`` store midpoints so that integrands
-that are discontinuous at the band edges are never sampled exactly on a
-jump.
+Carlo kernels call its stacked LAPACK routines directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,27 +85,3 @@ def bisect(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
             hi, f_hi = x, f_x
     return 0.5 * (lo + hi)
 
-
-@dataclass(frozen=True, eq=False)
-class FrequencyGrid:
-    """Midpoint grid over the normalized frequency band ``(-pi, pi]``.
-
-    Points are ``-pi + (m + 1/2) * spacing`` for ``m = 0..count-1`` with
-    ``spacing = 2*pi/count``, so the band edges and zero are never sampled.
-    """
-
-    points: np.ndarray
-    spacing: float
-
-    @classmethod
-    def midpoints(cls, count: int = 512) -> "FrequencyGrid":
-        if count < 2 or count % 2 != 0:
-            raise ValueError("grid size must be a positive even integer")
-        spacing = 2.0 * np.pi / count
-        points = -np.pi + (np.arange(count) + 0.5) * spacing
-        points.setflags(write=False)
-        return cls(points=points, spacing=spacing)
-
-    @property
-    def count(self) -> int:
-        return len(self.points)

@@ -170,7 +170,7 @@ class ChipWaveform:
     @functools.cached_property
     def _table_gain(self) -> np.ndarray:
         """Nonzero ``|Phi|^2`` on the band-mean grid, sampled once."""
-        gain = self.power_spectrum(_support_grid(self, _TABLE_POINTS))
+        gain = self.power_spectrum(_midpoints(*self.support, _TABLE_POINTS))
         return gain[gain > 0]
 
     def _band_means(self, x: float) -> tuple[float, float]:
@@ -208,10 +208,9 @@ class ChipWaveform:
                 float(np.sum(np.log1p(y) - y / (1.0 + y))) * weight * LOG2_E)
 
 
-def _support_grid(waveform: ChipWaveform, n_points: int) -> np.ndarray:
-    """Midpoint grid over the pulse support in rad per chip."""
-    lo, hi = waveform.support
-    return lo + (np.arange(n_points) + 0.5) * ((hi - lo) / n_points)
+def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
+    """Midpoints of ``n`` equal cells of ``[lo, hi]``; neither end is one."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
 def sinc_waveform(relative_bandwidth: float) -> ChipWaveform:

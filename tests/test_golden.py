@@ -49,6 +49,9 @@ RUNS = {
     "capacity_asymmetric_table": (
         ["capacity", "--waveform", "table:asymmetric.csv", "--r", "1",
          "--snr", "10"], CLOSED_FORM),
+    "efficiency_asymmetric_table": (
+        ["efficiency", "--waveform", "table:asymmetric.csv", "--r", "1",
+         "--density-points", "64"], CLOSED_FORM),
     "efficiency_cross_check": (
         ["efficiency", "--cross-check", "--sync-baseline", "--grid", "128",
          "--density-points", "64"], LAPACK),

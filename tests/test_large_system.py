@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
-    FrequencyGrid,
     PowerDelayLaw,
     SolverError,
     SystemLaw,
@@ -40,8 +39,8 @@ EQUAL_POWER_ETA = (math.sqrt(0.41) - 0.1) / 2.0
 assert abs(EQUAL_POWER_ETA - 0.2701562118716424) < 1e-15
 
 
-def _matrix_efficiency(sys, delay=0.0, power=1.0, grid=None):
-    field, report = solve_upsilon(sys, grid=grid)
+def _matrix_efficiency(sys, delay=0.0, power=1.0, grid_size=512):
+    field, report = solve_upsilon(sys, grid_size)
     assert report.converged
     return efficiency_of_user(sinr_user(field, sys, power, delay), power, sys)
 
@@ -360,7 +359,7 @@ class TestMatrixRoute:
                       (root_raised_cosine_waveform(0.22), 2)]:
             sys = SystemLaw(load=0.0, noise_density=0.1, oversampling=r,
                             waveform=wf, law=equal_power_uniform_delays(4))
-            eta = _matrix_efficiency(sys, grid=FrequencyGrid.midpoints(128))
+            eta = _matrix_efficiency(sys, grid_size=128)
             assert eta == pytest.approx(1.0, abs=1e-10)
 
     def test_flat_pulse_matches_synchronous_closed_form(self):
@@ -369,7 +368,7 @@ class TestMatrixRoute:
             sys = SystemLaw(load=load, noise_density=0.1, oversampling=1,
                             waveform=sinc_waveform(1.0),
                             law=equal_power_uniform_delays(8))
-            eta = _matrix_efficiency(sys, grid=FrequencyGrid.midpoints(128))
+            eta = _matrix_efficiency(sys, grid_size=128)
             want = solve_efficiency_sync(load, [1.0], [1.0], 0.1)
             assert eta == pytest.approx(want, abs=1e-8)
 
@@ -377,7 +376,7 @@ class TestMatrixRoute:
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22),
                         law=equal_power_uniform_delays(32))
-        eta_matrix = _matrix_efficiency(sys, grid=FrequencyGrid.midpoints(256))
+        eta_matrix = _matrix_efficiency(sys, grid_size=256)
         eta_scalar = solve_efficiency_scalar(sys).scalar
         assert eta_matrix == pytest.approx(eta_scalar, rel=1e-3)
 
@@ -386,7 +385,7 @@ class TestMatrixRoute:
         for law in (synchronous_law(), equal_power_uniform_delays(16)):
             sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=1,
                             waveform=sinc_waveform(1.0), law=law)
-            eta = _matrix_efficiency(sys, grid=FrequencyGrid.midpoints(128))
+            eta = _matrix_efficiency(sys, grid_size=128)
             assert eta == pytest.approx(EQUAL_POWER_ETA, abs=1e-6)
 
     @pytest.mark.parametrize("waveform", [
@@ -401,7 +400,7 @@ class TestMatrixRoute:
         sys = SystemLaw(load=1.0, noise_density=0.1,
                         oversampling=waveform.min_oversampling,
                         waveform=waveform, law=equal_power_uniform_delays(64))
-        field, report = solve_upsilon(sys, FrequencyGrid.midpoints(512))
+        field, report = solve_upsilon(sys, 512)
         assert report.converged
         taus = np.random.default_rng(2024).uniform(0.0, 1.0, 200)
         etas = efficiency_of_user(sinr_user(field, sys, 1.0, taus), 1.0, sys)
@@ -415,7 +414,7 @@ class TestMatrixRoute:
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22),
                         law=equal_power_uniform_delays(8))
-        field, _ = solve_upsilon(sys, grid=FrequencyGrid.midpoints(64))
+        field, _ = solve_upsilon(sys, 64)
         a = sinr_user(field, sys, 1.0, 0.3)
         b = sinr_user(field, sys, 1.0, 0.3 + 5.0)
         assert a == pytest.approx(b, rel=1e-12)
@@ -427,7 +426,7 @@ class TestMatrixRoute:
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.22),
                         law=equal_power_uniform_delays(8))
-        field, _ = solve_upsilon(sys, grid=FrequencyGrid.midpoints(64))
+        field, _ = solve_upsilon(sys, 64)
         powers = np.array([1.0, 0.5, 2.0, 1.0])
         delays = np.array([0.0, 0.3, 0.7, 5.3])
         want = [sinr_user(field, sys, p, d) for p, d in zip(powers, delays)]
@@ -442,7 +441,7 @@ class TestMatrixRoute:
         sys = SystemLaw(load=1.0, noise_density=0.1, oversampling=2,
                         waveform=root_raised_cosine_waveform(0.5),
                         law=equal_power_uniform_delays(8))
-        field, report = solve_upsilon(sys, grid=FrequencyGrid.midpoints(32))
+        field, report = solve_upsilon(sys, 32)
         assert report.converged
         mats = field.matrices
         assert mats.shape == (32, 2, 2)
@@ -450,6 +449,41 @@ class TestMatrixRoute:
                                    atol=1e-12)
         eigs = np.linalg.eigvalsh(mats)
         assert eigs.min() > 0.0
+
+
+class TestMatrixGrid:
+    """The band midpoints that ``solve_upsilon`` samples its field at."""
+
+    SYS = SystemLaw(load=1.0, noise_density=0.1, oversampling=1,
+                    waveform=sinc_waveform(1.0),
+                    law=equal_power_uniform_delays(4))
+
+    def test_midpoints_symmetric(self):
+        size = 64
+        omegas = solve_upsilon(self.SYS, size)[0].omegas
+        assert omegas.shape == (size,)
+        assert omegas.sum() == pytest.approx(0.0, abs=1e-12)
+        assert omegas[0] == pytest.approx(-np.pi + np.pi / size)
+        assert omegas[-1] == pytest.approx(np.pi - np.pi / size)
+        # Neither zero nor a band edge, where the delay vectors of a flat
+        # pulse jump, is ever sampled.
+        assert np.all(np.abs(omegas) > 0.0)
+        assert np.all(np.abs(omegas) < np.pi)
+
+    def test_spacing_covers_full_period(self):
+        size = 128
+        omegas = solve_upsilon(self.SYS, size)[0].omegas
+        np.testing.assert_allclose(np.diff(omegas) * size, 2.0 * np.pi,
+                                   rtol=1e-12)
+
+    def test_odd_size_rejected(self):
+        with pytest.raises(ValueError, match="grid size"):
+            solve_upsilon(self.SYS, 33)
+
+    def test_nonpositive_or_single_size_rejected(self):
+        for size in (1, 0, -2):
+            with pytest.raises(ValueError, match="grid size"):
+                solve_upsilon(self.SYS, size)
 
 
 class TestMatrixIteration:
@@ -463,8 +497,7 @@ class TestMatrixIteration:
                          law=equal_power_uniform_delays(64))
 
     def test_undamped_steps_to_tolerance(self):
-        _, report = solve_upsilon(self._rrc_system(0.5, 0.1),
-                                  FrequencyGrid.midpoints(512))
+        _, report = solve_upsilon(self._rrc_system(0.5, 0.1), 512)
         assert report.converged
         assert report.iterations == 22
         assert report.damping_used == 1.0
@@ -472,8 +505,7 @@ class TestMatrixIteration:
 
     def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 3)
-        _, report = solve_upsilon(self._rrc_system(0.5, 0.1),
-                                  FrequencyGrid.midpoints(64))
+        _, report = solve_upsilon(self._rrc_system(0.5, 0.1), 64)
         assert not report.converged
         assert report.iterations == 3
         assert report.final_residual > large_system.FIXED_POINT_TOL
@@ -483,8 +515,7 @@ class TestMatrixIteration:
         # rising, so within 100 steps the damping halves down to 2^-20
         # and no further.
         monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
-        _, report = solve_upsilon(self._rrc_system(4.0, 1e-3),
-                                  FrequencyGrid.midpoints(64))
+        _, report = solve_upsilon(self._rrc_system(4.0, 1e-3), 64)
         assert not report.converged
         assert report.damping_used == 2.0 ** -20
 
@@ -492,8 +523,7 @@ class TestMatrixIteration:
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a: np.full_like(a, np.nan))
         with pytest.raises(SolverError, match="^divergence$"):
-            solve_upsilon(self._rrc_system(0.5, 0.1),
-                          FrequencyGrid.midpoints(64))
+            solve_upsilon(self._rrc_system(0.5, 0.1), 64)
 
 
 class TestUserMetrics:

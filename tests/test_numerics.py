@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
-    FrequencyGrid,
     SolverError,
     bisect,
 )
@@ -96,22 +95,3 @@ class TestBisect:
         assert bisect(fn, 0.0, 1.0, tol=1e-12) == pytest.approx(
             0.25, abs=1e-12)
 
-
-class TestFrequencyGrid:
-    def test_midpoints_symmetric(self):
-        grid = FrequencyGrid.midpoints(64)
-        assert grid.points.sum() == pytest.approx(0.0, abs=1e-12)
-        assert grid.points[0] == pytest.approx(-np.pi + grid.spacing / 2.0)
-        assert grid.points[-1] == pytest.approx(np.pi - grid.spacing / 2.0)
-
-    def test_spacing_covers_full_period(self):
-        grid = FrequencyGrid.midpoints(128)
-        assert grid.spacing * grid.points.size == pytest.approx(2.0 * np.pi)
-
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid.midpoints(33)
-
-    def test_nonpositive_count_rejected(self):
-        with pytest.raises(ValueError):
-            FrequencyGrid.midpoints(0)
