@@ -428,9 +428,11 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
     spectrum = solve_efficiency_scalar(sys_law,
                                        n_points=cfg.density_points)
     columns = ["record", "omega", "delay_chips", "power", "value"]
+    # Python floats format faster than numpy scalars, to the same text.
     rows: list[tuple] = [
         ("density", w, "", "", d)
-        for w, d in zip(spectrum.frequencies, spectrum.density)
+        for w, d in zip(spectrum.frequencies.tolist(),
+                        spectrum.density.tolist())
     ]
     rows.append(("scalar", "", "", "", spectrum.scalar))
     if cfg.sync_baseline:
@@ -444,8 +446,9 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
             sinr_user(field, sys_law, law.powers, law.delays), law.powers,
             sys_law)
         mean = 0.0
-        for power, delay, weight, eta in zip(law.powers, law.delays,
-                                             law.weights, etas):
+        for power, delay, weight, eta in zip(
+                law.powers.tolist(), law.delays.tolist(),
+                law.weights.tolist(), etas.tolist()):
             mean += weight * eta
             rows.append(("user_efficiency", "", delay, power, eta))
         rows.append(("matrix_mean", "", "", "", mean))
@@ -547,9 +550,13 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     efficiencies = efficiency_of_user(sinrs, powers, realized)
     columns = ["trial", "user", "delay_chips", "power", "sinr",
                "efficiency", "predicted_efficiency"]
-    rows = [(t, k, system.delays[k], powers[k], sinrs[t, k],
-             efficiencies[t, k], predicted[k])
-            for t in range(cfg.trials) for k in range(system.n_users)]
+    delays, user_powers, forecast = (
+        system.delays.tolist(), powers.tolist(), predicted.tolist())
+    rows = [(t, k, delays[k], user_powers[k], sinr_row[k], eta_row[k],
+             forecast[k])
+            for t, (sinr_row, eta_row) in enumerate(
+                zip(sinrs.tolist(), efficiencies.tolist()))
+            for k in range(system.n_users)]
     # The gap in standard errors is left empty when there is no spread to
     # measure it in (one trial).
     gap = summary.mean_efficiency - float(predicted.mean())

@@ -333,8 +333,12 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
 
     For each normalized frequency ``Omega`` in ``omegas`` the contributing
     aliases are the integers ``nu`` with ``Omega + 2*pi*nu`` inside the
-    support ``(lo, hi)``.  Returns ``(args, amps)`` of
-    shape ``(len(omegas), n_alias)`` where ``args`` holds
+    support ``(lo, hi)``.  The table's columns run over the ``nu`` from
+    ``ceil((lo - tol - max Omega) / 2pi)`` to ``floor((hi + tol - min
+    Omega) / 2pi)``, the aliases that reach the support (within the edge
+    slack ``tol``) at some grid frequency, widened by 1e-9 of an alias so
+    that one within rounding of an edge stays in.  Returns ``(args,
+    amps)`` of shape ``(len(omegas), n_alias)`` where ``args`` holds
     ``Omega + 2*pi*nu`` and ``amps`` holds
     ``weight * conj(Phi(arg))`` with the midpoint weight 1/2 applied
     exactly on either end of the support; padding entries are zero.
@@ -342,8 +346,8 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     lo, hi = waveform.support
     tol = _EDGE_RTOL * max(1.0, -lo, hi)
-    nu_lo = math.floor((lo - float(np.max(om))) / TWO_PI - 1e-9)
-    nu_hi = math.ceil((hi - float(np.min(om))) / TWO_PI + 1e-9)
+    nu_lo = math.ceil((lo - tol - float(np.max(om))) / TWO_PI - 1e-9)
+    nu_hi = math.floor((hi + tol - float(np.min(om))) / TWO_PI + 1e-9)
     nus = np.arange(nu_lo, nu_hi + 1)
     args = om[:, None] + TWO_PI * nus[None, :]
     # Aliases a hair past an end are evaluated on it.
@@ -367,12 +371,16 @@ def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,
     """Delay vectors: shape ``(len(taus), len(omegas), r)``.
 
     Component ``s`` (0-based) is the sampled spectrum
-    ``phi(Omega, tau - s/r)``; component 0 is ``phi(Omega, tau)``.
+    ``phi(Omega, tau - s/r)``; component 0 is ``phi(Omega, tau)``.  The
+    phase ``exp(j*(tau - s/r)*arg)`` is evaluated only on the in-band
+    aliases (nonzero amplitude); on the padding it stays zero.
     """
     args, amps = _alias_table(waveform, omegas)  # (M, V)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     shifts = taus[:, None] - np.arange(r)[None, :] / r  # (A, r)
-    phases = np.exp(1j * shifts[:, :, None, None] * args[None, None, :, :])
+    inband = amps != 0
+    phases = np.zeros(shifts.shape + args.shape, dtype=complex)
+    phases[:, :, inband] = np.exp(1j * shifts[:, :, None] * args[inband])
     return np.einsum("asmv,mv->ams", phases, amps)
 
 

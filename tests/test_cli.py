@@ -816,6 +816,21 @@ class TestCsvConventions:
                 assert math.copysign(1.0, float(cell)) == \
                     math.copysign(1.0, value)
 
+    def test_numpy_and_python_floats_print_alike(self):
+        # The trial and efficiency rows hand render_csv Python floats
+        # (``tolist``); their text must stay what numpy scalars print.
+        # 1e16 and the float below it straddle the switch to exponents.
+        values = [1e16, math.nextafter(1e16, 0.0), 1e-5, 1e-4, -0.0, 5e-324,
+                  sys.float_info.max, math.nan, math.inf, -math.inf]
+        cfg = resolve_config("verify", {}, {})
+        columns = [str(i) for i in range(len(values))]
+        numpy_row = [np.float64(value) for value in values]
+        as_python = render_csv(cfg, columns, [values])
+        assert render_csv(cfg, columns, [numpy_row]) == as_python
+        assert as_python.splitlines()[-1] == (
+            "1e+16,9999999999999998.0,1e-05,0.0001,-0.0,5e-324,"
+            "1.7976931348623157e+308,nan,inf,-inf")
+
     def test_no_timestamps(self, capsys):
         _, out, _ = _run(capsys, ["capacity", "--beta", "0", "--snr", "1"])
         assert "202" not in out.split("\n# out")[0]

@@ -20,7 +20,13 @@ from cdmalimits import (
     sinc_waveform,
     tabulated_waveform,
 )
-from cdmalimits.waveforms import _delay_free_q, _delta_components
+from cdmalimits.montecarlo import _dft_deltas
+from cdmalimits.waveforms import (
+    _alias_table,
+    _delay_free_q,
+    _delta_components,
+    _midpoints,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -284,6 +290,68 @@ class TestDeltaVector:
         shifted = _delta(wf, 2, omega, 0.25 + 1.0)
         np.testing.assert_allclose(shifted, np.exp(1j * omega) * base,
                                    atol=1e-12)
+
+
+def _full_exponential_deltas(waveform, r, omegas, taus):
+    """Reference delay vectors: an alias table taken one alias outward at
+    each end (``floor``/``ceil``), the phase evaluated on every entry,
+    padding included, and the same ``einsum`` over aliases."""
+    om = np.asarray(omegas, dtype=float)
+    lo, hi = waveform.support
+    tol = 1e-9 * max(1.0, -lo, hi)
+    nus = np.arange(math.floor((lo - om.max()) / TWO_PI - 1e-9),
+                    math.ceil((hi - om.min()) / TWO_PI + 1e-9) + 1)
+    args = om[:, None] + TWO_PI * nus[None, :]
+    inside = (args >= lo - tol) & (args <= hi + tol)
+    amps = np.zeros(args.shape, dtype=complex)
+    amps[inside] = np.conj(waveform.spectrum(np.clip(args[inside], lo, hi)))
+    on_edge = (np.abs(args - lo) <= tol) | (np.abs(args - hi) <= tol)
+    amps *= np.where(on_edge, 0.5, 1.0)
+    shifts = taus[:, None] - np.arange(r)[None, :] / r
+    phases = np.exp(1j * shifts[:, :, None, None] * args[None, None, :, :])
+    return np.einsum("asmv,mv->ams", phases, amps)
+
+
+#: A complex table that is zero at its lower end; it needs r >= 2.
+_ZERO_END_TABLE = tabulated_waveform([-4.0, -1.0, 0.5, 3.0],
+                                     [0.0, 1.0 + 0.5j, 0.8 - 0.3j, 0.4j])
+
+
+class TestDeltaBytes:
+    """The delay vectors evaluate the phase on in-band aliases only, over
+    the aliases that reach the support; the golden files compare the
+    commands built on them only to 1e-10, so this pins every byte."""
+
+    @pytest.mark.parametrize("extra_r", [0, 1])
+    @pytest.mark.parametrize("waveform", [
+        sinc_waveform(0.5), sinc_waveform(1.0), sinc_waveform(1.9),
+        sinc_waveform(2.0), root_raised_cosine_waveform(0.0),
+        root_raised_cosine_waveform(0.22), root_raised_cosine_waveform(1.0),
+        _ZERO_END_TABLE,
+    ], ids=["sinc0.5", "sinc1", "sinc1.9", "sinc2", "rrc0", "rrc0.22",
+            "rrc1", "zero_end_table"])
+    def test_identical_to_full_exponential(self, waveform, extra_r):
+        r = waveform.min_oversampling + extra_r
+        rng = np.random.default_rng(5)
+        delay_sets = [np.arange(64) / 64.0, rng.uniform(0.0, 1.0, 32)]
+        grids = [_midpoints(-np.pi, np.pi, m) for m in (64, 512, 1000)]
+        bins = np.mod(TWO_PI * np.arange(64) / 64 + np.pi, TWO_PI) - np.pi
+        for taus in delay_sets:
+            for omegas in grids:
+                got = _delta_components(waveform, r, omegas, taus)
+                want = _full_exponential_deltas(waveform, r, omegas, taus)
+                assert got.tobytes() == want.tobytes(), (len(omegas), r)
+            want = _full_exponential_deltas(waveform, r, bins, taus)
+            assert _dft_deltas(waveform, 64, r, taus).tobytes() == \
+                want.tobytes()
+
+    def test_alias_table_keeps_only_reachable_aliases(self):
+        # RRC 0.22 reaches 1.22*pi: on (-pi, pi] only nu = -1, 0, 1 can
+        # land inside, and each of them does at some midpoint.
+        waveform = root_raised_cosine_waveform(0.22)
+        args, amps = _alias_table(waveform, _midpoints(-np.pi, np.pi, 512))
+        assert args.shape == (512, 3)
+        assert np.all(np.any(amps != 0, axis=0))
 
 
 class TestQSplit:
