@@ -189,10 +189,44 @@ class FixedPointReport:
     damping_used: float
 
 
-def _quadratic_forms(deltas: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """``delta^H Upsilon delta`` for each (atom, frequency): shape (A, M)."""
-    return np.real(np.einsum("ams,msk,amk->am", np.conj(deltas), field,
-                             deltas, optimize=True))
+def _form_operands(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Delay vectors ``(A, M, r)`` laid out for :func:`_quadratic_forms`:
+    ``conj(delta)`` as an ``(M, r, A)`` view, and ``delta`` as
+    ``(A*M, r, 1)`` columns."""
+    n_atoms, n_freq, r = deltas.shape
+    return (np.conj(deltas).transpose(1, 2, 0),
+            deltas.reshape(n_atoms * n_freq, r, 1))
+
+
+def _quadratic_forms(field: np.ndarray, conj_rows: np.ndarray,
+                     columns: np.ndarray) -> np.ndarray:
+    """``delta^H Upsilon delta`` for each (atom, frequency): shape (A, M).
+
+    The two batched products that numpy's ``einsum("ams,msk,amk->am",
+    optimize=True)`` makes for ``r >= 2``, on the operands of
+    :func:`_form_operands`: ``(M, k, s) @ (M, s, A)`` forms ``delta^H
+    Upsilon``, and ``(A*M, 1, r) @ (A*M, r, 1)`` its product with
+    ``delta``.  Bit for bit the einsum's result; at ``r = 1``, where
+    einsum forms ``|delta|^2`` first, within rounding of it.
+    """
+    n_freq, r, n_atoms = conj_rows.shape
+    rows = np.matmul(field.transpose(0, 2, 1), conj_rows)  # (M, k, A)
+    rows = rows.transpose(2, 0, 1).reshape(n_atoms * n_freq, 1, r)
+    return np.real(np.matmul(rows, columns).reshape(n_atoms, n_freq))
+
+
+def _interference(coeff: np.ndarray, deltas: np.ndarray,
+                  conj_cols: np.ndarray) -> np.ndarray:
+    """``sum_atoms coeff * delta delta^H`` at each frequency: (M, r, r).
+
+    The products that numpy's ``einsum("a,ams,amk->msk", optimize=True)``
+    makes for two or more atoms: the vectors scaled by ``coeff``, viewed as
+    ``(M, s, A)``, times ``conj(delta)`` as the ``(M, A, k)`` view
+    ``conj_cols``.  For a single atom einsum forms the outer product by
+    ``multiply``, which this ``matmul`` matches only within rounding.
+    """
+    scaled = deltas * coeff[:, None, None]
+    return np.matmul(scaled.transpose(1, 2, 0), conj_cols)
 
 
 def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
@@ -212,6 +246,12 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     ``FIXED_POINT_MAX_ITER`` steps, and raises "divergence"
     (``SolverError``) on a step that is not finite.
 
+    The delay vectors are conjugated and laid out once per call; each step
+    then makes the batched products of numpy's einsum plans directly
+    (:func:`_quadratic_forms`, :func:`_interference`), bit-identical to the
+    einsum formulas for ``r >= 2`` and two or more atoms, and within
+    rounding of them otherwise.
+
     Returns ``(UpsilonField, FixedPointReport)``; a non-converged run is
     reported, never silent.
     """
@@ -222,17 +262,18 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     law = sys.law
     sigma2 = sys.noise_variance
     deltas = _delta_components(sys.waveform, r, omegas, law.delays)
+    conj_rows, columns = _form_operands(deltas)
+    conj_cols = conj_rows.transpose(0, 2, 1)  # (M, A, k)
     eye = np.eye(r, dtype=complex)
     field = np.broadcast_to(eye / sigma2, (grid_size, r, r)).copy()
     quad_scale = 2.0 * np.pi / grid_size / TWO_PI
     damping = 1.0
     prev_residual = np.inf
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
-        forms = _quadratic_forms(deltas, field)  # (A, M)
+        forms = _quadratic_forms(field, conj_rows, columns)  # (A, M)
         sinr = law.powers * quad_scale * forms.sum(axis=1)  # (A,)
         coeff = sys.load * law.weights * law.powers / (1.0 + sinr)
-        interference = np.einsum("a,ams,amk->msk", coeff, deltas,
-                                 np.conj(deltas), optimize=True)
+        interference = _interference(coeff, deltas, conj_cols)
         stepped = np.linalg.inv(sigma2 * eye[None, :, :] + interference)
         if not np.all(np.isfinite(stepped)):
             raise SolverError("divergence")
@@ -269,7 +310,7 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
     taus = np.mod(delay, 1.0)
     deltas = _delta_components(sys.waveform, sys.oversampling,
                                field.omegas, taus.ravel())
-    forms = _quadratic_forms(deltas, field.matrices)
+    forms = _quadratic_forms(field.matrices, *_form_operands(deltas))
     sinrs = power * (2.0 * np.pi / len(field.omegas)) / TWO_PI * \
         forms.sum(axis=1).reshape(taus.shape)
     return float(sinrs) if sinrs.ndim == 0 else sinrs

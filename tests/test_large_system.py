@@ -31,12 +31,30 @@ from cdmalimits import (
     uniform_delay_grid,
 )
 from cdmalimits import large_system
-from cdmalimits.large_system import _delays_balanced
+from cdmalimits.large_system import (
+    _delays_balanced,
+    _form_operands,
+    _interference,
+    _quadratic_forms,
+)
+from cdmalimits.waveforms import _delta_components, _midpoints
 
 # Closed-form equal-power multiuser efficiency at load 1, unit power,
 # noise level 0.1: the positive root of eta^2 + 0.1*eta - 0.1 = 0.
 EQUAL_POWER_ETA = (math.sqrt(0.41) - 0.1) / 2.0
 assert abs(EQUAL_POWER_ETA - 0.2701562118716424) < 1e-15
+
+
+def _einsum_forms(deltas, field):
+    """The former quadratic forms: one optimized einsum per step."""
+    return np.real(np.einsum("ams,msk,amk->am", np.conj(deltas), field,
+                             deltas, optimize=True))
+
+
+def _einsum_interference(coeff, deltas):
+    """The former interference: one optimized einsum per step."""
+    return np.einsum("a,ams,amk->msk", coeff, deltas, np.conj(deltas),
+                     optimize=True)
 
 
 def _matrix_efficiency(sys, delay=0.0, power=1.0, grid_size=512):
@@ -513,17 +531,129 @@ class TestMatrixIteration:
     def test_rising_residual_halves_damping_to_its_floor(self, monkeypatch):
         # At beta = 4, N0 = 1e-3 the residual stalls near 3e-10 and keeps
         # rising, so within 100 steps the damping halves down to 2^-20
-        # and no further.
+        # and no further.  The exact residual pins the step's rounding,
+        # on which the convergence of this point hangs.
         monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
         _, report = solve_upsilon(self._rrc_system(4.0, 1e-3), 64)
         assert not report.converged
         assert report.damping_used == 2.0 ** -20
+        assert report.final_residual == 2.586046151386022e-10
+
+    @pytest.mark.parametrize("load, noise_density, grid_size, steps", [
+        (0.5, 0.1, 512, 22), (4.0, 1e-3, 64, 100)])
+    def test_every_step_matches_the_einsum_formulas(
+            self, monkeypatch, load, noise_density, grid_size, steps):
+        # Each step's forms and interference, on the field and the
+        # coefficients that step sees, are the former einsums bit for bit.
+        monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
+        seen = {}
+        forms_calls, interference_calls = [], []
+
+        def deltas(*args):
+            seen["deltas"] = _delta_components(*args)
+            return seen["deltas"]
+
+        def forms(field, *operands):
+            out = _quadratic_forms(field, *operands)
+            forms_calls.append((field, out))
+            return out
+
+        def interference(coeff, *operands):
+            out = _interference(coeff, *operands)
+            interference_calls.append((coeff, out))
+            return out
+
+        monkeypatch.setattr(large_system, "_delta_components", deltas)
+        monkeypatch.setattr(large_system, "_quadratic_forms", forms)
+        monkeypatch.setattr(large_system, "_interference", interference)
+        _, report = solve_upsilon(self._rrc_system(load, noise_density),
+                                  grid_size)
+        assert report.iterations == steps
+        assert len(forms_calls) == len(interference_calls) == steps
+        for (field, got_forms), (coeff, got_interference) in zip(
+                forms_calls, interference_calls):
+            assert np.array_equal(got_forms,
+                                  _einsum_forms(seen["deltas"], field))
+            assert np.array_equal(got_interference,
+                                  _einsum_interference(coeff, seen["deltas"]))
 
     def test_non_finite_step_is_divergence(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a: np.full_like(a, np.nan))
         with pytest.raises(SolverError, match="^divergence$"):
             solve_upsilon(self._rrc_system(0.5, 0.1), 64)
+
+
+class TestMatrixKernel:
+    """The batched products of one matrix step against the einsum
+    formulas they replace, on the delay vectors' own memory layout."""
+
+    @staticmethod
+    def _operands(r, n_atoms, n_freq):
+        rng = np.random.default_rng(1000 * r + n_atoms + n_freq)
+        waveform = (sinc_waveform(1.0) if r == 1
+                    else root_raised_cosine_waveform(0.22))
+        deltas = _delta_components(waveform, r,
+                                   _midpoints(-np.pi, np.pi, n_freq),
+                                   rng.random(n_atoms))
+        half = (rng.standard_normal((n_freq, r, r))
+                + 1j * rng.standard_normal((n_freq, r, r)))
+        field = half @ np.conj(np.swapaxes(half, 1, 2)) + np.eye(r)
+        coeff = rng.random(n_atoms) + 0.1
+        return deltas, field, coeff
+
+    @staticmethod
+    def _kernel(deltas, field, coeff):
+        conj_rows, columns = _form_operands(deltas)
+        return (_quadratic_forms(field, conj_rows, columns),
+                _interference(coeff, deltas, conj_rows.transpose(0, 2, 1)))
+
+    @pytest.mark.parametrize("n_freq", [2, 64, 512])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 16, 64, 256])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_identical_to_einsum(self, r, n_atoms, n_freq):
+        deltas, field, coeff = self._operands(r, n_atoms, n_freq)
+        forms, interference = self._kernel(deltas, field, coeff)
+        assert np.array_equal(forms, _einsum_forms(deltas, field))
+        want = _einsum_interference(coeff, deltas)
+        if n_atoms > 1:
+            assert np.array_equal(interference, want)
+        else:
+            # einsum forms a lone atom's outer product by multiply, which
+            # a one-term matmul rounds differently.
+            np.testing.assert_allclose(interference, want, rtol=1e-15)
+
+    def test_grid_spans_several_einsum_plans(self):
+        # The shapes above reach different einsum contraction plans, so
+        # the identity does not rest on one plan.
+        plans = set()
+        for r in (2, 3, 4):
+            for n_atoms in (1, 2, 16, 64, 256):
+                for n_freq in (2, 64, 512):
+                    deltas = np.zeros((n_atoms, n_freq, r), dtype=complex)
+                    field = np.zeros((n_freq, r, r), dtype=complex)
+                    plans.add(tuple(
+                        step[1] for args in (
+                            ("ams,msk,amk->am", deltas, field, deltas),
+                            ("a,ams,amk->msk", np.zeros(n_atoms), deltas,
+                             deltas))
+                        for step in np.einsum_path(
+                            *args, optimize=True, einsum_call=True)[1]))
+        assert len(plans) >= 6
+
+    @pytest.mark.parametrize("n_freq", [2, 64, 512])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 16, 64, 256])
+    def test_single_sample_within_rounding_of_einsum(self, n_atoms, n_freq):
+        # At r = 1 einsum forms |delta|^2 first, so the kernel differs by
+        # rounding; the interference sums the atoms in another order too,
+        # so its bound grows as sqrt(A).
+        deltas, field, coeff = self._operands(1, n_atoms, n_freq)
+        forms, interference = self._kernel(deltas, field, coeff)
+        np.testing.assert_allclose(forms, _einsum_forms(deltas, field),
+                                   rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(interference,
+                                   _einsum_interference(coeff, deltas),
+                                   rtol=1e-15 * math.sqrt(n_atoms), atol=0.0)
 
 
 class TestUserMetrics:
