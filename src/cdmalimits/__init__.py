@@ -9,7 +9,7 @@ Subpackage map:
   delay vectors, and the circulant structure of the sampled correlations.
 - :mod:`cdmalimits.large_system` — asymptotic multiuser efficiency:
   matrix-valued fixed point on a midpoint grid of the band, with its
-  damped iteration and ``FixedPointReport``, scalar frequency-domain
+  monotone iteration and ``FixedPointReport``, scalar frequency-domain
   solver, and the closed-form ideal-bandlimited/synchronous special cases.
 - :mod:`cdmalimits.capacity` — pulse-constrained capacity in free-energy
   closed form, spectral efficiency, and the synchronous closed form it is

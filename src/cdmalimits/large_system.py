@@ -181,12 +181,12 @@ class UpsilonField:
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Outcome of the matrix route's damped iteration."""
+    """Outcome of the matrix route's plain iteration: the steps taken, the
+    last step's residual, and whether it met the stopping rule."""
 
     iterations: int
     final_residual: float
     converged: bool
-    damping_used: float
 
 
 def _form_operands(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,13 +238,16 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     / (1 + SINR_atom)`` where ``SINR_atom = (lam/2pi) * integral
     delta^H Upsilon delta`` and ``sigma^2 = r N_0``.
 
-    From ``I / sigma^2`` each step maps the field to the right side's
-    inverse and moves it to ``(1 - d) * field + d * stepped``.  The
-    damping ``d`` starts at 1 and halves, down to ``2**-20``, whenever the
-    residual (the sup norm of ``stepped - field``) rises.  The iteration
-    stops at a residual of ``FIXED_POINT_TOL`` or after
-    ``FIXED_POINT_MAX_ITER`` steps, and raises "divergence"
-    (``SolverError``) on a step that is not finite.
+    Each step replaces the field by the right side's inverse.  That map is
+    order-preserving (a larger field gives larger SINRs, so less
+    interference, so a larger next field: Tse and Hanly's effective
+    interference, a standard interference function in Yates' sense), and
+    ``I / sigma^2`` bounds every field it makes, so from there the plain
+    iteration falls monotonically to the fixed point.  It stops once the
+    residual, the sup norm of a step's change, is at most
+    ``FIXED_POINT_TOL / E`` (the field scales as ``1/E`` when the pulse and
+    ``N_0`` scale together), or after ``FIXED_POINT_MAX_ITER`` steps, and
+    raises "divergence" (``SolverError``) on a step that is not finite.
 
     The delay vectors are conjugated and laid out once per call; each step
     then makes the batched products of numpy's einsum plans directly
@@ -267,8 +270,7 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     eye = np.eye(r, dtype=complex)
     field = np.broadcast_to(eye / sigma2, (grid_size, r, r)).copy()
     quad_scale = 2.0 * np.pi / grid_size / TWO_PI
-    damping = 1.0
-    prev_residual = np.inf
+    tol = FIXED_POINT_TOL / sys.waveform.energy
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         forms = _quadratic_forms(field, conj_rows, columns)  # (A, M)
         sinr = law.powers * quad_scale * forms.sum(axis=1)  # (A,)
@@ -278,15 +280,11 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
         if not np.all(np.isfinite(stepped)):
             raise SolverError("divergence")
         residual = float(np.max(np.abs(stepped - field)))
-        if residual > prev_residual and damping > 2.0 ** -20:
-            damping *= 0.5
-        prev_residual = residual
-        field = (1.0 - damping) * field + damping * stepped
-        if residual <= FIXED_POINT_TOL:
+        field = stepped
+        if residual <= tol:
             break
     report = FixedPointReport(iterations=iterations, final_residual=residual,
-                              converged=residual <= FIXED_POINT_TOL,
-                              damping_used=damping)
+                              converged=residual <= tol)
     return UpsilonField(omegas=omegas, matrices=field), report
 
 

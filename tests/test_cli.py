@@ -232,7 +232,7 @@ def test_non_finite_grid_values_rejected(argv, key, capsys):
 
 def _unconverged_field(monkeypatch):
     report = FixedPointReport(iterations=10000, final_residual=3.021e-10,
-                              converged=False, damping_used=1.0)
+                              converged=False)
     monkeypatch.setattr(cli, "solve_upsilon", lambda *args: (None, report))
 
 
@@ -580,32 +580,45 @@ class TestRangeCorners:
                                                      capsys):
         # A flat table over [-pi, pi] at either end of the documented peak
         # range is sinc:1 with energy peak**2: the same capacity per chip
-        # at a given snr, and the same efficiency at N0 = 0.1 E.  Just
-        # past these ends, 2e-154 ended in an OverflowError and 1.3e154
-        # printed a wrong capacity with exit 0.
+        # at a given snr, and the same efficiencies at N0 = 0.1 E, on the
+        # scalar and the matrix route.  Just past these ends, 2e-154 ended
+        # in an OverflowError and 1.3e154 printed a wrong capacity with
+        # exit 0.  While the matrix route stopped at an absolute residual,
+        # 1e100 printed wrong matrix cells with exit 0 and 1e-100 exited 3.
         path = tmp_path / "flat.csv"
         path.write_text(f"omega,real\n{-math.pi!r},{peak!r}\n"
                         f"{math.pi!r},{peak!r}\n")
         energy = cdmalimits.load_tabulated_waveform(path).energy
         assert energy == pytest.approx(peak ** 2, rel=1e-15)
 
-        def scalars(waveform, n0):
-            """Capacity per chip at snr 10 and scalar efficiency at n0."""
-            cells = []
-            for argv, column, record in (
-                    (["capacity", "--snr", "10"], "capacity_per_chip",
-                     None),
+        def efficiencies(header, rows):
+            return [float(r["value"]) for r in rows if r["record"] in
+                    ("scalar", "user_efficiency", "matrix_mean")]
+
+        def cells(waveform, n0):
+            """Capacity per chip at snr 10; at n0 the scalar and matrix
+            efficiencies and montecarlo's predicted mean."""
+            found = []
+            for argv, pick in (
+                    (["capacity", "--snr", "10"],
+                     lambda header, rows: [float(r["capacity_per_chip"])
+                                           for r in rows]),
                     (["efficiency", "--n0", repr(n0), "--density-points",
-                      "8"], "value", "scalar")):
+                      "8", "--cross-check", "--grid", "64"], efficiencies),
+                    (["montecarlo", "--n0", repr(n0), "--n", "16",
+                      "--trials", "2", "--seed", "7", "--grid", "64"],
+                     lambda header, rows: [
+                         float(header["predicted_mean_efficiency"])])):
                 code, out, err = _run(capsys, [*argv, "--waveform",
                                                waveform, "--r", "1"])
                 assert (code, err) == (0, "")
-                cells += [float(r[column]) for r in _parse(out)[1]
-                          if record is None or r["record"] == record]
-            return cells
+                found += pick(*_parse(out))
+            return found
 
-        assert scalars(f"table:{path}", 0.1 * energy) == pytest.approx(
-            scalars("sinc:1", 0.1), rel=1e-12)
+        want = cells("sinc:1", 0.1)
+        assert len(want) == 1 + 66 + 1
+        assert cells(f"table:{path}", 0.1 * energy) == pytest.approx(
+            want, rel=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--beta", "0:16:5", "--ebn0-db", "150"],

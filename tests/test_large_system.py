@@ -505,7 +505,9 @@ class TestMatrixGrid:
 
 
 class TestMatrixIteration:
-    """The damped iteration of ``solve_upsilon`` and its report."""
+    """The plain iteration of ``solve_upsilon`` and its report.  From
+    ``I / sigma^2`` the order-preserving step lowers every SINR, so the
+    iteration needs no damping."""
 
     @staticmethod
     def _rrc_system(load, noise_density):
@@ -518,7 +520,6 @@ class TestMatrixIteration:
         _, report = solve_upsilon(self._rrc_system(0.5, 0.1), 512)
         assert report.converged
         assert report.iterations == 22
-        assert report.damping_used == 1.0
         assert report.final_residual <= large_system.FIXED_POINT_TOL
 
     def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
@@ -528,16 +529,41 @@ class TestMatrixIteration:
         assert report.iterations == 3
         assert report.final_residual > large_system.FIXED_POINT_TOL
 
-    def test_rising_residual_halves_damping_to_its_floor(self, monkeypatch):
-        # At beta = 4, N0 = 1e-3 the residual stalls near 3e-10 and keeps
-        # rising, so within 100 steps the damping halves down to 2^-20
-        # and no further.  The exact residual pins the step's rounding,
-        # on which the convergence of this point hangs.
+    def test_stalled_residual_after_100_steps(self, monkeypatch):
+        # At beta = 4, N0 = 1e-3 the residual stalls near 3e-10, above the
+        # tolerance.  The exact residual pins the step's rounding, on
+        # which the convergence of this point hangs.
         monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
         _, report = solve_upsilon(self._rrc_system(4.0, 1e-3), 64)
         assert not report.converged
-        assert report.damping_used == 2.0 ** -20
-        assert report.final_residual == 2.586046151386022e-10
+        assert report.final_residual == 4.2125613240390394e-10
+
+    @pytest.mark.parametrize("sys, grid_size", [
+        (_rrc_system(0.5, 0.1), 512),
+        (_rrc_system(1.0, 1e-3), 512),
+        # Stalls above the tolerance for all 10000 steps; the damping
+        # this solver used to have engaged here.
+        (SystemLaw(load=3.0, noise_density=1e-4, oversampling=2,
+                   waveform=sinc_waveform(1.5),
+                   law=PowerDelayLaw(powers=np.array([1.0, 1.0, 4.0, 4.0]),
+                                     delays=np.array([0.0, 0.3, 0.0, 0.3]),
+                                     weights=np.full(4, 0.25))), 32),
+    ], ids=["rrc_0.5_0.1", "rrc_1_1e-3", "four_atom_sinc"])
+    def test_sinrs_never_rise(self, monkeypatch, sys, grid_size):
+        # Each step's per-atom SINRs are at most the previous step's, up
+        # to rounding: the iteration falls monotonically from I/sigma^2.
+        sinrs = []
+
+        def forms(*args):
+            out = _quadratic_forms(*args)
+            sinrs.append(sys.law.powers * out.sum(axis=1) / grid_size)
+            return out
+
+        monkeypatch.setattr(large_system, "_quadratic_forms", forms)
+        _, report = solve_upsilon(sys, grid_size)
+        assert len(sinrs) == report.iterations > 1
+        sinrs = np.array(sinrs)
+        assert np.all(sinrs[1:] <= sinrs[:-1] * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("load, noise_density, grid_size, steps", [
         (0.5, 0.1, 512, 22), (4.0, 1e-3, 64, 100)])
