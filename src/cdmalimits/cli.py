@@ -4,7 +4,9 @@ Subcommands
 -----------
 ``efficiency``
     Multiuser-efficiency spectral density and scalar efficiency for one
-    system; optional synchronous baseline and matrix-solver cross-check.
+    system; optional synchronous baseline and matrix-solver cross-check,
+    whose fixed point iteration starts from the scalar route's SINRs
+    ``lam * E * eta / N_0`` (the fixed point is the same from any start).
 ``capacity``
     Pulse-constrained capacity and spectral efficiency over a load grid.
 ``figure2``
@@ -17,6 +19,7 @@ Subcommands
 ``montecarlo``
     Finite-size MMSE SINR trials with the asymptotic prediction column;
     the header gives the empirical-vs-predicted gap in standard errors.
+    The prediction's fixed point iteration starts from ``I / sigma^2``.
 ``theorem3``
     Paired windowed/reduced harness showing whole-chip delay invariance.
 ``verify``
@@ -395,8 +398,8 @@ def _single_beta(cfg: ExperimentConfig) -> float:
     return cfg.beta[0]
 
 
-def _solved_field(sys: SystemLaw, grid_size: int):
-    field, report = solve_upsilon(sys, grid_size)
+def _solved_field(sys: SystemLaw, grid_size: int, start_sinrs=None):
+    field, report = solve_upsilon(sys, grid_size, start_sinrs)
     if not report.converged:
         raise SolverError(
             f"matrix fixed point stopped after {report.iterations} "
@@ -440,8 +443,12 @@ def cmd_efficiency(cfg: ExperimentConfig) -> int:
         eta_sync = solve_efficiency_sync(beta, powers, weights, cfg.n0)
         rows.append(("sync_baseline", "", "", "", eta_sync))
     if cfg.cross_check:
-        field = _solved_field(sys_law, cfg.grid)
+        # The matrix iteration starts from the scalar route's SINRs, the
+        # fixed point it reaches for a balanced law up to the grid's error.
         law = sys_law.law
+        field = _solved_field(
+            sys_law, cfg.grid,
+            law.powers * sys_law.snr * spectrum.scalar)
         etas = efficiency_of_user(
             sinr_user(field, sys_law, law.powers, law.delays), law.powers,
             sys_law)

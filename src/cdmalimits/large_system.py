@@ -229,7 +229,22 @@ def _interference(coeff: np.ndarray, deltas: np.ndarray,
     return np.matmul(scaled.transpose(1, 2, 0), conj_cols)
 
 
-def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
+def _checked_start(start_sinrs, n_atoms: int) -> np.ndarray:
+    """``start_sinrs`` as ``n_atoms`` floats; raises ``ValueError``, naming
+    it, unless it broadcasts to the atoms and is finite and nonnegative."""
+    start = np.asarray(start_sinrs, dtype=float)
+    try:
+        start = np.broadcast_to(start, (n_atoms,))
+    except ValueError:
+        raise ValueError(
+            f"start_sinrs of shape {start.shape} does not broadcast to the "
+            f"law's {n_atoms} atoms") from None
+    if not np.all(np.isfinite(start)) or np.any(start < 0):
+        raise ValueError("start_sinrs must be finite and nonnegative")
+    return start
+
+
+def solve_upsilon(sys: SystemLaw, grid_size: int = 512, start_sinrs=None):
     """Solve the matrix fixed point for the field ``Upsilon(Omega)``.
 
     On the midpoints of ``grid_size`` equal cells of ``(-pi, pi]`` (even
@@ -241,13 +256,23 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     Each step replaces the field by the right side's inverse.  That map is
     order-preserving (a larger field gives larger SINRs, so less
     interference, so a larger next field: Tse and Hanly's effective
-    interference, a standard interference function in Yates' sense), and
-    ``I / sigma^2`` bounds every field it makes, so from there the plain
-    iteration falls monotonically to the fixed point.  It stops once the
-    residual, the sup norm of a step's change, is at most
+    interference, a standard interference function in Yates' sense), so
+    its plain iteration reaches the one fixed point from any start, and
+    the start changes only the number of steps.  By default it starts at
+    ``I / sigma^2``, which bounds every field the map makes, so from there
+    the iterates fall monotonically.  ``start_sinrs``, per-atom SINRs
+    that broadcast to the law's atoms (finite and nonnegative, else
+    ``ValueError``), starts it instead at the right side's inverse at
+    those SINRs, made as a step makes it; from the scalar route's SINRs
+    (``lam * E * eta / N_0``) a balanced law needs a step or a few.  Such
+    a start need not descend monotonically.  Either way the iteration
+    stops once the residual, the sup norm of a step's change, is at most
     ``FIXED_POINT_TOL / E`` (the field scales as ``1/E`` when the pulse and
     ``N_0`` scale together), or after ``FIXED_POINT_MAX_ITER`` steps, and
     raises "divergence" (``SolverError``) on a step that is not finite.
+    The stop bounds the last step, not the error, which is about
+    ``step / (1 - rho)`` for the map's contraction factor ``rho`` from any
+    start.
 
     The delay vectors are conjugated and laid out once per call; each step
     then makes the batched products of numpy's einsum plans directly
@@ -260,23 +285,33 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512):
     """
     if grid_size < 2 or grid_size % 2 != 0:
         raise ValueError("grid size must be a positive even integer")
+    law = sys.law
+    if start_sinrs is not None:
+        start_sinrs = _checked_start(start_sinrs, law.n_atoms)
     omegas = _midpoints(-np.pi, np.pi, grid_size)
     r = sys.oversampling
-    law = sys.law
     sigma2 = sys.noise_variance
     deltas = _delta_components(sys.waveform, r, omegas, law.delays)
     conj_rows, columns = _form_operands(deltas)
     conj_cols = conj_rows.transpose(0, 2, 1)  # (M, A, k)
     eye = np.eye(r, dtype=complex)
-    field = np.broadcast_to(eye / sigma2, (grid_size, r, r)).copy()
+
+    def inverse_at(sinr):
+        # The right side's inverse at per-atom SINRs: one step's field.
+        coeff = sys.load * law.weights * law.powers / (1.0 + sinr)
+        interference = _interference(coeff, deltas, conj_cols)
+        return np.linalg.inv(sigma2 * eye[None, :, :] + interference)
+
+    if start_sinrs is None:
+        field = np.broadcast_to(eye / sigma2, (grid_size, r, r)).copy()
+    else:
+        field = inverse_at(start_sinrs)
     quad_scale = 2.0 * np.pi / grid_size / TWO_PI
     tol = FIXED_POINT_TOL / sys.waveform.energy
     for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
         forms = _quadratic_forms(field, conj_rows, columns)  # (A, M)
         sinr = law.powers * quad_scale * forms.sum(axis=1)  # (A,)
-        coeff = sys.load * law.weights * law.powers / (1.0 + sinr)
-        interference = _interference(coeff, deltas, conj_cols)
-        stepped = np.linalg.inv(sigma2 * eye[None, :, :] + interference)
+        stepped = inverse_at(sinr)
         if not np.all(np.isfinite(stepped)):
             raise SolverError("divergence")
         residual = float(np.max(np.abs(stepped - field)))

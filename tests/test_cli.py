@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 
 import cdmalimits
-from cdmalimits import FixedPointReport, cli, solve_efficiency_sync
+from cdmalimits import (
+    FixedPointReport,
+    cli,
+    efficiency_of_user,
+    sinr_user,
+    solve_efficiency_sync,
+    solve_upsilon,
+)
 from cdmalimits.cli import _DEFAULTS, main, render_csv, resolve_config
 
 SYNC_CAPACITY_LOAD1_SNR10 = 2.723326465736502
@@ -236,6 +243,19 @@ def _unconverged_field(monkeypatch):
     monkeypatch.setattr(cli, "solve_upsilon", lambda *args: (None, report))
 
 
+def _recorded_solves(monkeypatch):
+    """Wrap ``cli.solve_upsilon``; returns the list of ``(system,
+    start_sinrs)`` it is called with."""
+    calls = []
+
+    def solve(system, grid_size, start_sinrs=None):
+        calls.append((system, start_sinrs))
+        return solve_upsilon(system, grid_size, start_sinrs)
+
+    monkeypatch.setattr(cli, "solve_upsilon", solve)
+    return calls
+
+
 def _singular_solve(monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -369,6 +389,32 @@ class TestEfficiencyCommand:
         users = [r for r in rows if r["record"] == "user_efficiency"]
         assert len(users) == 16
         assert {r["delay_chips"] != "" for r in users} == {True}
+
+    def test_cross_check_starts_from_the_printed_scalar(self, monkeypatch,
+                                                       capsys):
+        # The matrix iteration starts from lam * E * eta / N0 of the
+        # printed scalar row, and its cells lie within 5e-10 of a solve
+        # started from I / sigma^2.
+        calls = _recorded_solves(monkeypatch)
+        code, out, _ = _run(capsys, ["efficiency", "--cross-check"])
+        assert code == 0
+        (system, start), = calls
+        _, rows = _parse(out)
+        eta = float([r for r in rows if r["record"] == "scalar"][0]["value"])
+        law = system.law
+        assert np.allclose(start, law.powers * system.waveform.energy * eta
+                           / system.noise_density, rtol=1e-15, atol=0.0)
+        field, report = solve_upsilon(system)
+        assert report.converged
+        cold = efficiency_of_user(
+            sinr_user(field, system, law.powers, law.delays), law.powers,
+            system)
+        users = [float(r["value"]) for r in rows
+                 if r["record"] == "user_efficiency"]
+        mean = float([r for r in rows
+                      if r["record"] == "matrix_mean"][0]["value"])
+        assert np.max(np.abs(np.array(users) - cold) / cold) <= 5e-10
+        assert abs(mean - law.weights @ cold) <= 5e-10 * mean
 
     def test_density_rows_cover_support(self, capsys):
         code, out, _ = _run(capsys, ["efficiency", "--density-points", "32"])
@@ -705,6 +751,15 @@ class TestMonteCarloCommand:
         assert rows1[0]["predicted_efficiency"] == \
             rows2[0]["predicted_efficiency"]
         assert rows1[0]["sinr"] != rows2[0]["sinr"]
+
+    def test_prediction_starts_at_the_field_bound(self, monkeypatch,
+                                                  capsys):
+        # No scalar solution is at hand, so the prediction's iteration
+        # starts from I / sigma^2.
+        calls = _recorded_solves(monkeypatch)
+        code, _, _ = _run(capsys, self.ARGS)
+        assert code == 0
+        assert [start for _, start in calls] == [None]
 
     def test_row_structure(self, capsys):
         code, out, _ = _run(capsys, self.ARGS)

@@ -6,6 +6,7 @@ scipy root-finder on the scalar equation, exact normalization limits
 routes where both are valid.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -608,6 +609,137 @@ class TestMatrixIteration:
                             lambda a: np.full_like(a, np.nan))
         with pytest.raises(SolverError, match="^divergence$"):
             solve_upsilon(self._rrc_system(0.5, 0.1), 64)
+
+
+# The benchmark's ``fields`` points (beta, N0) and pulses.
+FIELD_POINTS = ((0.5, 0.1), (1.0, 0.1), (2.0, 0.05), (1.0, 1e-3),
+                (4.0, 0.01))
+FIELD_WAVEFORMS = {"rrc:0.22": root_raised_cosine_waveform(0.22),
+                   "rrc:1.0": root_raised_cosine_waveform(1.0),
+                   "sinc:2": sinc_waveform(2.0)}
+
+
+def _atom_sinrs(field, sys):
+    return sinr_user(field, sys, sys.law.powers, sys.law.delays)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_field_case(waveform, load, noise_density):
+    """A ``fields`` point at r = 2 and 64 uniform delays: the system, its
+    per-atom SINRs and step count from ``I / sigma^2``, and the scalar
+    route's SINRs ``lam * E * eta / N_0``."""
+    sys = SystemLaw(load=load, noise_density=noise_density, oversampling=2,
+                    waveform=FIELD_WAVEFORMS[waveform],
+                    law=equal_power_uniform_delays(64))
+    field, report = solve_upsilon(sys)
+    assert report.converged
+    eta = solve_efficiency_scalar(sys).scalar
+    scalar_sinrs = (sys.law.powers * sys.waveform.energy * eta
+                    / sys.noise_density)
+    return sys, _atom_sinrs(field, sys), report.iterations, scalar_sinrs
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / want))
+
+
+_FIELD_CASES = pytest.mark.parametrize(
+    "waveform, load, noise_density",
+    [(name, *point) for name in FIELD_WAVEFORMS for point in FIELD_POINTS])
+
+
+class TestMatrixStart:
+    """``solve_upsilon``'s ``start_sinrs``: the order-preserving map has
+    one fixed point, which its plain iteration reaches from any start."""
+
+    @_FIELD_CASES
+    def test_scalar_start_within_cold_steps(self, waveform, load,
+                                            noise_density):
+        sys, cold_sinrs, cold_steps, scalar_sinrs = _cold_field_case(
+            waveform, load, noise_density)
+        field, report = solve_upsilon(sys, start_sinrs=scalar_sinrs)
+        assert report.converged
+        assert report.iterations <= cold_steps
+        if waveform != "rrc:0.22":
+            # The scalar route's SINRs are within the grid's error of the
+            # fixed point; one step was measured.
+            assert report.iterations <= 2
+        assert _relative_gap(_atom_sinrs(field, sys), cold_sinrs) <= 5e-10
+
+    @_FIELD_CASES
+    def test_sinrs_never_fall_from_zero(self, monkeypatch, waveform, load,
+                                        noise_density):
+        # The mirror of TestMatrixIteration.test_sinrs_never_rise: from
+        # SINRs of zero, the field's lower bound, every step raises them.
+        sys, cold_sinrs, _, _ = _cold_field_case(waveform, load,
+                                                 noise_density)
+        sinrs = []
+
+        def forms(*args):
+            out = _quadratic_forms(*args)
+            sinrs.append(sys.law.powers * out.sum(axis=1) / 512)
+            return out
+
+        monkeypatch.setattr(large_system, "_quadratic_forms", forms)
+        field, report = solve_upsilon(sys, start_sinrs=0.0)
+        assert report.converged
+        assert len(sinrs) == report.iterations > 1
+        steps = np.array(sinrs)
+        assert np.all(steps[1:] >= steps[:-1] * (1.0 - 1e-12))
+        assert _relative_gap(_atom_sinrs(field, sys), cold_sinrs) <= 5e-10
+
+    @_FIELD_CASES
+    def test_start_above_the_fixed_point(self, waveform, load,
+                                         noise_density):
+        sys, cold_sinrs, _, scalar_sinrs = _cold_field_case(
+            waveform, load, noise_density)
+        field, report = solve_upsilon(sys, start_sinrs=10.0 * scalar_sinrs)
+        assert report.converged
+        assert _relative_gap(_atom_sinrs(field, sys), cold_sinrs) <= 5e-10
+
+    def test_first_field_is_the_step_at_the_start(self, monkeypatch):
+        # The start is the step's right side inverted at start_sinrs, with
+        # the step's own interference kernel.
+        sys = SystemLaw(load=2.0, noise_density=0.05, oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22),
+                        law=PowerDelayLaw(
+                            powers=np.array([1.0, 1.0, 4.0, 4.0]),
+                            delays=np.array([0.0, 0.3, 0.1, 0.6]),
+                            weights=np.full(4, 0.25)))
+        start = np.array([0.5, 1.0, 2.0, 8.0])
+        monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 1)
+        fields = []
+
+        def forms(field, *operands):
+            fields.append(field)
+            return _quadratic_forms(field, *operands)
+
+        monkeypatch.setattr(large_system, "_quadratic_forms", forms)
+        solve_upsilon(sys, 64, start_sinrs=start)
+        deltas = _delta_components(sys.waveform, 2, _midpoints(
+            -np.pi, np.pi, 64), sys.law.delays)
+        coeff = sys.load * sys.law.weights * sys.law.powers / (1.0 + start)
+        want = np.linalg.inv(sys.noise_variance * np.eye(2)[None]
+                             + _einsum_interference(coeff, deltas))
+        assert np.array_equal(fields[0], want)
+
+    @pytest.mark.parametrize("start", [
+        [1.0, 2.0, 3.0], np.ones((64, 2)), np.ones((2, 64))],
+        ids=["three_of_64", "column_pairs", "row_pairs"])
+    def test_start_that_does_not_broadcast_rejected(self, start):
+        sys = _cold_field_case("rrc:0.22", 0.5, 0.1)[0]
+        with pytest.raises(ValueError, match="start_sinrs.*64 atoms"):
+            solve_upsilon(sys, 64, start_sinrs=start)
+
+    @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_start_rejected(self, bad):
+        sys = _cold_field_case("rrc:0.22", 0.5, 0.1)[0]
+        start = np.ones(64)
+        start[7] = bad
+        with pytest.raises(ValueError,
+                           match="^start_sinrs must be finite and "
+                                 "nonnegative$"):
+            solve_upsilon(sys, 64, start_sinrs=start)
 
 
 class TestMatrixKernel:
