@@ -8,7 +8,12 @@ measured in chips (see :mod:`cdmalimits.waveforms`), so delays lie in
 * the matrix route — a frequency-dependent ``r x r`` positive-definite
   field ``Upsilon(Omega)`` solving a fixed-point matrix equation, from
   which every (power, delay) user class gets its SINR as a quadratic-form
-  integral over the normalized band;
+  integral over the normalized band.  A delay enters that form only
+  through the phases ``exp(2*pi*j*nu*tau)`` of the V in-band aliases, so
+  the classes are read from the field's alias moments, ``SINR = lam * Re
+  sum_{|k| < V} exp(-2*pi*j*k*tau) * S_k`` with ``S_k`` the band mean of
+  the entries of ``B^H Upsilon B`` with ``nu - nu' = k``, at O(V) per
+  class;
 * the scalar route — valid when the delay-dependent part of
   ``delta delta^H`` averages out over each power level's delays (checked
   from the law's atoms), where a single scalar multiuser efficiency solves
@@ -32,6 +37,7 @@ import numpy as np
 from .numerics import SolverError, bisect
 from .waveforms import (
     ChipWaveform,
+    _alias_basis,
     _check_oversampling,
     _delta_components,
     _midpoints,
@@ -323,6 +329,23 @@ def solve_upsilon(sys: SystemLaw, grid_size: int = 512, start_sinrs=None):
     return UpsilonField(omegas=omegas, matrices=field), report
 
 
+def _alias_moments(field: UpsilonField, sys: SystemLaw) -> np.ndarray:
+    """The field's alias moments ``T_k``, ``k = -(V-1) .. V-1``.
+
+    With the delay-free factor ``B(Omega)`` of :func:`_alias_basis`, the
+    Gram matrices ``G = B^H Upsilon B``, shape ``(M, V, V)``, are summed
+    over the grid, and ``T_k`` collects the total's entries with ``nu -
+    nu' = k``, so that ``sum_Omega delta^H Upsilon delta = Re sum_k
+    exp(-2*pi*j*k*tau) * T_k`` at delay ``tau``.
+    """
+    _, basis = _alias_basis(sys.waveform, sys.oversampling, field.omegas)
+    rows = np.matmul(np.conj(basis).transpose(0, 2, 1), field.matrices)
+    total = np.matmul(rows, basis).sum(axis=0)  # (V, V)
+    n_alias = total.shape[0]
+    return np.array([np.trace(total, offset=-k)
+                     for k in range(1 - n_alias, n_alias)])
+
+
 def sinr_user(field: UpsilonField, sys: SystemLaw,
               power: float | np.ndarray,
               delay: float | np.ndarray) -> float | np.ndarray:
@@ -330,22 +353,28 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
 
     ``SINR = (power/2pi) * integral delta^H(Omega, delay) Upsilon(Omega)
     delta(Omega, delay) dOmega`` by the midpoint rule on the field's
-    samples.  Delays (in chips) outside ``[0, 1)`` are reduced modulo the
-    chip (a whole-chip shift only rotates the phase of the delay vector
-    and cancels in the form).
+    samples.  The delay vector factors as ``delta = exp(j*tau*Omega) * B
+    e`` with ``e_nu = exp(2*pi*j*nu*tau)`` over the V in-band aliases
+    (:func:`_alias_basis`), so a class enters only through the field's
+    alias moments ``T_k`` (:func:`_alias_moments`): ``SINR = (power/M) *
+    Re sum_{|k| < V} exp(-2*pi*j*k*tau) * T_k`` on ``M`` grid points.  The
+    moments cost one pass over the field; each class then costs O(V),
+    and no delay vector is built.  Delays (in chips) outside ``[0, 1)``
+    are reduced modulo the chip (a whole-chip shift only rotates the
+    phase of the delay vector and cancels in the form).
 
     ``power`` and ``delay`` may be arrays, which broadcast against each
-    other: all classes then share one pass over the delay vectors and the
-    field, and an array of SINRs is returned.  Scalars give a float.
+    other: all classes then share the moments, and an array of SINRs is
+    returned.  Scalars give a float.
     """
     power, delay = np.broadcast_arrays(np.asarray(power, dtype=float),
                                        np.asarray(delay, dtype=float))
     taus = np.mod(delay, 1.0)
-    deltas = _delta_components(sys.waveform, sys.oversampling,
-                               field.omegas, taus.ravel())
-    forms = _quadratic_forms(field.matrices, *_form_operands(deltas))
-    sinrs = power * (2.0 * np.pi / len(field.omegas)) / TWO_PI * \
-        forms.sum(axis=1).reshape(taus.shape)
+    moments = _alias_moments(field, sys)
+    orders = np.arange(moments.size) - moments.size // 2
+    forms = np.real(np.exp(-1j * TWO_PI * taus[..., None] * orders)
+                    @ moments)
+    sinrs = power * (2.0 * np.pi / len(field.omegas)) / TWO_PI * forms
     return float(sinrs) if sinrs.ndim == 0 else sinrs
 
 

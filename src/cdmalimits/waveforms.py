@@ -19,7 +19,11 @@ sub-chip delay ``tau``:
   ``sum_nu exp(j*tau*(Omega+2*pi*nu)) * conj(Phi(Omega+2*pi*nu))``
   where only aliases inside the pulse support contribute;
 * the delay vectors ``delta(Omega, tau)`` stacking the r sub-chip sampling
-  phases ``phi(Omega, tau - s/r)`` (``_delta_components``);
+  phases ``phi(Omega, tau - s/r)`` (``_delta_components``), built from
+  separable phases as ``exp(j*tau*Omega) * B(Omega) e_tau``: the
+  delay-free factor ``B = P * diag(amps)`` over the in-band aliases
+  (``_alias_basis``) times the alias phases ``e_{tau,nu} =
+  exp(2*pi*j*nu*tau)``;
 * the delay average of ``delta * delta^H`` (``_delay_free_q``), which
   leaves a zero-trace oscillating remainder, and its closed-form
   eigendecomposition ``q_eigendecomposition``;
@@ -329,7 +333,7 @@ def load_tabulated_waveform(path) -> ChipWaveform:
 # ---------------------------------------------------------------------------
 
 def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
-    """Alias frequencies and weighted amplitudes for each grid frequency.
+    """Alias indices, frequencies and weighted amplitudes per frequency.
 
     For each normalized frequency ``Omega`` in ``omegas`` the contributing
     aliases are the integers ``nu`` with ``Omega + 2*pi*nu`` inside the
@@ -337,11 +341,12 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     ``ceil((lo - tol - max Omega) / 2pi)`` to ``floor((hi + tol - min
     Omega) / 2pi)``, the aliases that reach the support (within the edge
     slack ``tol``) at some grid frequency, widened by 1e-9 of an alias so
-    that one within rounding of an edge stays in.  Returns ``(args,
-    amps)`` of shape ``(len(omegas), n_alias)`` where ``args`` holds
-    ``Omega + 2*pi*nu`` and ``amps`` holds
-    ``weight * conj(Phi(arg))`` with the midpoint weight 1/2 applied
-    exactly on either end of the support; padding entries are zero.
+    that one within rounding of an edge stays in.  Returns ``(nus, args,
+    amps)``: the column indices ``nu``, shape ``(n_alias,)``, and two
+    arrays of shape ``(len(omegas), n_alias)``, ``args`` holding
+    ``Omega + 2*pi*nu`` and ``amps`` holding ``weight * conj(Phi(arg))``
+    with the midpoint weight 1/2 applied exactly on either end of the
+    support; padding entries are zero.
     """
     om = np.atleast_1d(np.asarray(omegas, dtype=float))
     lo, hi = waveform.support
@@ -356,7 +361,7 @@ def _alias_table(waveform: ChipWaveform, omegas: np.ndarray):
     amps[inside] = np.conj(waveform.spectrum(np.clip(args[inside], lo, hi)))
     amps *= np.where((np.abs(args - lo) <= tol) | (np.abs(args - hi) <= tol),
                      0.5, 1.0)
-    return args, amps
+    return nus, args, amps
 
 
 def _check_oversampling(waveform: ChipWaveform, r: int) -> None:
@@ -366,29 +371,57 @@ def _check_oversampling(waveform: ChipWaveform, r: int) -> None:
         raise ValueError("undersampled configuration")
 
 
+def _alias_basis(waveform: ChipWaveform, r: int,
+                 omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The delay-free factor ``B = P * diag(amps)`` of the delay vectors.
+
+    Returns ``(nus, basis)``: the alias indices of :func:`_alias_table`
+    and ``basis`` of shape ``(len(omegas), r, n_alias)`` with entries
+    ``amps_nu * exp(-j*s*arg_nu/r)``, the phase evaluated only on the
+    in-band aliases (on the padding the entry stays zero).  The delay
+    vector at delay ``tau`` is ``basis @ e_tau`` with ``e_{tau,nu} =
+    exp(j*tau*Omega) * exp(2*pi*j*nu*tau)``.
+    """
+    nus, args, amps = _alias_table(waveform, omegas)  # (V,), (M, V)
+    shifts = -np.arange(r) / r
+    inband = amps != 0
+    phases = np.zeros((args.shape[0], r, args.shape[1]), dtype=complex)
+    phases.transpose(0, 2, 1)[inband] = np.exp(
+        1j * args[inband][:, None] * shifts)
+    return nus, phases * amps[:, None, :]
+
+
 def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,
                       taus: np.ndarray) -> np.ndarray:
     """Delay vectors: shape ``(len(taus), len(omegas), r)``.
 
     Component ``s`` (0-based) is the sampled spectrum
-    ``phi(Omega, tau - s/r)``; component 0 is ``phi(Omega, tau)``.  The
-    phase ``exp(j*(tau - s/r)*arg)`` is evaluated only on the in-band
-    aliases (nonzero amplitude); on the padding it stays zero.
+    ``phi(Omega, tau - s/r) = sum_nu amps_nu * exp(j*(tau - s/r)*arg_nu)``;
+    component 0 is ``phi(Omega, tau)``.  The phase separates as
+    ``exp(j*tau*Omega) * exp(2*pi*j*nu*tau) * exp(-j*s*arg_nu/r)``, so the
+    vectors are ``exp(j*tau*Omega) * (basis @ exp(2*pi*j*nu*tau))`` on the
+    factor of :func:`_alias_basis`: exponentials on ``(A, M)``, ``(A, V)``
+    and ``(M, r, V)`` for ``A`` delays, ``M`` frequencies and ``V``
+    aliases, and one ``(A, V) @ (V, M*r)`` product.
     """
-    args, amps = _alias_table(waveform, omegas)  # (M, V)
+    om = np.atleast_1d(np.asarray(omegas, dtype=float))
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    shifts = taus[:, None] - np.arange(r)[None, :] / r  # (A, r)
-    inband = amps != 0
-    phases = np.zeros(shifts.shape + args.shape, dtype=complex)
-    phases[:, :, inband] = np.exp(1j * shifts[:, :, None] * args[inband])
-    return np.einsum("asmv,mv->ams", phases, amps)
+    nus, basis = _alias_basis(waveform, r, om)
+    n_freq, _, n_alias = basis.shape
+    alias_phases = np.exp(1j * TWO_PI * np.outer(taus, nus))  # (A, V)
+    # (A, r, M) in memory behind the (A, M, r) view: the matrix step's
+    # speed depends on these strides, and montecarlo takes that order.
+    deltas = (alias_phases @ basis.transpose(2, 1, 0).reshape(
+        n_alias, r * n_freq)).reshape(taus.size, r, n_freq)
+    deltas *= np.exp(1j * np.outer(taus, om))[:, None, :]  # (A, M) phases
+    return deltas.transpose(0, 2, 1)
 
 
 def _delay_free_q(waveform: ChipWaveform, r: int, omega: float) -> np.ndarray:
     """Delay-averaged matrix: entries
     ``sum_nu w_nu^2 |Phi|^2 * exp(-j*(k-l)/r*(Omega+2*pi*nu))``.
     """
-    args, amps = _alias_table(waveform, np.array([float(omega)]))
+    _, args, amps = _alias_table(waveform, np.array([float(omega)]))
     power = np.abs(amps[0]) ** 2  # includes squared edge weights
     idx = np.arange(r)
     diff = idx[:, None] - idx[None, :]  # k - l, 0-based == 1-based diff
@@ -408,12 +441,9 @@ def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
     ``U @ D @ U^H == delay_free`` to machine precision.
     """
     _check_oversampling(waveform, r)
-    args, amps = _alias_table(waveform, np.array([float(omega)]))
-    power = np.abs(amps[0]) ** 2
-    nus = np.round((args[0] - float(omega)) / TWO_PI).astype(int)
+    nus, _, amps = _alias_table(waveform, np.array([float(omega)]))
     diag = np.zeros(r)
-    for nu, p in zip(nus, power):
-        diag[nu % r] += p
+    np.add.at(diag, nus % r, np.abs(amps[0]) ** 2)
     diag *= r
     cols = np.arange(r)
     rows = np.arange(r)

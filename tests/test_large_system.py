@@ -29,16 +29,18 @@ from cdmalimits import (
     solve_efficiency_sync,
     solve_upsilon,
     synchronous_law,
+    tabulated_waveform,
     uniform_delay_grid,
 )
 from cdmalimits import large_system
 from cdmalimits.large_system import (
+    UpsilonField,
     _delays_balanced,
     _form_operands,
     _interference,
     _quadratic_forms,
 )
-from cdmalimits.waveforms import _delta_components, _midpoints
+from cdmalimits.waveforms import _alias_table, _delta_components, _midpoints
 
 # Closed-form equal-power multiuser efficiency at load 1, unit power,
 # noise level 0.1: the positive root of eta^2 + 0.1*eta - 0.1 = 0.
@@ -532,12 +534,13 @@ class TestMatrixIteration:
 
     def test_stalled_residual_after_100_steps(self, monkeypatch):
         # At beta = 4, N0 = 1e-3 the residual stalls near 3e-10, above the
-        # tolerance.  The exact residual pins the step's rounding, on
-        # which the convergence of this point hangs.
+        # tolerance.  The exact residual pins the step's rounding, and the
+        # delay vectors' rounding, on which the convergence of this point
+        # hangs.
         monkeypatch.setattr(large_system, "FIXED_POINT_MAX_ITER", 100)
         _, report = solve_upsilon(self._rrc_system(4.0, 1e-3), 64)
         assert not report.converged
-        assert report.final_residual == 4.2125613240390394e-10
+        assert report.final_residual == 2.6558747506193213e-10
 
     @pytest.mark.parametrize("sys, grid_size", [
         (_rrc_system(0.5, 0.1), 512),
@@ -812,6 +815,127 @@ class TestMatrixKernel:
         np.testing.assert_allclose(interference,
                                    _einsum_interference(coeff, deltas),
                                    rtol=1e-15 * math.sqrt(n_atoms), atol=0.0)
+
+
+def _whole_phase_deltas(waveform, r, omegas, taus, real=float):
+    """Delay vectors with each alias's phase ``exp(j*(tau - s/r)*arg)``
+    evaluated whole on the alias table's amplitudes; ``real=np.longdouble``
+    forms the frequencies and phases in extended precision."""
+    nus, _, amps = _alias_table(waveform, omegas)
+    two_pi = 2 * np.arccos(real(-1))
+    args = np.asarray(omegas, real)[:, None] + two_pi * nus.astype(real)
+    shifts = (np.asarray(taus, real)[:, None]
+              - np.arange(r).astype(real) / r)
+    phases = np.exp(1j * shifts[:, :, None, None] * args)
+    return np.einsum("asmv,mv->ams", phases, amps.astype(phases.dtype))
+
+
+def _direct_sinrs(field, powers, deltas):
+    """``power * mean over Omega of delta^H Upsilon delta``, one quadratic
+    form per class and frequency, in the precision of ``deltas``."""
+    matrices = field.matrices.astype(deltas.dtype)
+    forms = np.einsum("ams,msk,amk->am", np.conj(deltas), matrices, deltas)
+    return powers * np.real(forms).sum(axis=1) / len(field.omegas)
+
+
+def _one_step_field(sys, grid_size, sinrs):
+    """The step's field at per-atom ``sinrs``, from whole-phase deltas."""
+    omegas = _midpoints(-np.pi, np.pi, grid_size)
+    law = sys.law
+    deltas = _whole_phase_deltas(sys.waveform, sys.oversampling, omegas,
+                                 law.delays)
+    coeff = sys.load * law.weights * law.powers / (1.0 + sinrs)
+    eye = np.eye(sys.oversampling)
+    return UpsilonField(omegas=omegas, matrices=np.linalg.inv(
+        sys.noise_variance * eye + _einsum_interference(coeff, deltas)))
+
+
+_MOMENT_WAVEFORMS = {
+    "sinc0.5": sinc_waveform(0.5),
+    "sinc2": sinc_waveform(2.0),
+    "sinc4.5": sinc_waveform(4.5),
+    "rrc0": root_raised_cosine_waveform(0.0),
+    "rrc0.22": root_raised_cosine_waveform(0.22),
+    "rrc1": root_raised_cosine_waveform(1.0),
+    "zero_end_table": tabulated_waveform(
+        [-4.0, -1.0, 0.5, 3.0], [0.0, 1.0 + 0.5j, 0.8 - 0.3j, 0.4j]),
+    "asymmetric_table": tabulated_waveform([-2.0, 0.0, 3.0],
+                                           [1.0, 1.0, 0.5]),
+}
+
+
+class TestMomentReadout:
+    """``sinr_user`` reads each class from the field's alias moments; the
+    oracle forms ``delta^H Upsilon delta`` at every frequency on delay
+    vectors whose phases are evaluated whole."""
+
+    LAW = PowerDelayLaw(powers=np.array([1.0, 4.0, 0.5, 2.0, 1.0]),
+                        delays=np.array([0.0, 0.13, 0.3, 0.55, 0.91]),
+                        weights=np.array([0.3, 0.1, 0.2, 0.25, 0.15]))
+
+    def _system(self, waveform, noise_density, load=1.5):
+        return SystemLaw(load=load, noise_density=noise_density,
+                         oversampling=waveform.min_oversampling,
+                         waveform=waveform, law=self.LAW)
+
+    @pytest.mark.parametrize("noise_density", [0.1, 1e-3])
+    @pytest.mark.parametrize("name", _MOMENT_WAVEFORMS)
+    def test_matches_direct_forms(self, name, noise_density):
+        sys = self._system(_MOMENT_WAVEFORMS[name], noise_density)
+        field = _one_step_field(sys, 64, sys.law.powers)
+        powers = np.array([1.0, 4.0, 0.5, 2.0, 1.0, 3.0, 1.0])
+        taus = np.array([0.0, 0.13, 0.3, 0.55, 0.91, 0.42, 0.999])
+        want = _direct_sinrs(field, powers, _whole_phase_deltas(
+            sys.waveform, sys.oversampling, field.omegas, taus))
+        np.testing.assert_allclose(sinr_user(field, sys, powers, taus),
+                                   want, rtol=1e-13, atol=0.0)
+
+    def test_broadcasts_and_reduces_delays(self):
+        sys = self._system(root_raised_cosine_waveform(0.22), 0.1)
+        field = _one_step_field(sys, 64, sys.law.powers)
+        powers = np.array([[0.0], [1.0], [2.5]])
+        delays = np.array([0.0, 0.35, 1.35, 7.0])
+        got = sinr_user(field, sys, powers, delays)
+        assert got.shape == (3, 4)
+        want = [[sinr_user(field, sys, float(p), float(d)) for d in delays]
+                for p in powers[:, 0]]
+        assert all(type(value) is float for value in want[1])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # Zero power gives zero; whole chips are reduced away.
+        assert np.all(got[0] == 0.0)
+        np.testing.assert_allclose(got[:, 2], got[:, 1], rtol=1e-13)
+        np.testing.assert_array_equal(got[:, 3], got[:, 0])
+        direct = _direct_sinrs(field, np.array([2.5, 2.5]),
+                               _whole_phase_deltas(
+                                   sys.waveform, 2, field.omegas,
+                                   np.array([0.35, 0.0])))
+        np.testing.assert_allclose(got[2, 2:], direct, rtol=1e-13)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("noise_density", [1e-6, 1e-9])
+    def test_low_noise_at_least_as_close_as_direct_forms(self,
+                                                         noise_density):
+        # The field's entries reach 1/sigma^2 while the forms are O(1), so
+        # each form cancels; the moments cancel less than the direct forms
+        # on rounded delay vectors.  Both are held to one field, evaluated
+        # with extended-precision delay vectors.
+        sys = SystemLaw(load=2.0, noise_density=noise_density,
+                        oversampling=2,
+                        waveform=root_raised_cosine_waveform(0.22),
+                        law=equal_power_uniform_delays(64))
+        start = sys.snr * solve_efficiency_scalar(sys).scalar
+        field = _one_step_field(sys, 128, start)
+        taus = np.concatenate([sys.law.delays,
+                               np.random.default_rng(3).uniform(0, 1, 16)])
+        powers = np.ones_like(taus)
+        exact = _direct_sinrs(field, powers, _whole_phase_deltas(
+            sys.waveform, 2, field.omegas, taus, np.longdouble))
+        direct = _direct_sinrs(field, powers, _whole_phase_deltas(
+            sys.waveform, 2, field.omegas, taus))
+        moment = sinr_user(field, sys, powers, taus)
+        gap = np.max(np.abs(moment - exact) / exact)
+        assert gap <= np.max(np.abs(direct - exact) / exact)
 
 
 class TestUserMetrics:

@@ -293,7 +293,7 @@ def test_flat_table_bandwidth_is_sincs(span):
 
 def test_asymmetric_table_weights_both_ends_by_half():
     waveform = tabulated_waveform([-2.0, 0.0, 3.0], [1.0, 1.0, 0.5])
-    args, amps = _alias_table(waveform, np.array([-2.0, 3.0 - 2 * math.pi]))
+    _, args, amps = _alias_table(waveform, np.array([-2.0, 3.0 - 2 * math.pi]))
     at_lo = np.abs(args + 2.0) <= 1e-12
     at_hi = np.abs(args - 3.0) <= 1e-12
     assert at_lo.sum() == at_hi.sum() == 1
