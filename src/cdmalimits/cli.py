@@ -810,14 +810,10 @@ def main(argv=None) -> int:
                      for key in _DEFAULTS[args.command]
                      if getattr(args, key) is not None}
         cfg = resolve_config(args.command, file_values, overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dump_config:
-        for key, value in cfg.raw.items():
-            sys.stdout.write(f"{key} = {value}\n")
-        return 0
-    try:
+        if args.dump_config:
+            for key, value in cfg.raw.items():
+                sys.stdout.write(f"{key} = {value}\n")
+            return 0
         return _COMMANDS[cfg.command](cfg)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,9 +24,10 @@ sub-chip delay ``tau``:
   delay-free factor ``B = P * diag(amps)`` over the in-band aliases
   (``_alias_basis``) times the alias phases ``e_{tau,nu} =
   exp(2*pi*j*nu*tau)``;
-* the delay average of ``delta * delta^H`` (``_delay_free_q``), which
-  leaves a zero-trace oscillating remainder, and its closed-form
-  eigendecomposition ``q_eigendecomposition``;
+* the delay average of ``delta * delta^H``, the Gram ``B * B^H``
+  (``_delay_free_q``), which leaves a zero-trace oscillating remainder,
+  and its closed-form eigendecomposition ``q_eigendecomposition``, whose
+  eigenvectors are ``B``'s sampling phases at the aliases ``0 ... r-1``;
 * the two band means of the scalar route and the capacity
   (``ChipWaveform._band_means``), elementary for the flat and RRC pulses.
 
@@ -116,7 +117,7 @@ class ChipWaveform:
         w = np.atleast_1d(w)
         if self.kind == "sinc":
             alpha = self.relative_bandwidth
-            out = np.where(np.abs(w) <= np.pi * alpha + 0.0,
+            out = np.where(np.abs(w) <= np.pi * alpha,
                            math.sqrt(1.0 / alpha), 0.0).astype(complex)
         elif self.kind == "root_raised_cosine":
             out = np.sqrt(self._rrc_power(w)).astype(complex)
@@ -128,17 +129,12 @@ class ChipWaveform:
             out = (np.interp(w, self.table_omega, self.table_value.real)
                    + 1j * np.interp(w, self.table_omega,
                                     self.table_value.imag))
-        else:  # pragma: no cover - constructors control the kind
+        else:
             raise ValueError(f"unknown waveform kind {self.kind!r}")
         return out[0] if scalar else out
 
     def power_spectrum(self, omega):
-        """``|Phi(omega)|^2`` with the same conventions as ``spectrum``."""
-        if self.kind == "root_raised_cosine":
-            w = np.asarray(omega, dtype=float)
-            scalar = w.ndim == 0
-            out = self._rrc_power(np.atleast_1d(w))
-            return out[0] if scalar else out
+        """``|spectrum(omega)|^2``, with the same conventions and shape."""
         return np.abs(self.spectrum(omega)) ** 2
 
     def _rrc_power(self, w: np.ndarray) -> np.ndarray:
@@ -371,6 +367,11 @@ def _check_oversampling(waveform: ChipWaveform, r: int) -> None:
         raise ValueError("undersampled configuration")
 
 
+def _sampling_phases(args: np.ndarray, r: int) -> np.ndarray:
+    """``exp(-j*s*arg/r)`` for ``s = 0 ... r-1``, on a new last axis."""
+    return np.exp(1j * args[..., None] * (-np.arange(r) / r))
+
+
 def _alias_basis(waveform: ChipWaveform, r: int,
                  omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The delay-free factor ``B = P * diag(amps)`` of the delay vectors.
@@ -383,11 +384,9 @@ def _alias_basis(waveform: ChipWaveform, r: int,
     exp(j*tau*Omega) * exp(2*pi*j*nu*tau)``.
     """
     nus, args, amps = _alias_table(waveform, omegas)  # (V,), (M, V)
-    shifts = -np.arange(r) / r
     inband = amps != 0
     phases = np.zeros((args.shape[0], r, args.shape[1]), dtype=complex)
-    phases.transpose(0, 2, 1)[inband] = np.exp(
-        1j * args[inband][:, None] * shifts)
+    phases.transpose(0, 2, 1)[inband] = _sampling_phases(args[inband], r)
     return nus, phases * amps[:, None, :]
 
 
@@ -418,15 +417,11 @@ def _delta_components(waveform: ChipWaveform, r: int, omegas: np.ndarray,
 
 
 def _delay_free_q(waveform: ChipWaveform, r: int, omega: float) -> np.ndarray:
-    """Delay-averaged matrix: entries
-    ``sum_nu w_nu^2 |Phi|^2 * exp(-j*(k-l)/r*(Omega+2*pi*nu))``.
-    """
-    _, args, amps = _alias_table(waveform, np.array([float(omega)]))
-    power = np.abs(amps[0]) ** 2  # includes squared edge weights
-    idx = np.arange(r)
-    diff = idx[:, None] - idx[None, :]  # k - l, 0-based == 1-based diff
-    phase = np.exp(-1j * diff[:, :, None] * args[0][None, None, :] / r)
-    return np.einsum("v,klv->kl", power, phase)
+    """Delay average of ``delta * delta^H``: the Gram ``B @ B^H`` of the
+    factor of :func:`_alias_basis`, entries ``sum_nu w_nu^2 |Phi|^2 *
+    exp(-j*(k-l)/r*(Omega+2*pi*nu))`` with the edge weights ``w_nu``."""
+    basis = _alias_basis(waveform, r, np.array([float(omega)]))[1][0]
+    return basis @ basis.conj().T
 
 
 def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
@@ -434,8 +429,9 @@ def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
 
     Returns ``(U, D)`` with unitary ``U`` whose column ``j`` is the phase
     vector ``(1/sqrt(r)) * (1, exp(-j*x/r), ..., exp(-j*(r-1)*x/r))`` at
-    ``x = Omega + 2*pi*j`` — the vector depends on ``j`` only modulo ``r``
-    — and nonnegative diagonal ``D`` collecting
+    ``x = Omega + 2*pi*j``, the sampling phases of :func:`_alias_basis` at
+    the alias ``j`` (they depend on ``j`` only modulo ``r``), and
+    nonnegative diagonal ``D`` collecting
     ``r * sum |Phi(Omega+2*pi*nu)|^2`` over the contributing
     aliases ``nu`` congruent to ``j`` modulo ``r``.  Satisfies
     ``U @ D @ U^H == delay_free`` to machine precision.
@@ -445,11 +441,8 @@ def q_eigendecomposition(waveform: ChipWaveform, r: int, omega: float):
     diag = np.zeros(r)
     np.add.at(diag, nus % r, np.abs(amps[0]) ** 2)
     diag *= r
-    cols = np.arange(r)
-    rows = np.arange(r)
-    x = float(omega) + TWO_PI * cols
-    u = np.exp(-1j * rows[:, None] * x[None, :] / r) / math.sqrt(r)
-    return u, np.diag(diag)
+    u = _sampling_phases(float(omega) + TWO_PI * np.arange(r), r).T
+    return u / math.sqrt(r), np.diag(diag)
 
 
 def phase_twisted_circulant(coefficients, omega: float) -> np.ndarray:

@@ -262,6 +262,11 @@ class TestSyncClosedForm:
         assert capacity_sync_closed_form(0.0, 10.0) == 0.0
         assert capacity_sync_closed_form(1.0, 0.0) == 0.0
 
+    def test_negative_load_rejected(self):
+        with pytest.raises(ValueError,
+                           match="snr and load must be nonnegative"):
+            capacity_sync_closed_form(-1.0, 1.0)
+
     def test_small_load_is_single_user(self):
         # C/beta -> log2(1 + snr) as the load vanishes.
         load = 1e-7
@@ -441,6 +446,26 @@ class TestEbN0Inversion:
         # Below the minimum energy per bit of the channel.
         with pytest.raises(SolverError, match="unreachable Eb/N0"):
             snr_for_ebn0(1e-3, 1.0, fn)
+
+    def test_zero_capacity_up_to_unit_snr(self):
+        # C(snr) <= 0 reads as "below the target" (excess -inf), so the
+        # bracket [1, 8] starts at a non-finite end and the root finder
+        # falls back to bisection steps.  Eb/N0 = sqrt(snr) above 1.
+        calls = []
+
+        def fn(snr):
+            calls.append(snr)
+            return 0.0 if snr <= 1.0 else math.sqrt(snr)
+
+        got = snr_for_ebn0(2.0, 1.0, fn)
+        assert abs(got / 4.0 - 1.0) <= 0.5e-8
+        # The first step after both ends is the midpoint in ln snr.
+        assert calls[:3] == pytest.approx([1.0, 8.0, math.sqrt(8.0)],
+                                          rel=1e-15)
+
+    def test_target_met_at_unit_snr(self):
+        fn = lambda snr: capacity_sync_closed_form(1.0, snr)
+        assert snr_for_ebn0(1.0 / fn(1.0), 1.0, fn) == 1.0
 
     def test_invalid_arguments(self):
         fn = lambda snr: snr

@@ -98,6 +98,11 @@ class TestConfigResolution:
         assert lines["beta"] == "2.5"   # file beats default
         assert lines["n0"] == "0.7"     # flag beats file
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unknown key 'bogus' for efficiency"):
+            resolve_config("efficiency", {}, {"bogus": "1"})
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus_key = 1\n")
@@ -267,13 +272,18 @@ def _nan_inverse(monkeypatch):
                         lambda a: np.full_like(a, np.nan))
 
 
+def _file(name, text):
+    """Patch that writes ``text`` to ``name`` in the run directory."""
+    def write(monkeypatch):
+        with open(name, "w") as handle:
+            handle.write(text)
+    return write
+
+
 def _table(text):
     """Patch that writes ``t.csv`` (header, then ``text``) to the run
     directory."""
-    def write(monkeypatch):
-        with open("t.csv", "w") as handle:
-            handle.write("omega,re\n" + text)
-    return write
+    return _file("t.csv", "omega,re\n" + text)
 
 
 # Invalid input and violated hypotheses exit 2; a solver that cannot
@@ -282,6 +292,28 @@ def _table(text):
     pytest.param(["efficiency", "--beta", "0.5:2:4"], None, 2,
                  "efficiency takes a single beta, not a range",
                  id="beta_range"),
+    pytest.param(["efficiency", "--waveform", "sinc"], None, 2,
+                 "waveform argument 'sinc' needs kind:parameter",
+                 id="waveform_without_parameter"),
+    pytest.param(["capacity", "--beta", "1:2"], None, 2,
+                 "beta must be a number or lo:hi:count range (got '1:2')",
+                 id="two_part_range"),
+    pytest.param(["capacity", "--beta", "2:1:5"], None, 2,
+                 "beta must be a number or lo:hi:count range (got '2:1:5')",
+                 id="descending_range"),
+    pytest.param(["montecarlo", "--trials", "x"], None, 2,
+                 "trials must be an integer (got 'x')", id="non_integer"),
+    pytest.param(["efficiency", "--n0", "inf"], None, 2,
+                 "n0 must be finite", id="infinite_n0"),
+    pytest.param(["efficiency", "--config", "bad.cfg"],
+                 _file("bad.cfg", "beta\n"), 2,
+                 "bad.cfg:1: expected key = value", id="config_line"),
+    pytest.param(["figure2", "--ebn0-db", ""], None, 2,
+                 "figure2 needs ebn0_db", id="figure2_without_ebn0"),
+    pytest.param(["figure3", "--ebn0-db", ""], None, 2,
+                 "figure3 needs ebn0_db", id="figure3_without_ebn0"),
+    pytest.param(["theorem3", "--beta", "0.001"], None, 2,
+                 "beta too small: no users at this n", id="no_users"),
     pytest.param(["efficiency", "--r", "1"], None, 2,
                  "undersampled configuration", id="undersampled"),
     pytest.param(["efficiency", "--n-delays", "1"], None, 2,

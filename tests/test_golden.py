@@ -55,9 +55,10 @@ RUNS = {
     "efficiency_cross_check": (
         ["efficiency", "--cross-check", "--sync-baseline", "--grid", "128",
          "--density-points", "64"], LAPACK),
-    # The fields point nearest its stopping rule: 163 steps to a residual
-    # of 9.11e-11 against 1e-10, so a change to the step's rounding shows
-    # here as moved digits or as exit 3.
+    # The fields point nearest its stopping rule: from the CLI's scalar
+    # start, 73 steps to a residual of 8.88e-11 against 1e-10 (a cold
+    # start takes 163 steps to 9.12e-11), so a change to the step's
+    # rounding shows here as moved digits or as exit 3.
     "efficiency_cross_check_low_noise": (
         ["efficiency", "--waveform", "rrc:0.22", "--beta", "1", "--n0",
          "1e-3", "--cross-check", "--density-points", "64"], LAPACK),

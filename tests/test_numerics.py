@@ -34,6 +34,14 @@ class TestBisect:
         with pytest.raises(SolverError, match="bracket"):
             bisect(lambda x: x + 10.0, 0.0, 1.0)
 
+    def test_invalid_bracket_and_tolerance_rejected(self):
+        for lo, hi in ((1.0, 0.0), (0.5, 0.5)):
+            with pytest.raises(ValueError,
+                               match="bracket endpoints must satisfy lo < hi"):
+                bisect(lambda x: x - 0.25, lo, hi)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            bisect(lambda x: x - 0.25, 0.0, 1.0, tol=0.0)
+
     @settings(max_examples=50, deadline=None)
     @given(root=st.floats(min_value=-5.0, max_value=5.0))
     def test_recovers_cubic_root(self, root):

@@ -1,8 +1,9 @@
 """Tests for chip-waveform spectra, alias sampling, and quadratic forms.
 
 Oracles: closed-form spectrum values, brute-force alias sums written
-directly in the tests, trapezoidal energy integrals, and dense averaging
-over many delays for the delay-free matrix.
+directly in the tests, trapezoidal energy integrals, the raised-cosine
+power, and for the delay-free matrix dense averaging over many delays and
+a direct phase-tensor alias sum.
 """
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmalimits import (
+    ChipWaveform,
     load_tabulated_waveform,
     phase_twisted_circulant,
     q_eigendecomposition,
@@ -43,6 +45,31 @@ def _brute_sampled_spectrum(waveform, omega, tau, nu_range=8):
         amp = waveform.spectrum(np.clip(arg, -edge, edge))
         total += weight * np.conj(amp) * np.exp(1j * tau * arg)
     return total
+
+
+def _phase_tensor_q(waveform, r, omega):
+    """Delay-averaged matrix summed over an ``(r, r, V)`` phase tensor:
+    ``sum_nu w_nu^2 |Phi|^2 * exp(-j*(k-l)/r*(Omega+2*pi*nu))``."""
+    _, args, amps = _alias_table(waveform, np.array([float(omega)]))
+    power = np.abs(amps[0]) ** 2  # includes squared edge weights
+    idx = np.arange(r)
+    diff = idx[:, None] - idx[None, :]
+    phase = np.exp(-1j * diff[:, :, None] * args[0][None, None, :] / r)
+    return np.einsum("v,klv->kl", power, phase)
+
+
+#: Pulses of the formula oracles: flat ones with an alias on the band
+#: edge at Omega = 0 or +-pi, RRC over its roll-offs, a complex table.
+_ORACLE_PULSES = {
+    "sinc:1": sinc_waveform(1.0),
+    "sinc:2": sinc_waveform(2.0),
+    "sinc:4.5": sinc_waveform(4.5),
+    "rrc:0": root_raised_cosine_waveform(0.0),
+    "rrc:0.22": root_raised_cosine_waveform(0.22),
+    "rrc:1": root_raised_cosine_waveform(1.0),
+    "table": tabulated_waveform([-2.0, 0.5, 3.0],
+                                [1.0 + 0.5j, -0.3 + 1.0j, 0.2 - 0.7j]),
+}
 
 
 def _delta(waveform, r, omega, tau):
@@ -127,6 +154,21 @@ class TestRootRaisedCosine:
             root_raised_cosine_waveform(1.5)
         with pytest.raises(ValueError, match="roll-off"):
             root_raised_cosine_waveform(-0.1)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.22, 0.5, 1.0])
+    def test_power_spectrum_is_the_raised_cosine(self, rho):
+        wf = root_raised_cosine_waveform(rho)
+        w = np.linspace(-1.1 * TWO_PI, 1.1 * TWO_PI, 4001)
+        want = wf._rrc_power(w)
+        got = wf.power_spectrum(w)
+        np.testing.assert_array_equal(got[want == 0.0], 0.0)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        assert np.ndim(wf.power_spectrum(np.pi)) == 0
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown waveform kind 'x'"):
+        ChipWaveform(kind="x", bandwidth=1.0, energy=1.0).spectrum(0.0)
 
 
 class TestTabulatedWaveform:
@@ -221,6 +263,24 @@ class TestTabulatedWaveform:
         path.write_text("omega,re\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n")
         wf = load_tabulated_waveform(path)
         assert wf.spectrum(0.0) == pytest.approx(1.0)
+
+    def test_csv_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "pulse.csv"
+        path.write_text("")
+        with pytest.raises(ValueError,
+                           match="tabulated waveform CSV is empty"):
+            load_tabulated_waveform(path)
+
+    def test_csv_blank_rows_skipped(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("omega,re,im\n-1.0,0.5,0\n0.0,1.0,0.25\n1.0,0.5,0\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("omega,re,im\n\n-1.0,0.5,0\n , ,\n0.0,1.0,0.25\n"
+                         "\n1.0,0.5,0\n\n")
+        want, got = (load_tabulated_waveform(p) for p in (plain, blank))
+        np.testing.assert_array_equal(got.table_omega, want.table_omega)
+        np.testing.assert_array_equal(got.table_value, want.table_value)
+        assert got.energy == want.energy
 
     def test_csv_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "pulse.csv"
@@ -390,6 +450,18 @@ class TestQSplit:
         np.testing.assert_allclose(_delay_free_q(wf, r, omega), acc,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("name", _ORACLE_PULSES)
+    def test_delay_free_is_the_phase_tensor_sum(self, name):
+        # B @ B^H against the (r, r, V) phase-tensor sum, normwise, at
+        # frequencies that put aliases on the band edges (1/2 weight).
+        wf = _ORACLE_PULSES[name]
+        for r in range(wf.min_oversampling, wf.min_oversampling + 3):
+            for omega in (-np.pi, -2.0, 0.0, 0.3, 1.8, np.pi):
+                want = _phase_tensor_q(wf, r, omega)
+                got = _delay_free_q(wf, r, omega)
+                assert (np.linalg.norm(got - want)
+                        <= 1e-14 * np.linalg.norm(want)), (r, omega)
+
     def test_delay_free_is_hermitian_psd(self):
         delay_free = _delay_free_q(sinc_waveform(2.3), 3, 0.4)
         np.testing.assert_allclose(delay_free, delay_free.conj().T,
@@ -428,6 +500,15 @@ class TestQEigendecomposition:
             np.testing.assert_allclose(u @ d @ u.conj().T,
                                        _delay_free_q(wf, r, omega),
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_u_is_the_phase_vector_formula(self, r):
+        omega = 0.7
+        x = omega + TWO_PI * np.arange(r)
+        want = np.exp(-1j * np.arange(r)[:, None] * x[None, :] / r)
+        u, _ = q_eigendecomposition(sinc_waveform(1.0), r, omega)
+        np.testing.assert_allclose(u * math.sqrt(r), want, rtol=0,
+                                   atol=1e-14)
 
     def test_u_is_unitary_and_d_nonnegative(self):
         u, d = q_eigendecomposition(root_raised_cosine_waveform(0.22), 2, 0.7)
