@@ -33,13 +33,20 @@ from .large_system import (
     _band_root,
     _equal_power_root,
 )
-from .numerics import SolverError, bisect
+from .numerics import SolverError, _check_load, bisect
 from .waveforms import LOG2_E, ChipWaveform
 
 #: SNR range searched for an Eb/N0 target, and its root's relative tolerance.
 _MIN_SNR = 1e-9
 _MAX_SNR = 1e18
 _EBN0_REL_TOL = 1e-8
+
+
+def _check_snr(snr: float) -> None:
+    """Raises ``ValueError`` unless the per-chip SNR is finite and
+    nonnegative."""
+    if not 0 <= snr < math.inf:
+        raise ValueError("snr must be finite and nonnegative")
 
 
 def capacity_sync_closed_form(load: float, snr: float) -> float:
@@ -49,9 +56,10 @@ def capacity_sync_closed_form(load: float, snr: float) -> float:
     equal-power efficiency ``eta`` at ``N_0 = 1/snr``:
     ``log2(e) * [beta*ln(1 + snr*eta) - ln(eta) - (1 - eta)]``, which
     does not cancel at high SNR; returns 0 at zero SNR or zero load.
+    Raises ``ValueError`` unless both are finite and nonnegative.
     """
-    if load < 0 or snr < 0:
-        raise ValueError("snr and load must be nonnegative")
+    _check_load(load)
+    _check_snr(snr)
     if snr == 0.0 or load == 0.0:
         return 0.0
     eta = _equal_power_root(load, 1.0 / snr)
@@ -65,8 +73,7 @@ def capacity_constrained(sys: SystemLaw, snr: float | None = None) -> float:
     for a law that passes the gate of ``solve_efficiency_scalar``."""
     if snr is None:
         snr = sys.snr
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    _check_snr(snr)
     if sys.load == 0.0 or snr == 0.0:
         return 0.0
     return _capacity(sys.waveform, sys.load, *_balanced_marginal(sys), snr)
@@ -107,12 +114,13 @@ def snr_for_ebn0(target_ebn0: float, load: float, capacity_fn) -> float:
     finder (``numerics.bisect``) solves ``ln(Eb/N0) = ln(target)`` in
     ``ln snr``, so the result lies within ``1e-8 / 2`` of the root in
     relative terms.  Raises "unreachable Eb/N0" when the target lies below
-    the channel's minimum or beyond the searchable range.
+    the channel's minimum or beyond the searchable range, and
+    ``ValueError`` unless the target and the load are finite and positive.
     """
-    if target_ebn0 <= 0:
-        raise ValueError("target Eb/N0 must be positive")
-    if load <= 0:
-        raise ValueError("load must be positive")
+    if not 0 < target_ebn0 < math.inf:
+        raise ValueError("target Eb/N0 must be finite and positive")
+    if not 0 < load < math.inf:
+        raise ValueError("load must be finite and positive")
     log_target = math.log(target_ebn0)
 
     @functools.cache

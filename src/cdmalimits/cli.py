@@ -421,6 +421,14 @@ def _ebn0_capacity(ebn0: float, load: float,
     return capacity_fn(snr)
 
 
+def _efficiency_cell(capacity: float | None,
+                     waveform: ChipWaveform) -> float | str:
+    """The spectral efficiency of an :func:`_ebn0_capacity` result, or an
+    empty cell where that inversion failed."""
+    return "" if capacity is None else spectral_efficiency(capacity,
+                                                           waveform)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -507,10 +515,8 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
         waveform = sinc_waveform(alpha)
         async_cap = _ebn0_capacity(ebn0, beta, _capacity_curve(
             waveform, beta, waveform.min_oversampling))
-        gamma_async = (spectral_efficiency(async_cap, waveform)
-                       if async_cap is not None else "")
-        gamma_sync = (spectral_efficiency(sync_cap, waveform)
-                      if sync_cap is not None else "")
+        gamma_async = _efficiency_cell(async_cap, waveform)
+        gamma_sync = _efficiency_cell(sync_cap, waveform)
         rows.append((alpha, gamma_async, gamma_sync))
     write_output(cfg, render_csv(cfg, columns, rows))
     return 0
@@ -528,10 +534,8 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
             waveform, beta, cfg.r))
         sync_cap = _ebn0_capacity(
             ebn0, beta, lambda s: capacity_sync_closed_form(beta, s))
-        gamma_async = (spectral_efficiency(async_cap, waveform)
-                       if async_cap is not None else "")
-        gamma_sync = (spectral_efficiency(sync_cap, waveform)
-                      if sync_cap is not None else "")
+        gamma_async = _efficiency_cell(async_cap, waveform)
+        gamma_sync = _efficiency_cell(sync_cap, waveform)
         # A zero capacity (zero load) leaves the gap empty, as does a miss.
         gap = ((gamma_async - gamma_sync) / gamma_sync
                if async_cap and sync_cap else "")

@@ -34,8 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SolverError, bisect
+from .numerics import (
+    SolverError,
+    _check_load,
+    _check_noise_density,
+    _read_only,
+    bisect,
+)
 from .waveforms import (
+    TWO_PI,
     ChipWaveform,
     _alias_basis,
     _check_oversampling,
@@ -44,7 +51,6 @@ from .waveforms import (
     sinc_waveform,
 )
 
-TWO_PI = 2.0 * np.pi
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 10000
 
@@ -63,9 +69,9 @@ class PowerDelayLaw:
     weights: np.ndarray
 
     def __post_init__(self):
-        powers = np.asarray(self.powers, dtype=float)
-        delays = np.asarray(self.delays, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        powers = _read_only(self.powers, float)
+        delays = _read_only(self.delays, float)
+        weights = _read_only(self.weights, float)
         if not (powers.shape == delays.shape == weights.shape):
             raise ValueError("law atom arrays must share one shape")
         if powers.ndim != 1 or powers.size == 0:
@@ -81,11 +87,9 @@ class PowerDelayLaw:
             raise ValueError("weights must be positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        for name, arr in (("powers", powers), ("delays", delays),
-                          ("weights", weights)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_atoms(self) -> int:
@@ -158,10 +162,8 @@ class SystemLaw:
     law: PowerDelayLaw
 
     def __post_init__(self):
-        if not 0 <= self.load < math.inf:
-            raise ValueError("load must be finite and nonnegative")
-        if not 0 < self.noise_density < math.inf:
-            raise ValueError("noise density must be finite and positive")
+        _check_load(self.load)
+        _check_noise_density(self.noise_density)
         _check_oversampling(self.waveform, self.oversampling)
         if np.any(self.law.delays >= 1.0):
             raise ValueError("law delays must lie in [0, T_c)")
@@ -379,12 +381,14 @@ def sinr_user(field: UpsilonField, sys: SystemLaw,
 
 
 def efficiency_of_user(sinr: float | np.ndarray, power: float | np.ndarray,
-                       sys: SystemLaw) -> float | np.ndarray:
+                       sys) -> float | np.ndarray:
     """Multiuser efficiency: SINR over the single-user matched-filter SNR.
 
     ``eta = sinr * N_0 / (power * E)``; raises "zero power" if any
     ``power <= 0``.  ``sinr`` and ``power`` broadcast against each other
     as in :func:`sinr_user`: arrays give an array, scalars a float.
+    ``sys`` may be any system with a ``noise_density`` and a
+    ``waveform``: a :class:`SystemLaw` or a finite instance of one.
     """
     sinr, power = np.broadcast_arrays(np.asarray(sinr, dtype=float),
                                       np.asarray(power, dtype=float))
@@ -515,8 +519,8 @@ def solve_efficiency_sinc(load: float, relative_bandwidth: float, powers,
     ``sinc_waveform(alpha)``, whose band mean is ``alpha / (alpha + x)``;
     the bandwidth enters only through the effective load ``beta/alpha``.
     """
-    if load < 0:
-        raise ValueError("load must be nonnegative")
+    _check_load(load)
+    _check_noise_density(noise_density)
     return _band_root(sinc_waveform(relative_bandwidth), load,
                       np.asarray(powers, dtype=float),
                       np.asarray(weights, dtype=float), noise_density)[1]
@@ -532,8 +536,8 @@ def solve_efficiency_sync(load: float, powers, weights,
     relative tolerance however small the root, from ``m(0)/2``, where the
     residual is at most -1 in floating point too.
     """
-    if load < 0:
-        raise ValueError("load must be nonnegative")
+    _check_load(load)
+    _check_noise_density(noise_density)
     powers = np.asarray(powers, dtype=float)
     weights = np.asarray(weights, dtype=float)
 

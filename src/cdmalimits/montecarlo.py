@@ -43,15 +43,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .large_system import SystemLaw
-from .numerics import SolverError
+from .large_system import SystemLaw, efficiency_of_user
+from .numerics import SolverError, _check_noise_density, _read_only
 from .waveforms import (
+    TWO_PI,
     ChipWaveform,
     _check_oversampling,
     _delta_components,
 )
 
-TWO_PI = 2.0 * np.pi
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -87,18 +87,17 @@ class FiniteSystem:
     def __post_init__(self):
         if self.spreading_factor < 1 or self.n_users < 1:
             raise ValueError("system needs at least one chip and one user")
-        if not 0 < self.noise_density < math.inf:
-            raise ValueError("noise density must be finite and positive")
+        _check_noise_density(self.noise_density)
         _check_oversampling(self.waveform, self.oversampling)
-        amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        delays = np.asarray(self.delays, dtype=float)
+        amplitudes = _read_only(self.amplitudes, complex)
+        delays = _read_only(self.delays, float)
         if amplitudes.shape != (self.n_users,) or \
                 delays.shape != (self.n_users,):
             raise ValueError("per-user arrays must have length n_users")
+        if not np.all(np.isfinite(amplitudes)):
+            raise ValueError("amplitudes must be finite")
         if not np.all((delays >= 0) & (delays < self.spreading_factor)):
             raise ValueError("delays must lie in [0, T_s)")
-        amplitudes.setflags(write=False)
-        delays.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "delays", delays)
 
@@ -440,8 +439,7 @@ def run_trials(system: FiniteSystem, trials: int):
 
     _run_interleaved(make_trial, trials, _trial_workers(trials))
     powers = np.abs(system.amplitudes) ** 2
-    effs = sinrs * system.noise_density / (powers * system.waveform.energy)
-    return sinrs, _summarize(sinrs, effs)
+    return sinrs, _summarize(sinrs, efficiency_of_user(sinrs, powers, system))
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +648,7 @@ def theorem3_harness(waveform: ChipWaveform, spreading_factor: int,
         return trial
 
     _run_interleaved(make_trial, trials, _trial_workers(trials))
-    scale = noise_density / waveform.energy
-    return PairedSummaries(
-        windowed=_summarize(win_sinr, win_sinr * scale),
-        reduced=_summarize(red_sinr, red_sinr * scale),
-    )
+    windowed, reduced = (
+        _summarize(sinrs, efficiency_of_user(sinrs, 1.0, system))
+        for sinrs in (win_sinr, red_sinr))
+    return PairedSummaries(windowed=windowed, reduced=reduced)

@@ -1,4 +1,5 @@
-"""What the layers share: the ITP root and the solver error.
+"""What the layers share: the ITP root, the solver error, read-only
+copies and the load and noise-density checks.
 
 Matrices and vectors are plain ``numpy`` arrays throughout the package,
 whose only runtime dependency is ``numpy``; the dense solves of the Monte
@@ -17,6 +18,26 @@ class SolverError(RuntimeError):
     why: a fixed point that stops or diverges, a bracket without a sign
     change, an unreachable Eb/N0, or a matrix that is not positive definite.
     Invalid input and violated hypotheses raise ``ValueError`` instead."""
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``: the frozen descriptions
+    keep it, so no later write to the caller's array reaches them."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _check_load(load: float) -> None:
+    """Raises ``ValueError`` unless the load is finite and nonnegative."""
+    if not 0 <= load < math.inf:
+        raise ValueError("load must be finite and nonnegative")
+
+
+def _check_noise_density(noise_density: float) -> None:
+    """Raises ``ValueError`` unless ``N_0`` is finite and positive."""
+    if not 0 < noise_density < math.inf:
+        raise ValueError("noise density must be finite and positive")
 
 
 #: Cap on ITP steps, well above the ``ceil(log2(width / tol)) + 1`` it needs.

@@ -49,6 +49,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .numerics import _read_only
+
 TWO_PI = 2.0 * np.pi
 LOG2_E = math.log2(math.e)
 
@@ -264,8 +266,8 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     on a segment of width ``h`` from ``p`` to ``q``, which is Simpson's
     rule on ``|Phi|^2``.
     """
-    om = np.asarray(omega, dtype=float)
-    val = np.asarray(values, dtype=complex)
+    om = _read_only(omega, float)
+    val = _read_only(values, complex)
     if om.ndim != 1 or om.size < 2:
         raise ValueError("tabulated waveform needs at least two samples")
     if val.shape != om.shape:
@@ -280,10 +282,6 @@ def tabulated_waveform(omega, values) -> ChipWaveform:
     if peak and not _TABLE_PEAK_RANGE[0] <= peak <= _TABLE_PEAK_RANGE[1]:
         raise ValueError("largest tabulated |value| must lie in "
                          "[{:g}, {:g}]".format(*_TABLE_PEAK_RANGE))
-    om = om.copy()
-    val = val.copy()
-    om.setflags(write=False)
-    val.setflags(write=False)
     p, q = val[:-1], val[1:]
     segments = np.abs(p) ** 2 + np.real(p * np.conj(q)) + np.abs(q) ** 2
     energy = float(np.sum(np.diff(om) * segments) / (3.0 * TWO_PI))

@@ -264,8 +264,18 @@ class TestSyncClosedForm:
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError,
-                           match="snr and load must be nonnegative"):
+                           match="load must be finite and nonnegative"):
             capacity_sync_closed_form(-1.0, 1.0)
+
+    @pytest.mark.parametrize("load, snr, name", [
+        (math.inf, 10.0, "load"), (math.nan, 10.0, "load"),
+        (1.0, math.nan, "snr"), (1.0, math.inf, "snr"),
+        (1.0, -1.0, "snr")])
+    def test_non_finite_arguments_rejected(self, load, snr, name):
+        # Checked before the root: a NaN SNR would come out as a NaN
+        # capacity, and an infinite load as a math domain error.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            capacity_sync_closed_form(load, snr)
 
     def test_small_load_is_single_user(self):
         # C/beta -> log2(1 + snr) as the load vanishes.
@@ -313,6 +323,14 @@ class TestConstrainedCapacity:
     def test_zero_load_and_zero_snr(self):
         assert capacity_constrained(_sinc_system(0.0), snr=10.0) == 0.0
         assert capacity_constrained(_sinc_system(1.0), snr=0.0) == 0.0
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf])
+    def test_snr_must_be_finite_and_nonnegative(self, snr):
+        # The closed form's check, before the band root, where an infinite
+        # SNR would divide by zero and a NaN one empty the bracket.
+        with pytest.raises(ValueError,
+                           match="^snr must be finite and nonnegative$"):
+            capacity_constrained(_sinc_system(1.0), snr=snr)
 
     def test_snr_defaults_to_system(self):
         sys = _sinc_system(1.0, snr=10.0)
@@ -446,6 +464,18 @@ class TestEbN0Inversion:
         # Below the minimum energy per bit of the channel.
         with pytest.raises(SolverError, match="unreachable Eb/N0"):
             snr_for_ebn0(1e-3, 1.0, fn)
+
+    @pytest.mark.parametrize("target, load, message", [
+        (math.nan, 1.0, "target Eb/N0 must be finite and positive"),
+        (math.inf, 1.0, "target Eb/N0 must be finite and positive"),
+        (10.0, math.nan, "load must be finite and positive"),
+        (10.0, math.inf, "load must be finite and positive")])
+    def test_invalid_target_or_load_rejected(self, target, load, message):
+        # Invalid input, not a solver failure: a NaN compares false with
+        # every bracket end, and an infinite target lies beyond any SNR.
+        fn = lambda snr: capacity_sync_closed_form(1.0, snr)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            snr_for_ebn0(target, load, fn)
 
     def test_zero_capacity_up_to_unit_snr(self):
         # C(snr) <= 0 reads as "below the target" (excess -inf), so the

@@ -73,6 +73,17 @@ class TestPowerDelayLaw:
         with pytest.raises(ValueError):
             law.powers[0] = 9.0
 
+    def test_keeps_copies_of_the_callers_arrays(self):
+        powers, delays, weights = np.ones(2), np.array([0.0, 0.5]), \
+            np.full(2, 0.5)
+        law = PowerDelayLaw(powers, delays, weights)
+        powers += 1.0
+        delays += 1.0
+        weights += 1.0
+        assert law.powers.tolist() == [1.0, 1.0]
+        assert law.delays.tolist() == [0.0, 0.5]
+        assert law.weights.tolist() == [0.5, 0.5]
+
     def test_power_marginal_merges_duplicates(self):
         law = equal_power_uniform_delays(n_delays=16, power=2.0)
         powers, weights = law.power_marginal()
@@ -218,6 +229,22 @@ class TestScalarClosedForms:
             solve_efficiency_sinc(-1.0, 1.0, [1.0], [1.0], 0.1)
         with pytest.raises(ValueError):
             solve_efficiency_sync(-0.5, [1.0], [1.0], 0.1)
+
+    @pytest.mark.parametrize("load, noise_density, name", [
+        (math.inf, 0.1, "load"), (math.nan, 0.1, "load"),
+        (1.0, 0.0, "noise density"), (1.0, -0.1, "noise density"),
+        (1.0, math.nan, "noise density")])
+    def test_raw_solvers_check_load_and_noise_as_system_law(
+            self, load, noise_density, name):
+        # The checks of SystemLaw, before any arithmetic, where an
+        # infinite load or a zero N0 would divide by zero and a NaN load
+        # empty the root's bracket.
+        for solve in (lambda: solve_efficiency_sync(load, [1.0], [1.0],
+                                                    noise_density),
+                      lambda: solve_efficiency_sinc(load, 2.0, [1.0], [1.0],
+                                                    noise_density)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                solve()
 
     @settings(max_examples=40, deadline=None)
     @given(load=st.floats(min_value=0.0, max_value=8.0),

@@ -176,6 +176,27 @@ class TestFiniteSystemValidation:
                          delays=np.zeros(1), noise_density=noise_density,
                          seed=0)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, complex(1, np.nan)])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        # Invalid input is rejected here, not reported by each trial's
+        # factorization as "not positive definite".
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            FiniteSystem(spreading_factor=8, n_users=2, oversampling=2,
+                         waveform=RRC, amplitudes=np.array([1.0, amplitude]),
+                         delays=np.zeros(2), noise_density=0.1, seed=0)
+
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        amplitudes, delays = np.ones(2, dtype=complex), np.array([0.0, 1.5])
+        fs = FiniteSystem(spreading_factor=8, n_users=2, oversampling=2,
+                          waveform=RRC, amplitudes=amplitudes, delays=delays,
+                          noise_density=0.1, seed=0)
+        amplitudes += 1.0
+        delays += 1.0
+        assert fs.amplitudes.tolist() == [1.0, 1.0]
+        assert fs.delays.tolist() == [0.0, 1.5]
+        with pytest.raises(ValueError, match="read-only"):
+            fs.delays[0] = 2.0
+
     def test_nan_delay_rejected(self):
         with pytest.raises(ValueError, match="T_s"):
             FiniteSystem(spreading_factor=8, n_users=2, oversampling=2,
@@ -804,6 +825,90 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="at least one trial"):
             run_trials(_small_system(), 0)
 
+    def test_zero_power_user_rejected(self):
+        # A silent user has no efficiency (0/0), and efficiency_of_user
+        # says so rather than averaging a NaN.
+        fs = FiniteSystem(spreading_factor=8, n_users=2, oversampling=2,
+                          waveform=RRC, amplitudes=np.array([1.0, 0.0]),
+                          delays=np.zeros(2), noise_density=0.1, seed=0)
+        with pytest.raises(ValueError, match="zero power"):
+            run_trials(fs, 2)
+
+
+class TestRunInterleaved:
+    """The interrupt path of ``_run_interleaved``, on two trial threads at
+    most: a ``BaseException`` that is not an ``Exception`` leaves a worker
+    loop, or a thread fails to start."""
+
+    def test_interrupt_in_the_callers_trial_stops_and_joins_the_other(
+            self, monkeypatch):
+        # Trial 1, worker 1's first, waits until the caller joins, which
+        # it does only after recording the interrupt, so worker 1 then
+        # starts no further trial however the threads are scheduled.
+        interrupt = KeyboardInterrupt()
+        joining = threading.Event()
+        join = threading.Thread.join
+
+        def recording_join(thread, *args, **kwargs):
+            joining.set()
+            return join(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "join", recording_join)
+        started, workers = [], set()
+
+        def make_trial():
+            workers.add(threading.current_thread())
+
+            def trial(t):
+                started.append(t)
+                if t == 0:
+                    raise interrupt
+                assert joining.wait(timeout=60)
+
+            return trial
+
+        with pytest.raises(KeyboardInterrupt) as caught:
+            montecarlo._run_interleaved(make_trial, 8, 2)
+        assert caught.value is interrupt
+        assert set(started) <= {0, 1}
+        others = workers - {threading.current_thread()}
+        assert len(others) == 1
+        assert not any(thread.is_alive() for thread in others)
+
+    def test_thread_that_cannot_start_propagates_after_joins(
+            self, monkeypatch):
+        # Workers 1 and 2 run on threads; the second start fails, as
+        # threading reports a spent thread limit, before the caller's own
+        # trials begin.
+        failure = RuntimeError("can't start new thread")
+        start, join = threading.Thread.start, threading.Thread.join
+        starts, joined = [], []
+
+        def failing_start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise failure
+            start(thread)
+
+        def recording_join(thread, *args, **kwargs):
+            joined.append(thread)
+            return join(thread, *args, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        monkeypatch.setattr(threading.Thread, "join", recording_join)
+        started = []
+
+        def make_trial():
+            return started.append
+
+        with pytest.raises(RuntimeError) as caught:
+            montecarlo._run_interleaved(make_trial, 9, 3)
+        assert caught.value is failure
+        assert joined == starts[:1]
+        assert not starts[0].is_alive()
+        assert 0 not in started
+        assert set(started) <= {1, 4, 7}
+
 
 def _harness_entry(n_users):
     """``theorem3_harness`` at N = 8, r = 2, window 2, returning both
@@ -1013,6 +1118,12 @@ class TestTheorem3Harness:
         assert [montecarlo._trial_workers(t) for t in (3, 100)] == [3, 4]
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert montecarlo._trial_workers(100) == 1
+
+    def test_callers_delays_stay_writeable(self):
+        delays = np.arange(4) / 4.0
+        theorem3_harness(RRC, 8, 2, 4, delays, 0.1, window=2, trials=1)
+        delays += 1.0
+        assert delays.tolist() == [1.0, 1.25, 1.5, 1.75]
 
     def test_summary_shapes(self):
         paired = theorem3_harness(RRC, 8, 2, 4, np.zeros(4), 0.1,

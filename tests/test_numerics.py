@@ -15,6 +15,11 @@ from cdmalimits import (
     SolverError,
     bisect,
 )
+from cdmalimits.numerics import (
+    _check_load,
+    _check_noise_density,
+    _read_only,
+)
 
 
 class TestBisect:
@@ -103,3 +108,33 @@ class TestBisect:
         assert bisect(fn, 0.0, 1.0, tol=1e-12) == pytest.approx(
             0.25, abs=1e-12)
 
+
+
+class TestSharedRules:
+    def test_read_only_copy(self):
+        values = [1, 2]
+        array = np.arange(2)
+        for source in (values, array):
+            frozen = _read_only(source, complex)
+            assert frozen.dtype == complex and not frozen.flags.writeable
+        array += 1
+        assert frozen.tolist() == [0, 1]
+        assert array.flags.writeable
+
+    @pytest.mark.parametrize("load", [-1.0, math.nan, math.inf])
+    def test_load_must_be_finite_and_nonnegative(self, load):
+        with pytest.raises(ValueError,
+                           match="^load must be finite and nonnegative$"):
+            _check_load(load)
+
+    @pytest.mark.parametrize("noise_density", [0.0, -1.0, math.nan,
+                                               math.inf])
+    def test_noise_density_must_be_finite_and_positive(self, noise_density):
+        with pytest.raises(ValueError, match="^noise density must be finite "
+                                             "and positive$"):
+            _check_noise_density(noise_density)
+
+    def test_admissible_values_pass(self):
+        _check_load(0.0)
+        _check_load(16.0)
+        _check_noise_density(5e-324)

@@ -32,18 +32,12 @@ from cdmalimits import (
 )
 from cdmalimits.waveforms import ChipWaveform, _alias_table
 
+from conftest import quadratic_root
+
 ALPHAS = (0.5, 1.0, 2.0)
 LOADS = (0.01, 0.1, 0.5, 1.0, 1.2, 2.0, 4.0, 8.0, 16.0)
 NOISE_LEVELS = (10.0, 1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-14)
 SNRS = (1e-9, 1e-6, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e18)
-
-
-def _quadratic_root(load, n0):
-    """Positive root of ``eta^2 + b*eta - n0``, ``b = n0 + load - 1``, in
-    the branch that does not cancel for the sign of ``b``."""
-    b = n0 + load - 1.0
-    d = math.sqrt(b * b + 4.0 * n0)
-    return 2.0 * n0 / (b + d) if b >= 0 else (d - b) / 2.0
 
 
 def _sync_capacity_80_digits(load, snr):
@@ -86,7 +80,7 @@ def test_sinc_efficiency_matches_the_quadratic_root(alpha):
             continue
         for n0 in NOISE_LEVELS:
             got = solve_efficiency_sinc(load, alpha, [1.0], [1.0], n0)
-            want = _quadratic_root(load / alpha, n0)
+            want = quadratic_root(load / alpha, n0)
             if abs(got / want - 1.0) > 1e-10:
                 off.append((load, n0, got, want))
     assert off == []
@@ -100,7 +94,7 @@ def test_sinc_efficiency_at_the_critical_load(alpha):
     # relative down to N0 = 1e-12 and 1e-9 below.
     for n0 in NOISE_LEVELS:
         got = solve_efficiency_sinc(alpha, alpha, [1.0], [1.0], n0)
-        want = _quadratic_root(1.0, n0)
+        want = quadratic_root(1.0, n0)
         bound = 1e-10 if n0 >= 1e-12 else 1e-9
         assert abs(got / want - 1.0) <= bound, (n0, got, want)
 
@@ -255,7 +249,7 @@ def test_flat_table_efficiency_matches_sinc(span):
         for n0 in NOISE_LEVELS[:-2]:
             sys, alpha = _flat_table_system(span, load, n0)
             got = solve_efficiency_scalar(sys, 2).scalar
-            want = (_quadratic_root(1.0, n0) if load == alpha else
+            want = (quadratic_root(1.0, n0) if load == alpha else
                     solve_efficiency_sinc(load, alpha, [1.0], [1.0], n0))
             assert abs(got / want - 1.0) <= 1e-10, (load, n0, got, want)
 

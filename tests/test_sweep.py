@@ -32,20 +32,14 @@ from cdmalimits import (
 )
 from cdmalimits.cli import main
 
+from conftest import quadratic_root
+
 SEED = 20240611
 DRAWS = 300
 COMMANDS = ("efficiency", "capacity_snr", "capacity_ebn0", "figure3")
 
 #: The messages of the scalar solvers' ``SolverError``.
 SOLVER_ERRORS = ("unreachable Eb/N0", "bracket")
-
-
-def _quadratic_root(load, n0):
-    """Positive root of ``eta^2 + b*eta - n0``, ``b = n0 + load - 1``, in
-    the branch that does not cancel for the sign of ``b``."""
-    b = n0 + load - 1.0
-    d = math.sqrt(b * b + 4.0 * n0)
-    return 2.0 * n0 / (b + d) if b >= 0 else (d - b) / 2.0
 
 
 def _log_uniform(rng, lo, hi):
@@ -157,7 +151,7 @@ def _check_efficiency(out, err, facts):
         alpha, n0 = waveform.relative_bandwidth, facts["n0"]
         load = facts["beta"] / alpha
         rel = 1e-9 if load == 1.0 and n0 < 1e-12 else 1e-10
-        assert scalar == pytest.approx(_quadratic_root(load, n0), rel=rel,
+        assert scalar == pytest.approx(quadratic_root(load, n0), rel=rel,
                                        abs=0.0)
 
 
